@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..gateway import Gateway
+from ..transcript import warn
 from . import prompts
 from .schema import chat_structured, require_str
 
@@ -75,9 +76,6 @@ def consis_evaluate(source_text: str, candidate_translation: str, terms: Sequenc
     score, findings = envelope.parsed
     if not 0.0 <= score <= 100.0:
         clamped = min(100.0, max(0.0, score))
-        message = f"consis: score {score} outside [0, 100], clamped to {clamped}"
-        if transcript is not None:
-            transcript.warn(message)
-        log.warning("%s", message)
+        warn(transcript, log, f"consis: score {score} outside [0, 100], clamped to {clamped}")
         score = clamped
     return ConsisResult(score, findings)

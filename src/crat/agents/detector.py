@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 
 from ..gateway import Gateway
+from ..transcript import warn
 from ..transkg import TERM_CATEGORIES, TermCandidate
 from . import prompts
 from .schema import chat_structured, require_list, require_str
@@ -63,7 +64,8 @@ def detect_unknown_terms(source_text: str, lang_pair: tuple[str, str], backend_i
         seen_surfaces.add(surface)
         start = source_text.find(surface)
         if start < 0:
-            _warn(transcript, f"detector: surface not found in source text, dropped: {surface!r}")
+            warn(transcript, log,
+                 f"detector: surface not found in source text, dropped: {surface!r}")
             continue
         candidates.append(TermCandidate(surface, start, start + len(surface),
                                         category, rationale))
@@ -75,9 +77,3 @@ def detect_unknown_terms(source_text: str, lang_pair: tuple[str, str], backend_i
             continue
         kept.append(candidate)
     return sorted(kept, key=lambda c: c.start)
-
-
-def _warn(transcript, message: str) -> None:
-    if transcript is not None:
-        transcript.warn(message)
-    log.warning("%s", message)

@@ -7,6 +7,7 @@ import logging
 from typing import Sequence
 
 from ..gateway import Gateway
+from ..transcript import warn
 from ..transkg import KnowledgeTriple, TermCandidate, internal_provenance
 from . import prompts
 from .schema import chat_structured, require_list, require_str
@@ -53,21 +54,15 @@ def extract_internal_knowledge(source_text: str, terms: Sequence[TermCandidate],
     for subject, relation, obj, keys in envelope.parsed:
         unknown = sorted(set(keys) - known)
         if unknown:
-            _warn(transcript,
-                  f"extractor: dropped triple ({subject}, {relation}, {obj}) "
-                  f"referencing unknown term(s): {', '.join(unknown)}")
+            warn(transcript, log,
+                 f"extractor: dropped triple ({subject}, {relation}, {obj}) "
+                 f"referencing unknown term(s): {', '.join(unknown)}")
             continue
         if not keys:
-            _warn(transcript,
-                  f"extractor: dropped triple ({subject}, {relation}, {obj}) "
-                  f"with no term reference")
+            warn(transcript, log,
+                 f"extractor: dropped triple ({subject}, {relation}, {obj}) "
+                 f"with no term reference")
             continue
         triples.append(KnowledgeTriple(subject, relation, obj,
                                        internal_provenance(), frozenset(keys)))
     return triples
-
-
-def _warn(transcript, message: str) -> None:
-    if transcript is not None:
-        transcript.warn(message)
-    log.warning("%s", message)

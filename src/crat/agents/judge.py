@@ -3,8 +3,8 @@
 For one (term, document) pair the judge proposes a target-language rendering
 of the term assuming the document is true, back-translates that rendering in
 context, and rules CORRECT only when the back-translation preserves the
-source meaning. Unusable replies fail closed to INCORRECT so that a parse
-failure can never admit evidence into the graph.
+source meaning. Unusable replies and failed calls fail closed to INCORRECT so
+that neither can admit evidence into the graph.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..gateway import Gateway
+from ..gateway import Gateway, GatewayError
 from ..retrieval import RetrievedDocument
+from ..transcript import warn
 from ..transkg import INCORRECT, VERDICTS, KnowledgeTriple, TermCandidate
 from . import prompts
 from .schema import AgentParseError, chat_structured, require_str
@@ -97,11 +98,9 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
     try:
         envelope = chat_structured(gateway, backend_id, prompt, "judge",
                                    _validate, transcript)
-    except AgentParseError as err:
-        message = f"judge: unparsable reply for document {doc.id!r}, ruling INCORRECT"
-        if transcript is not None:
-            transcript.warn(message)
-        log.warning("%s (%s)", message, err)
+    except (AgentParseError, GatewayError) as err:
+        warn(transcript, log,
+             f"judge: unparsable reply for document {doc.id!r}, ruling INCORRECT", err)
         return JudgeVerdict(doc.id, INCORRECT, "", "", "unparsable")
     parsed = envelope.parsed
     return JudgeVerdict(

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import retrieval
+from . import canonical, retrieval
 from .config import (
     ConfigError,
     build_eval_config,
@@ -175,8 +175,7 @@ def cmd_evaluate(args) -> int:
         return _fail(str(err))
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n", "utf-8")
+    report_path.write_text(canonical.pretty(payload), "utf-8")
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -197,9 +196,9 @@ def cmd_inspect_kg(args) -> int:
             "term": args.term,
             "triples": [triple_to_dict(t) for t in triples_for_term(graph, args.term)],
         }
-        print(json.dumps(filtered, ensure_ascii=False, sort_keys=True, indent=2))
+        print(canonical.pretty(filtered), end="")
     else:
-        print(json.dumps(graph_to_dict(graph), ensure_ascii=False, sort_keys=True, indent=2))
+        print(canonical.pretty(graph_to_dict(graph)), end="")
     return EXIT_OK
 
 

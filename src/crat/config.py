@@ -9,13 +9,13 @@ environment variable that holds their token.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import yaml
 
+from . import canonical
 from .evaluation import EvalConfig
 from .gateway import Gateway, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
@@ -104,9 +104,7 @@ class RunConfig:
             raise ConfigError(f"eval.consis_backend: unregistered backend {consis_backend!r}")
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.data, ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"), default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical.digest(self.data)
 
     def resolve(self, path: str) -> Path:
         candidate = Path(path)
@@ -192,6 +190,11 @@ def load_mock_script(path: Path) -> tuple[list, Callable[..., str] | str | None]
 # --- runtime construction ----------------------------------------------------
 
 
+def _given(section: Mapping, **casts: Callable) -> dict:
+    """Given keys, cast; absent ones are left to the callee's defaults."""
+    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
+
+
 def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
     pipeline = config.pipeline_section()
     cache_dir = pipeline.get("cache_dir") if cache_enabled else None
@@ -204,8 +207,7 @@ def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
             gateway.register_http(
                 reg["id"], reg["endpoint"], reg["model"],
                 auth_token_env_var=reg.get("auth_env"),
-                request_shape=reg.get("request_shape", "openai_chat_v1"),
-                timeout_s=float(reg.get("timeout_s", 30.0)),
+                **_given(reg, request_shape=str, timeout_s=float),
             )
     return gateway
 
@@ -219,7 +221,7 @@ def build_sources(config: RunConfig) -> list:
             sources.append(index_source_from_file(config.resolve(spec["path"])))
         else:
             sources.append(RemoteSource(RemoteConfig(
-                spec["endpoint"], float(spec.get("timeout_s", 10.0)))))
+                spec["endpoint"], **_given(spec, timeout_s=float))))
     return sources
 
 
@@ -235,23 +237,22 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
         for role in ("detector", "extractor", "judge"):
             if not roles[role]:
                 raise ConfigError(f"backends.roles.{role} is required in crat mode")
-    retrieval = config.retrieval_section()
     pipeline = config.pipeline_section()
+    knobs = _given(config.retrieval_section(), n2=int, k_per_source=int)
+    knobs.update(_given(pipeline, max_triples=int, max_doc_excerpts=int, excerpt_chars=int,
+                        on_detector_error=str, width=int))
+    if "judge_enabled" in pipeline:
+        knobs["use_judge"] = bool(pipeline["judge_enabled"])
+    if width_override:
+        knobs["width"] = width_override
     return PipelineConfig(
         detector_backend=roles["detector"] or translator,
         extractor_backend=roles["extractor"] or translator,
         judge_backend=roles["judge"] or translator,
         translator_backend=translator,
         sources=sources,
-        n2=int(retrieval.get("n2", 5)),
-        k_per_source=int(retrieval.get("k_per_source", 5)),
-        max_triples=int(pipeline.get("max_triples", 20)),
-        max_doc_excerpts=int(pipeline.get("max_doc_excerpts", 3)),
-        excerpt_chars=int(pipeline.get("excerpt_chars", 500)),
-        on_detector_error=pipeline.get("on_detector_error", "translate_direct"),
-        width=width_override or int(pipeline.get("width", 1)),
         use_knowledge=(mode == "crat"),
-        use_judge=bool(pipeline.get("judge_enabled", True)),
+        **knobs,
     )
 
 

@@ -12,7 +12,6 @@ is zero, which keeps identical candidate/reference pairs at exactly 100.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -20,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from . import tokenizers
+from . import canonical, tokenizers
 from .agents import AgentError, consis_evaluate
-from .gateway import Gateway
+from .gateway import Gateway, GatewayError
 from .pipeline import TranslationResult
 
 log = logging.getLogger(__name__)
@@ -161,9 +160,7 @@ class EvalConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.describe(), ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical.digest(self.describe())
 
 
 @dataclass
@@ -239,7 +236,7 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
                     config.consis_backend, config.gateway)
                 row["consis"] = scored.score
                 consis_scores.append(scored.score)
-            except AgentError as err:
+            except (AgentError, GatewayError) as err:
                 log.warning("consis failed for %s: %s", example.id, err)
                 row["consis"] = None
                 row["consis_error"] = str(err)

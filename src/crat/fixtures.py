@@ -315,5 +315,5 @@ def write_demo_workspace(directory: str | Path) -> dict[str, Path]:
         "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in references), "utf-8")
 
     paths["config"] = root / "config.yaml"
-    paths["config"].write_text(yaml.safe_dump(DEMO_CONFIG, sort_keys=False), "utf-8")
+    paths["config"].write_text(yaml.safe_dump(DEMO_CONFIG), "utf-8")
     return paths

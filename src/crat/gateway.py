@@ -10,7 +10,6 @@ on-disk response cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -22,6 +21,8 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlparse
 
 import requests
+
+from . import canonical
 
 log = logging.getLogger(__name__)
 
@@ -127,23 +128,25 @@ def simple_request(backend_id: str, prompt: str,
                        params or GenerationParams())
 
 
+def _params_payload(params: GenerationParams) -> dict:
+    return {
+        "temperature": params.temperature,
+        "max_new_tokens": params.max_new_tokens,
+        "stop": list(params.stop) if params.stop else None,
+    }
+
+
 def _canonical_payload(request: ChatRequest) -> dict:
     return {
         "backend": request.backend_id,
         "messages": [[m.role, m.content] for m in request.messages],
-        "params": {
-            "temperature": request.params.temperature,
-            "max_new_tokens": request.params.max_new_tokens,
-            "stop": list(request.params.stop) if request.params.stop else None,
-        },
+        "params": _params_payload(request.params),
     }
 
 
 def request_fingerprint(request: ChatRequest) -> str:
     """Stable content hash of (backend, messages, params)."""
-    blob = json.dumps(_canonical_payload(request), ensure_ascii=False,
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical.digest(_canonical_payload(request))
 
 
 @dataclass
@@ -161,11 +164,7 @@ class ChatExchange:
         out = {
             "backend_id": self.request.backend_id,
             "messages": [{"role": m.role, "content": m.content} for m in self.request.messages],
-            "params": {
-                "temperature": self.request.params.temperature,
-                "max_new_tokens": self.request.params.max_new_tokens,
-                "stop": list(self.request.params.stop) if self.request.params.stop else None,
-            },
+            "params": _params_payload(self.request.params),
             "response_text": self.response_text,
             "fingerprint": self.fingerprint,
         }
@@ -404,7 +403,7 @@ class Gateway:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, ensure_ascii=False, sort_keys=True)
+                handle.write(canonical.compact(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -9,7 +9,6 @@ graph.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import canonical
 from .agents import (
     AgentError,
     JudgeVerdict,
@@ -33,16 +33,15 @@ from .agents.translator import (
     DEFAULT_MAX_DOC_EXCERPTS,
     DEFAULT_MAX_TRIPLES,
 )
-from .gateway import Gateway
+from .gateway import Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
 from .transcript import AgentTranscript
 from .transkg import (
     CORRECT,
     KnowledgeTriple,
     TransKG,
+    deserialize_graph,
     external_provenance,
-    graph_from_dict,
-    graph_to_dict,
     integrate_external,
     new_graph,
     add_internal,
@@ -51,7 +50,9 @@ from .transkg import (
 
 log = logging.getLogger(__name__)
 
-RESULT_FORMAT_VERSION = 1
+# Format 1 also embedded the graph and the transcript; format 2 leaves them to
+# graph.json and transcript.json. Both hold every field that loading reads.
+RESULT_FORMAT_VERSION = 2
 
 ON_DETECTOR_ERROR = ("fail", "translate_direct")
 
@@ -124,9 +125,7 @@ class PipelineConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.describe(), ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical.digest(self.describe())
 
 
 @dataclass
@@ -146,31 +145,24 @@ class TranslationResult:
     detector_fallback: bool = False
 
 
-def result_to_dict(result: TranslationResult, volatile: bool = True) -> dict:
-    out = {
+def result_to_dict(result: TranslationResult) -> dict:
+    """Texts and counts; the graph, transcript and timings have their own files."""
+    return {
         "format_version": RESULT_FORMAT_VERSION,
         "source_doc_id": result.source_doc_id,
         "source_text": result.source_text,
         "target_text": result.target_text,
-        "graph": graph_to_dict(result.graph),
-        "transcript": result.transcript.to_dict(volatile=volatile),
         "term_count": result.term_count,
         "judged_count": result.judged_count,
         "accepted_count": result.accepted_count,
         "term_renderings": result.term_renderings,
         "detector_fallback": result.detector_fallback,
     }
-    if volatile:
-        out["timings_ms"] = result.timings_ms
-    return out
 
 
-def serialize_result(result: TranslationResult, volatile: bool = True) -> bytes:
-    """Canonical result bytes; ``volatile=False`` excludes timings, cache
-    flags, and attempt counts so deterministic reruns compare byte-equal."""
-    text = json.dumps(result_to_dict(result, volatile=volatile),
-                      ensure_ascii=False, sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
+def serialize_result(result: TranslationResult) -> bytes:
+    """Canonical ``result.json`` bytes; deterministic reruns compare byte-equal."""
+    return canonical.pretty(result_to_dict(result)).encode("utf-8")
 
 
 @contextmanager
@@ -222,7 +214,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             try:
                 terms = detect_unknown_terms(source_text, lang_pair,
                                              config.detector_backend, gateway, transcript)
-            except AgentError as err:
+            except (AgentError, GatewayError) as err:
                 if config.on_detector_error == "translate_direct":
                     detector_fallback = True
                     transcript.warn(
@@ -311,9 +303,8 @@ class BatchManifest:
 
     def to_jsonl(self) -> str:
         header = {"record": "run", "config_hash": self.config_hash, **self.aggregate}
-        lines = [json.dumps(header, ensure_ascii=False, sort_keys=True)]
-        lines += [json.dumps({"record": "doc", **r}, ensure_ascii=False, sort_keys=True)
-                  for r in self.records]
+        lines = [canonical.compact(header)]
+        lines += [canonical.compact({"record": "doc", **r}) for r in self.records]
         return "\n".join(lines) + "\n"
 
 
@@ -389,7 +380,8 @@ def _safe_name(doc_id: str) -> str:
 
 
 def write_transcript(result: TranslationResult, directory: str | Path) -> list[Path]:
-    """Write ``{result, graph, transcript}`` files for one result.
+    """Write one result's ``result.json``, ``graph.json`` and
+    ``transcript.json``; each is the only copy of what it holds.
 
     All three files are canonical (sorted keys, no volatile fields), so
     re-running an identical configuration overwrites them byte-identically.
@@ -399,26 +391,24 @@ def write_transcript(result: TranslationResult, directory: str | Path) -> list[P
     result_path = doc_dir / "result.json"
     graph_path = doc_dir / "graph.json"
     transcript_path = doc_dir / "transcript.json"
-    result_path.write_bytes(serialize_result(result, volatile=False))
+    result_path.write_bytes(serialize_result(result))
     graph_path.write_bytes(serialize_graph(result.graph))
-    transcript_text = json.dumps(result.transcript.to_dict(volatile=False),
-                                 ensure_ascii=False, sort_keys=True, indent=2)
-    transcript_path.write_text(transcript_text + "\n", encoding="utf-8")
+    transcript_path.write_text(canonical.pretty(result.transcript.to_dict(volatile=False)),
+                               encoding="utf-8")
     return [result_path, graph_path, transcript_path]
 
 
-def result_from_dict(data: Mapping) -> TranslationResult:
-    """Rebuild a result from its serialized form (transcript events are not
-    reconstructed; evaluation only needs texts, graph, and counts)."""
-    if data.get("format_version") != RESULT_FORMAT_VERSION:
+def result_from_dict(data: Mapping, graph: TransKG) -> TranslationResult:
+    """Rebuild a result from its ``result.json`` fields and its graph (transcript
+    events are not reconstructed; evaluation only needs texts, graph, counts)."""
+    if data.get("format_version") not in (1, RESULT_FORMAT_VERSION):
         raise PipelineError(f"unsupported result format version: {data.get('format_version')!r}")
     return TranslationResult(
         source_doc_id=data["source_doc_id"],
         source_text=data["source_text"],
         target_text=data["target_text"],
-        graph=graph_from_dict(data["graph"]),
+        graph=graph,
         transcript=AgentTranscript(),
-        timings_ms=dict(data.get("timings_ms", {})),
         term_count=data.get("term_count", 0),
         judged_count=data.get("judged_count", 0),
         accepted_count=data.get("accepted_count", 0),
@@ -428,14 +418,17 @@ def result_from_dict(data: Mapping) -> TranslationResult:
 
 
 def load_results(directory: str | Path) -> list[TranslationResult]:
-    """Load every ``result.json`` under a transcript directory tree."""
+    """Load every ``result.json`` under a transcript directory tree, each
+    with the graph from the ``graph.json`` beside it."""
     root = Path(directory)
     if not root.is_dir():
         raise PipelineError(f"not a results directory: {root}")
     results = []
     for path in sorted(root.glob("*/result.json")):
         try:
-            results.append(result_from_dict(json.loads(path.read_text("utf-8"))))
-        except (ValueError, KeyError) as err:
+            data = json.loads(path.read_text("utf-8"))
+            graph = deserialize_graph((path.parent / "graph.json").read_bytes())
+            results.append(result_from_dict(data, graph))
+        except (OSError, ValueError, KeyError) as err:
             raise PipelineError(f"unreadable result file {path}: {err}") from err
     return results

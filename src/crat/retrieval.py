@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import requests
 
-from . import tokenizers
+from . import canonical, tokenizers
+from .transcript import warn
 from .transkg import TermCandidate
 
 log = logging.getLogger(__name__)
@@ -141,9 +142,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "tokenizer_id": index.tokenizer_id,
         "docs": {i: [t, x] for i, (t, x) in index.docs.items()},
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    Path(path).write_text(canonical.pretty(payload), encoding="utf-8")
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -309,10 +308,8 @@ def retrieve_for_term(term: TermCandidate, source_text: str, sources: Sequence,
         try:
             hits = source.search(query, k_per_source)
         except SourceError as err:
-            message = f"retrieval source {getattr(source, 'label', source)!r} failed: {err}"
-            if transcript is not None:
-                transcript.warn(message)
-            log.warning("%s", message)
+            warn(transcript, log,
+                 f"retrieval source {getattr(source, 'label', source)!r} failed: {err}")
             continue
         for doc in hits:
             key = (doc.source, doc.id)

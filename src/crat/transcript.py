@@ -5,6 +5,7 @@ recorded inside the stage that produced it.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from .gateway import ChatExchange
@@ -77,3 +78,11 @@ class AgentTranscript:
                 out.append({"kind": "warning", "stage": event.stage,
                             "message": event.message})
         return out
+
+
+def warn(transcript: AgentTranscript | None, log: logging.Logger, message: str,
+         cause: Exception | None = None) -> None:
+    """Record ``message`` in ``transcript``, if any, and log it with ``cause``."""
+    if transcript is not None:
+        transcript.warn(message)
+    log.warning("%s", message if cause is None else f"{message} ({cause})")

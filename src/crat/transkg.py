@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from . import canonical
+
 TERM_CATEGORIES = ("polyseme", "acronym", "proper_noun", "new_term", "low_confidence")
 
 INTERNAL = "internal"
@@ -280,8 +282,7 @@ def triple_to_dict(triple: KnowledgeTriple) -> dict:
 
 
 def serialize_graph(graph: TransKG) -> bytes:
-    text = json.dumps(graph_to_dict(graph), ensure_ascii=False, sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
+    return canonical.pretty(graph_to_dict(graph)).encode("utf-8")
 
 
 def _require(mapping: Mapping, key: str, context: str):

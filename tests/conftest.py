@@ -11,23 +11,36 @@ import pytest
 
 from crat import fixtures
 from crat.config import mock_script_from_dict
-from crat.gateway import Gateway
-from crat.pipeline import PipelineConfig
+from crat.gateway import Gateway, MockBackend
+from crat.pipeline import PipelineConfig, write_transcript
 from crat.retrieval import LocalIndexSource, build_index
 
 
-def register_demo_backends(gateway: Gateway) -> dict[str, str]:
-    """Register the demo's scripted mock backends; returns the role map."""
-    scripts = {
-        "det": fixtures.detector_script(),
-        "ext": fixtures.extractor_script(),
-        "jdg": fixtures.judge_script(),
-        "trn": fixtures.translator_script(),
-        "con": fixtures.consis_script(),
-    }
-    for backend_id, script in scripts.items():
-        rules, fallback = mock_script_from_dict(script)
-        gateway.register_mock(backend_id, rules, fallback)
+DEMO_SCRIPTS = {
+    "det": fixtures.detector_script,
+    "ext": fixtures.extractor_script,
+    "jdg": fixtures.judge_script,
+    "trn": fixtures.translator_script,
+    "con": fixtures.consis_script,
+}
+
+
+def demo_backend(backend_id: str) -> MockBackend:
+    """A stand-alone copy of one of the demo's scripted mock backends."""
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS[backend_id]())
+    return MockBackend(backend_id, rules, fallback)
+
+
+def register_demo_backends(gateway: Gateway, **responders) -> dict[str, str]:
+    """Register the demo's scripted mock backends, except that a backend id
+    given in ``responders`` answers every request through that callable;
+    returns the role map."""
+    for backend_id, script in DEMO_SCRIPTS.items():
+        if backend_id in responders:
+            gateway.register_mock(backend_id, [], fallback=responders[backend_id])
+        else:
+            rules, fallback = mock_script_from_dict(script())
+            gateway.register_mock(backend_id, rules, fallback)
     return {"detector": "det", "extractor": "ext", "judge": "jdg",
             "translator": "trn", "consis": "con"}
 
@@ -43,6 +56,13 @@ def demo_pipeline_config(**overrides) -> PipelineConfig:
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+def artifact_bytes(results, directory) -> list[bytes]:
+    """The bytes of every file ``write_transcript`` writes for ``results``
+    under ``directory``, in order."""
+    return [path.read_bytes() for result in results
+            for path in write_transcript(result, directory)]
 
 
 @pytest.fixture

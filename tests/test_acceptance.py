@@ -16,13 +16,13 @@ import pytest
 
 from bleu_oracle import corpus_bleu_oracle
 from bm25_oracle import bm25_rank
-from conftest import register_demo_backends
+from conftest import artifact_bytes, register_demo_backends
 from crat import fixtures, tokenizers
 from crat.cli import main as cli_main
 from crat.evaluation import corpus_bleu, term_consistency
 from crat.fixtures import fenced_payload
 from crat.gateway import Gateway
-from crat.pipeline import PipelineConfig, run_pipeline, serialize_result, write_transcript
+from crat.pipeline import PipelineConfig, run_pipeline, write_transcript
 from crat.retrieval import GlossaryEntry, GlossarySource, RetrievedDocument, build_index, search
 from crat.transcript import STAGES
 from crat.transkg import CORRECT, INCORRECT, deserialize_graph, integrate_external, serialize_graph
@@ -112,7 +112,7 @@ def test_criterion_2_end_to_end_determinism(tmp_path):
     started = time.perf_counter()
     blobs = []
     for cache_on in (False, True):
-        for _ in range(2):
+        for attempt in range(2):
             gateway = Gateway(cache_dir=(tmp_path / "cache") if cache_on else None)
             roles = register_demo_backends(gateway)
             config = PipelineConfig(
@@ -121,8 +121,8 @@ def test_criterion_2_end_to_end_determinism(tmp_path):
                 sources=[_demo_index_source()], k_per_source=3)
             result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, gateway,
                                   source_doc_id="geo-1")
-            blobs.append(serialize_result(result, volatile=False))
-    assert len(set(blobs)) == 1
+            blobs.append(artifact_bytes([result], tmp_path / f"run-{cache_on}-{attempt}"))
+    assert all(blob == blobs[0] for blob in blobs)
     _pass(2, "bank/Scotia fixture serializes byte-identically across runs "
              "and cache modes", time.perf_counter() - started, 5.0)
 

@@ -3,6 +3,7 @@ construction, and transcript stage-order enforcement."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from crat.config import (
     mock_script_from_dict,
 )
 from crat.gateway import ChatExchange, Gateway, simple_request
+from crat.pipeline import PipelineConfig
 from crat.transcript import AgentTranscript, TranscriptError
 
 
@@ -164,6 +166,22 @@ def test_direct_mode_needs_only_translator(tmp_path):
         build_pipeline_config(config, [], mode="crat")
 
 
+def test_omitted_knobs_take_pipeline_config_defaults(tmp_path):
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"rules": [], "fallback": {"kind": "text", "text": "x"}}))
+    roles = {role: "t" for role in ("detector", "extractor", "judge", "translator")}
+    config = load_run_config(write_config(tmp_path, {
+        "backends": {"registrations": [{"id": "t", "kind": "mock", "script_path": "s.json"}],
+                     "roles": roles},
+        "retrieval": {}, "pipeline": {}}))
+    built = build_pipeline_config(config, [], mode="crat")
+    knobs = [f.name for f in dataclasses.fields(PipelineConfig)
+             if not f.name.endswith("_backend") and f.name not in ("sources", "use_knowledge")]
+    assert "width" in knobs and "use_judge" in knobs
+    assert ({name: getattr(built, name) for name in knobs}
+            == {name: getattr(PipelineConfig(), name) for name in knobs})
+
+
 def test_cache_dir_resolves_relative_to_config(demo, tmp_path):
     data = yaml.safe_load((demo / "config.yaml").read_text("utf-8"))
     data["pipeline"]["cache_dir"] = "cachehere"
@@ -179,8 +197,6 @@ def test_cache_dir_resolves_relative_to_config(demo, tmp_path):
 
 
 def test_pipeline_config_bounds():
-    from crat.pipeline import PipelineConfig
-
     with pytest.raises(ValueError, match="n2"):
         PipelineConfig(n2=0)
     with pytest.raises(ValueError, match="width"):

@@ -22,7 +22,7 @@ from crat.evaluation import (
     term_consistency,
 )
 from crat.fixtures import fenced_payload
-from crat.gateway import Gateway
+from crat.gateway import Gateway, HttpStatusError
 from crat.pipeline import TranslationResult
 from crat.transcript import AgentTranscript
 from crat.transkg import TermCandidate, new_graph
@@ -227,15 +227,22 @@ def test_evaluate_run_records_partial_consis_failures():
                make_result("marker-two text", [], {})]
     results[0].source_doc_id = "a"
     results[1].source_doc_id = "b"
-    gateway = Gateway()
-    gateway.register_mock("con", [
-        ("marker-one", fenced_payload({"score": 75.0, "term_findings": []})),
-        ("marker-two", "garbage that never parses"),
-    ])
-    report = evaluate_run(results, examples,
-                          EvalConfig(gateway=gateway, consis_backend="con"))
-    assert report.consis == pytest.approx(75.0)
-    assert "consis_error" in report.per_example[1]
+
+    def http_500(request):
+        raise HttpStatusError(500, "internal error")
+
+    # An unparsable reply and a provider error are both recorded per example.
+    for fault in ("garbage that never parses", http_500):
+        gateway = Gateway()
+        gateway.register_mock("con", [
+            ("marker-one", fenced_payload({"score": 75.0, "term_findings": []})),
+            ("marker-two", fault),
+        ])
+        report = evaluate_run(results, examples,
+                              EvalConfig(gateway=gateway, consis_backend="con"))
+        assert report.consis == pytest.approx(75.0)
+        assert report.per_example[1]["consis"] is None
+        assert "consis_error" in report.per_example[1]
 
 
 def test_evaluate_run_id_mismatch():

@@ -5,22 +5,25 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
-from conftest import demo_pipeline_config, register_demo_backends
+from conftest import (
+    artifact_bytes,
+    demo_backend,
+    demo_pipeline_config,
+    register_demo_backends,
+)
 from crat import fixtures
 from crat.fixtures import fenced_payload
-from crat.gateway import Gateway
+from crat.gateway import Gateway, HttpStatusError
 from crat.pipeline import (
     PipelineConfig,
     PipelineError,
     load_results,
-    result_from_dict,
-    result_to_dict,
     run_batch,
     run_pipeline,
-    serialize_result,
     write_transcript,
 )
 from crat.retrieval import RetrievedDocument
@@ -147,17 +150,26 @@ def test_determinism_across_cache_modes(tmp_path, demo_gateway):
                         source_doc_id="geo-1")
     warm = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, cached_gateway,
                         source_doc_id="geo-1")
-    blobs = {serialize_result(r, volatile=False) for r in (plain, cold, warm)}
-    assert len(blobs) == 1
+    blobs = [artifact_bytes([r], tmp_path / name)
+             for name, r in (("plain", plain), ("cold", cold), ("warm", warm))]
+    assert blobs[0] == blobs[1] == blobs[2]
     assert warm.transcript.exchanges()[0].cache_hit is True
 
 
 # --- failure policy ---------------------------------------------------------------
 
 
-def broken_detector_gateway() -> Gateway:
+def http_500(request):
+    raise HttpStatusError(500, "internal error")
+
+
+# An unparsable reply and a provider error must take the same failure policy.
+DETECTOR_FAULTS = ("never structured output", http_500)
+
+
+def broken_detector_gateway(fault) -> Gateway:
     gateway = Gateway()
-    gateway.register_mock("det", [], fallback="never structured output")
+    gateway.register_mock("det", [], fallback=fault)
     gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
     gateway.register_mock("jdg", [], fallback=judge_reply(INCORRECT))
     gateway.register_mock("trn", [], fallback=fenced_payload(
@@ -166,21 +178,44 @@ def broken_detector_gateway() -> Gateway:
 
 
 def test_detector_failure_falls_back_to_direct():
-    gateway = broken_detector_gateway()
     config = controlled_config({}, on_detector_error="translate_direct")
-    result = run_pipeline("some text", EN_ZH, config, gateway)
-    assert result.detector_fallback is True
-    assert result.target_text == "direct translation"
-    assert result.term_count == 0
-    assert result.transcript.stages() == ["detect", "translate"]
-    assert any("falling back" in w for w in result.transcript.warnings())
+    for fault in DETECTOR_FAULTS:
+        result = run_pipeline("some text", EN_ZH, config, broken_detector_gateway(fault))
+        assert result.detector_fallback is True
+        assert result.target_text == "direct translation"
+        assert result.term_count == 0
+        assert result.transcript.stages() == ["detect", "translate"]
+        assert any("falling back" in w for w in result.transcript.warnings())
 
 
 def test_detector_failure_fails_when_configured():
-    gateway = broken_detector_gateway()
     config = controlled_config({}, on_detector_error="fail")
-    with pytest.raises(PipelineError, match="detection failed"):
-        run_pipeline("some text", EN_ZH, config, gateway)
+    for fault in DETECTOR_FAULTS:
+        with pytest.raises(PipelineError, match="detection failed"):
+            run_pipeline("some text", EN_ZH, config, broken_detector_gateway(fault))
+
+
+def test_judge_gateway_error_rules_incorrect():
+    demo_judge = demo_backend("jdg")
+    calls = []
+
+    def flaky_judge(request):
+        calls.append(request)
+        if len(calls) == 2:
+            raise HttpStatusError(503, "service unavailable")
+        return demo_judge.generate(request)
+
+    gateway = Gateway()
+    register_demo_backends(gateway, jdg=flaky_judge)
+    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
+    assert [r["status"] for r in manifest.records] == ["ok"]
+    failed_doc = re.search(r"Document (\S+):", calls[1].last_user_content()).group(1)
+    (result,) = results
+    assert failed_doc not in result.graph.accepted_docs
+    assert result.graph.accepted_docs == ("d-scotiasea",)
+    assert (f"judge: unparsable reply for document {failed_doc!r}, ruling INCORRECT"
+            in result.transcript.warnings())
 
 
 def test_translator_failure_is_fatal():
@@ -285,7 +320,7 @@ def test_batch_empty_corpus(demo_gateway):
     assert manifest.config_hash
 
 
-def test_batch_width_does_not_change_results(demo_gateway):
+def test_batch_width_does_not_change_results(tmp_path, demo_gateway):
     corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE if i % 2
                else fixtures.FINANCIAL_SOURCE} for i in range(10)]
     serial_results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=1),
@@ -293,8 +328,8 @@ def test_batch_width_does_not_change_results(demo_gateway):
     wide_results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4),
                                 demo_gateway)
     assert [r.source_doc_id for r in serial_results] == [d["id"] for d in corpus]
-    serial_blobs = [serialize_result(r, volatile=False) for r in serial_results]
-    wide_blobs = [serialize_result(r, volatile=False) for r in wide_results]
+    serial_blobs = artifact_bytes(serial_results, tmp_path / "serial")
+    wide_blobs = artifact_bytes(wide_results, tmp_path / "wide")
     assert serial_blobs == wide_blobs
 
 
@@ -305,8 +340,8 @@ def test_batch_concurrent_runs_share_cache(tmp_path):
     first, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4), gateway)
     assert manifest.aggregate["failed"] == 0
     second, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4), gateway)
-    assert ([serialize_result(r, volatile=False) for r in first]
-            == [serialize_result(r, volatile=False) for r in second])
+    assert (artifact_bytes(first, tmp_path / "first")
+            == artifact_bytes(second, tmp_path / "second"))
     assert all(e.cache_hit for r in second for e in r.transcript.exchanges())
 
 
@@ -369,13 +404,11 @@ def test_write_transcript_unwritable_target(tmp_path, demo_gateway):
 def test_result_round_trip_and_loading(tmp_path, demo_gateway):
     result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="geo-1")
-    restored = result_from_dict(result_to_dict(result, volatile=False))
-    assert restored.graph == result.graph
-    assert restored.target_text == result.target_text
-    assert restored.term_renderings == result.term_renderings
     write_transcript(result, tmp_path)
-    loaded = load_results(tmp_path)
-    assert len(loaded) == 1
-    assert loaded[0].source_doc_id == "geo-1"
+    (loaded,) = load_results(tmp_path)
+    assert loaded.source_doc_id == "geo-1"
+    assert loaded.graph == result.graph
+    assert loaded.target_text == result.target_text
+    assert loaded.term_renderings == result.term_renderings
     with pytest.raises(PipelineError):
         load_results(tmp_path / "missing")
