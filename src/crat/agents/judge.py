@@ -98,10 +98,14 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
     try:
         envelope = chat_structured(gateway, backend_id, prompt, "judge",
                                    _validate, transcript)
-    except (AgentParseError, GatewayError) as err:
+    except AgentParseError as err:
         warn(transcript, log,
              f"judge: unparsable reply for document {doc.id!r}, ruling INCORRECT", err)
         return JudgeVerdict(doc.id, INCORRECT, "", "", "unparsable")
+    except GatewayError as err:
+        warn(transcript, log, f"judge: call failed for document {doc.id!r} "
+                              f"({type(err).__name__}), ruling INCORRECT", err)
+        return JudgeVerdict(doc.id, INCORRECT, "", "", "call failed")
     parsed = envelope.parsed
     return JudgeVerdict(
         doc_id=doc.id,

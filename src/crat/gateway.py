@@ -4,8 +4,9 @@ Two backend kinds sit behind one ``Gateway.complete`` call: deterministic
 scripted mocks for tests and demos, and a generic HTTP client speaking the
 common chat wire shape (``model``/``messages``/``temperature``/``max_tokens``
 in, first choice's message content out). Every call is identified by a stable
-fingerprint of (backend, messages, params), which also keys the optional
-on-disk response cache.
+fingerprint of (backend, messages, params), plus the model and endpoint of an
+HTTP backend, which also keys the optional on-disk response cache. At most
+``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,10 @@ OPENAI_CHAT_V1 = "openai_chat_v1"
 REQUEST_SHAPES = (OPENAI_CHAT_V1,)
 
 DEFAULT_MAX_NEW_TOKENS = 2048
+
+# Calls one backend may have in flight at once, over every thread of a process
+# that shares the gateway: batch width times the judge fan-out stays under it.
+MAX_INFLIGHT_PER_BACKEND = 16
 
 
 class GatewayError(Exception):
@@ -136,17 +142,21 @@ def _params_payload(params: GenerationParams) -> dict:
     }
 
 
-def _canonical_payload(request: ChatRequest) -> dict:
-    return {
+def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
+    payload = {
         "backend": request.backend_id,
         "messages": [[m.role, m.content] for m in request.messages],
         "params": _params_payload(request.params),
     }
+    if model is not None:
+        payload["model"] = model
+    return payload
 
 
-def request_fingerprint(request: ChatRequest) -> str:
-    """Stable content hash of (backend, messages, params)."""
-    return canonical.digest(_canonical_payload(request))
+def request_fingerprint(request: ChatRequest, model: dict | None = None) -> str:
+    """Stable content hash of (backend, messages, params), and of ``model``,
+    the identity of the model that answers, when the backend has one."""
+    return canonical.digest(_canonical_payload(request, model))
 
 
 @dataclass
@@ -212,6 +222,9 @@ class MockBackend:
     a string or a callable taking the request. Immutable after construction.
     """
 
+    # Scripts are keyed on request content alone, so mock fingerprints are too.
+    model = None
+
     def __init__(self, backend_id: str,
                  script: Sequence[tuple[Matcher | str, str | Responder]] | Mapping,
                  fallback: str | Responder | None = None):
@@ -244,6 +257,12 @@ class HttpBackend:
         self.model_name = model_name
         self.auth_token = auth_token
         self.timeout_s = timeout_s
+
+    @property
+    def model(self) -> dict:
+        """What answers this backend's calls; part of every call's fingerprint,
+        so a cached answer cannot cross models or endpoints."""
+        return {"name": self.model_name, "endpoint": self.endpoint_url}
 
     def generate(self, request: ChatRequest) -> str:
         payload: dict = {
@@ -284,7 +303,8 @@ class Gateway:
 
     Cache entries live at ``<cache_dir>/<fp[:2]>/<fp>.json`` and are written
     atomically (temp file + rename), so concurrent runs may share a cache
-    directory.
+    directory. Each backend admits ``MAX_INFLIGHT_PER_BACKEND`` calls at
+    once; cache reads and retry sleeps do not hold a slot.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -295,6 +315,7 @@ class Gateway:
         self.max_attempts = max_attempts
         self.retry_base_delay_s = retry_base_delay_s
         self._backends: dict[str, MockBackend | HttpBackend] = {}
+        self._inflight: dict[str, threading.BoundedSemaphore] = {}
 
     # -- registration --------------------------------------------------
 
@@ -302,12 +323,17 @@ class Gateway:
         if backend_id in self._backends:
             raise DuplicateBackendError(f"backend id already registered: {backend_id!r}")
 
+    def _add(self, backend: MockBackend | HttpBackend) -> str:
+        self._backends[backend.backend_id] = backend
+        self._inflight[backend.backend_id] = threading.BoundedSemaphore(
+            MAX_INFLIGHT_PER_BACKEND)
+        return backend.backend_id
+
     def register_mock(self, backend_id: str,
                       script: Sequence[tuple[Matcher | str, str | Responder]] | Mapping,
                       fallback: str | Responder | None = None) -> str:
         self._claim_id(backend_id)
-        self._backends[backend_id] = MockBackend(backend_id, script, fallback)
-        return backend_id
+        return self._add(MockBackend(backend_id, script, fallback))
 
     def register_http(self, backend_id: str, endpoint_url: str, model_name: str,
                       auth_token_env_var: str | None = None,
@@ -325,9 +351,7 @@ class Gateway:
             if not token:
                 raise BackendConfigError(
                     f"auth env var {auth_token_env_var!r} is not set for backend {backend_id!r}")
-        self._backends[backend_id] = HttpBackend(
-            backend_id, endpoint_url, model_name, token, timeout_s)
-        return backend_id
+        return self._add(HttpBackend(backend_id, endpoint_url, model_name, token, timeout_s))
 
     def has_backend(self, backend_id: str) -> bool:
         return backend_id in self._backends
@@ -342,7 +366,7 @@ class Gateway:
             raise GatewayError(
                 f"max_new_tokens {request.params.max_new_tokens} exceeds ceiling "
                 f"{self.max_new_tokens_ceiling}")
-        fingerprint = request_fingerprint(request)
+        fingerprint = request_fingerprint(request, backend.model)
         started = time.perf_counter()
 
         if self.cache_dir is not None:
@@ -356,7 +380,8 @@ class Gateway:
         for attempt in range(1, self.max_attempts + 1):
             attempts = attempt
             try:
-                text = backend.generate(request)
+                with self._inflight[request.backend_id]:
+                    text = backend.generate(request)
                 break
             except (TransportError, RateLimitError) as err:
                 if attempt >= self.max_attempts:
@@ -370,7 +395,7 @@ class Gateway:
                 f"backend {request.backend_id!r} returned an empty completion")
 
         if self.cache_dir is not None:
-            self._cache_write(fingerprint, request, text)
+            self._cache_write(fingerprint, _canonical_payload(request, backend.model), text)
         return ChatExchange(request, text, _elapsed_ms(started),
                             cache_hit=False, fingerprint=fingerprint, attempts=attempts)
 
@@ -391,12 +416,12 @@ class Gateway:
             return None
         return text if isinstance(text, str) else None
 
-    def _cache_write(self, fingerprint: str, request: ChatRequest, text: str) -> None:
+    def _cache_write(self, fingerprint: str, payload: dict, text: str) -> None:
         path = self._cache_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "fingerprint": fingerprint,
-            "request": _canonical_payload(request),
+            "request": payload,
             "response_text": text,
             "timestamp": time.time(),
         }

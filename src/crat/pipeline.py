@@ -5,6 +5,14 @@ term/document pair) -> integrate -> translate. External evidence enters the
 graph only through the judge's verdict gate; with zero detected terms the
 knowledge stages are skipped entirely and the translator runs on an empty
 graph.
+
+Every judge call reads only the internal knowledge fixed before the judge
+stage, so all (term, document) pairs are judged at once, on up to
+``MAX_INFLIGHT_PER_BACKEND`` threads; the gateway bounds the calls in flight
+per backend over the whole process. Each call records into its own buffer.
+Verdicts are integrated and buffers replayed into the transcript in the fixed
+(term, document) order, so the graph, the transcript and the result are the
+same bytes as if the pairs had been judged one after another.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ from .agents.translator import (
     DEFAULT_MAX_DOC_EXCERPTS,
     DEFAULT_MAX_TRIPLES,
 )
-from .gateway import Gateway, GatewayError
+from .gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
-from .transcript import AgentTranscript
+from .transcript import AgentTranscript, CallBuffer
 from .transkg import (
     CORRECT,
     KnowledgeTriple,
@@ -248,16 +256,26 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             if config.use_judge:
                 with _timed(timings, "judge"):
                     transcript.begin_stage("judge")
-                    for term, docs in per_term_docs:
-                        for doc in docs:
-                            verdict = judge_document(
-                                list(graph.internal_triples), doc, source_text, term,
-                                lang_pair, config.judge_backend, gateway, transcript)
-                            judged_count += 1
-                            triples = _verdict_triples(verdict, doc, term, transcript)
-                            graph = integrate_external(graph, doc, verdict, triples)
-                            if verdict.verdict == CORRECT:
-                                documents[doc.id] = doc
+                    internal = list(graph.internal_triples)
+                    pairs = [(term, doc) for term, docs in per_term_docs for doc in docs]
+
+                    def judge(pair) -> tuple[JudgeVerdict, CallBuffer]:
+                        term, doc = pair
+                        buffer = CallBuffer()
+                        verdict = judge_document(internal, doc, source_text, term, lang_pair,
+                                                 config.judge_backend, gateway, buffer)
+                        return verdict, buffer
+
+                    workers = min(len(pairs), MAX_INFLIGHT_PER_BACKEND)
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        rulings = list(pool.map(judge, pairs))
+                    for (term, doc), (verdict, buffer) in zip(pairs, rulings):
+                        buffer.replay(transcript)
+                        judged_count += 1
+                        triples = _verdict_triples(verdict, doc, term, transcript)
+                        graph = integrate_external(graph, doc, verdict, triples)
+                        if verdict.verdict == CORRECT:
+                            documents[doc.id] = doc
             else:
                 # Unrefined mode: admit every retrieved document without judging.
                 for term, docs in per_term_docs:

@@ -80,7 +80,29 @@ class AgentTranscript:
         return out
 
 
-def warn(transcript: AgentTranscript | None, log: logging.Logger, message: str,
+class CallBuffer:
+    """What one agent call records while it runs beside others: the
+    ``add_exchange``/``warn`` surface of a transcript, kept in call order
+    until ``replay`` appends it to the transcript that owns the stage."""
+
+    def __init__(self):
+        self._events: list[tuple[str, ChatExchange | str]] = []
+
+    def add_exchange(self, exchange: ChatExchange) -> None:
+        self._events.append(("exchange", exchange))
+
+    def warn(self, message: str) -> None:
+        self._events.append(("warning", message))
+
+    def replay(self, transcript: AgentTranscript) -> None:
+        for kind, item in self._events:
+            if kind == "exchange":
+                transcript.add_exchange(item)
+            else:
+                transcript.warn(item)
+
+
+def warn(transcript: AgentTranscript | CallBuffer | None, log: logging.Logger, message: str,
          cause: Exception | None = None) -> None:
     """Record ``message`` in ``transcript``, if any, and log it with ``cause``."""
     if transcript is not None:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import StubServer
 from crat.gateway import (
     BackendConfigError,
     ChatMessage,
@@ -154,6 +155,37 @@ def test_cache_layout_and_contents(tmp_path):
     assert entry["response_text"] == "entry"
     assert entry["fingerprint"] == fp
     assert "timestamp" in entry and "request" in entry
+
+
+def chat_body(text: str) -> dict:
+    return {"choices": [{"message": {"content": text}}]}
+
+
+def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
+    # Two gateways share one cache dir, and the backend id "live" is served
+    # first by model A, then by model B: on another model name, then on
+    # another endpoint. The second gateway must not get model A's answer.
+    other_server = StubServer()
+    try:
+        other_server.set_default(200, chat_body("answer from model B"))
+        for name, (url_b, model_b) in {"model": (stub_server.url, "model-b"),
+                                       "endpoint": (other_server.url, "model-a")}.items():
+            stub_server.script((200, chat_body("answer from model A")),
+                               (200, chat_body("answer from model B")))
+            cache_dir = tmp_path / name
+            first = Gateway(cache_dir=cache_dir)
+            first.register_http("live", stub_server.url, "model-a")
+            assert first.complete(hello_request("live")).response_text == "answer from model A"
+            second = Gateway(cache_dir=cache_dir)
+            second.register_http("live", url_b, model_b)
+            exchange = second.complete(hello_request("live"))
+            assert exchange.cache_hit is False, name
+            assert exchange.response_text == "answer from model B", name
+            again = Gateway(cache_dir=cache_dir)
+            again.register_http("live", stub_server.url, "model-a")
+            assert again.complete(hello_request("live")).cache_hit is True, name
+    finally:
+        other_server.close()
 
 
 def test_corrupt_cache_entry_is_ignored(tmp_path):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import threading
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from conftest import (
 )
 from crat import fixtures
 from crat.fixtures import fenced_payload
-from crat.gateway import Gateway, HttpStatusError
+from crat.gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, HttpStatusError
 from crat.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -60,8 +62,9 @@ def judge_reply(verdict: str, rendering: str = "", facts=None) -> str:
 
 
 def controlled_gateway(verdict_by_doc: dict[str, str],
-                       term_surfaces: list[str]) -> Gateway:
-    """Mock backends for a controlled run over invented term surfaces."""
+                       term_surfaces: list[str], judge=None) -> Gateway:
+    """Mock backends for a controlled run over invented term surfaces; a
+    ``judge`` callable, if given, answers every judge request."""
     gateway = Gateway()
     gateway.register_mock("det", [], fallback=fenced_payload(
         {"terms": [{"surface": s, "category": "new_term", "rationale": ""}
@@ -69,8 +72,8 @@ def controlled_gateway(verdict_by_doc: dict[str, str],
     gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
     judge_rules = [(f"Document {doc_id}:", judge_reply(verdict))
                    for doc_id, verdict in verdict_by_doc.items()]
-    gateway.register_mock("jdg", judge_rules,
-                          fallback=judge_reply(INCORRECT))
+    gateway.register_mock("jdg", [] if judge else judge_rules,
+                          fallback=judge or judge_reply(INCORRECT))
     gateway.register_mock("trn", [], fallback=fenced_payload(
         {"translation": "translated", "term_renderings": {}}))
     return gateway
@@ -196,12 +199,13 @@ def test_detector_failure_fails_when_configured():
 
 
 def test_judge_gateway_error_rules_incorrect():
+    # The fault is keyed on the judged document, not on call order, which
+    # the judge fan-out leaves open.
     demo_judge = demo_backend("jdg")
-    calls = []
+    failed_doc = "d-scotiabank"
 
     def flaky_judge(request):
-        calls.append(request)
-        if len(calls) == 2:
+        if f"Document {failed_doc}:" in request.last_user_content():
             raise HttpStatusError(503, "service unavailable")
         return demo_judge.generate(request)
 
@@ -210,12 +214,11 @@ def test_judge_gateway_error_rules_incorrect():
     corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
     results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
     assert [r["status"] for r in manifest.records] == ["ok"]
-    failed_doc = re.search(r"Document (\S+):", calls[1].last_user_content()).group(1)
     (result,) = results
     assert failed_doc not in result.graph.accepted_docs
     assert result.graph.accepted_docs == ("d-scotiasea",)
-    assert (f"judge: unparsable reply for document {failed_doc!r}, ruling INCORRECT"
-            in result.transcript.warnings())
+    assert (f"judge: call failed for document {failed_doc!r} (HttpStatusError), "
+            "ruling INCORRECT" in result.transcript.warnings())
 
 
 def test_translator_failure_is_fatal():
@@ -308,6 +311,89 @@ def test_stage_order_conforms_for_random_scripts():
             doc_id for s in surfaces for d in by_surface[s]
             for doc_id in [d.id] if verdicts[doc_id] == CORRECT)
         assert result.graph.accepted_docs == expected_accepted
+
+
+# --- judge fan-out ---------------------------------------------------------------
+
+
+FANOUT_SURFACES = {"alpha": ["dx0", "dx1", "dx2"], "beta": ["dx3", "dx4", "dx5"]}
+FANOUT_PAIRS = [d for docs in FANOUT_SURFACES.values() for d in docs]
+_DOC_RE = re.compile(r"Document (\S+):")
+
+
+def fanout_judge(delay_ms):
+    """A judge whose reply for the i-th pair waits ``delay_ms(i)``: dx0 and
+    dx2 (after one repair turn) are CORRECT, dx1 INCORRECT, dx3 never
+    parses, dx4 is CORRECT with one blank fact, and dx5's call fails."""
+    def respond(request):
+        doc_id = _DOC_RE.search(request.messages[0].content).group(1)
+        time.sleep(delay_ms(FANOUT_PAIRS.index(doc_id)) / 1000)
+        if doc_id == "dx5":
+            raise HttpStatusError(503, "service unavailable")
+        if doc_id == "dx3" or (doc_id == "dx2" and len(request.messages) == 1):
+            return "Let me think about this document in prose."
+        if doc_id == "dx4":
+            return judge_reply(CORRECT, "x4", [["dx4", "is", "fact"], [" ", "is", "blank"]])
+        return judge_reply(CORRECT if doc_id in ("dx0", "dx2") else INCORRECT, doc_id)
+    return respond
+
+
+def fanout_run(delay_ms):
+    gateway = controlled_gateway({}, list(FANOUT_SURFACES), judge=fanout_judge(delay_ms))
+    by_surface = {s: [doc(d) for d in docs] for s, docs in FANOUT_SURFACES.items()}
+    return run_pipeline("alpha beta", EN_ZH, controlled_config(by_surface), gateway)
+
+
+def test_judge_fanout_keeps_the_serial_order(tmp_path):
+    n = len(FANOUT_PAIRS)
+    # Earlier pairs wait longer, so the calls complete in reverse pair order.
+    reverse = fanout_run(lambda i: (n - i) * 5)
+    events = [("exchange", _DOC_RE.search(e.exchange.request.messages[0].content).group(1))
+              if e.kind == "exchange" else ("warning", e.message)
+              for e in reverse.transcript.events if e.stage == "judge" and e.kind != "stage"]
+    assert events == [
+        ("exchange", "dx0"), ("exchange", "dx1"),
+        ("exchange", "dx2"), ("exchange", "dx2"),
+        ("exchange", "dx3"), ("exchange", "dx3"), ("exchange", "dx3"),
+        ("warning", "judge: unparsable reply for document 'dx3', ruling INCORRECT"),
+        ("exchange", "dx4"),
+        ("warning", "judge: skipped blank fact from document 'dx4'"),
+        ("warning", "judge: call failed for document 'dx5' (HttpStatusError), "
+                    "ruling INCORRECT"),
+    ]
+    assert reverse.judged_count == n
+    assert reverse.graph.accepted_docs == ("dx0", "dx2", "dx4")
+    forward = fanout_run(lambda i: i * 5)
+    assert (artifact_bytes([reverse], tmp_path / "reverse")
+            == artifact_bytes([forward], tmp_path / "forward"))
+
+
+def test_judge_calls_in_flight_stay_under_the_backend_limit():
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+
+    def counting_judge(request):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        try:
+            time.sleep(0.02)
+            return judge_reply(INCORRECT)
+        finally:
+            with lock:
+                state["now"] -= 1
+
+    # Four terms with five documents each: 20 pairs per document, above the
+    # limit, and four documents at once.
+    surfaces = [f"t{i}" for i in range(4)]
+    by_surface = {s: [doc(f"{s}-d{j}") for j in range(5)] for s in surfaces}
+    gateway = controlled_gateway({}, surfaces, judge=counting_judge)
+    corpus = [{"id": f"doc-{i}", "text": " ".join(surfaces)} for i in range(4)]
+    results, manifest = run_batch(corpus, EN_ZH, controlled_config(by_surface, width=4),
+                                  gateway)
+    assert [r["status"] for r in manifest.records] == ["ok"] * 4
+    assert all(r.judged_count == 20 for r in results)
+    assert 1 < state["peak"] <= MAX_INFLIGHT_PER_BACKEND
 
 
 # --- batch ---------------------------------------------------------------------
