@@ -3,13 +3,18 @@ oracle, glossary and remote sources, and per-term merged retrieval."""
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import sys
 
 import pytest
 
 from bm25_oracle import bm25_rank
-from crat import tokenizers
+from glossary_oracle import glossary_lookup
+from crat import canonical, tokenizers
 from crat.retrieval import (
+    _ASCII_FOLDS,
     GlossaryEntry,
     GlossarySource,
     LocalIndexSource,
@@ -168,6 +173,27 @@ def test_index_load_rejects_bad_version(tmp_path):
         load_index(path)
 
 
+def test_index_load_rejects_malformed_payload(tmp_path):
+    path = tmp_path / "index.json"
+    save_index(build_index(THREE_DOCS), path)
+    good = json.loads(path.read_text("utf-8"))
+    for bad in ({"version": 1}, {**good, "postings": {"scotia": [["d"]]}},
+                {**good, "postings": []}, {**good, "docs": {"dA": "no title"}}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(RetrievalError, match="malformed index file"):
+            load_index(path)
+
+
+def test_index_file_is_compact_and_indented_files_still_load(tmp_path):
+    index = build_index(THREE_DOCS)
+    path = tmp_path / "index.json"
+    save_index(index, path)
+    text = path.read_text("utf-8")
+    assert text == canonical.compact(json.loads(text)) + "\n"
+    path.write_text(canonical.pretty(json.loads(text)), "utf-8")
+    assert load_index(path) == index
+
+
 # --- glossary -----------------------------------------------------------------
 
 
@@ -194,6 +220,49 @@ def test_glossary_search_word_boundary():
     assert hits[0].title == "phin"
     assert "滴漏咖啡壶" in hits[0].text
     assert hits[0].source == "glossary"
+
+
+def test_glossary_ids_are_record_ordinals(tmp_path):
+    path = tmp_path / "gloss.tsv"
+    path.write_text("# terms\nphin\t滴漏咖啡壶\n\nbank\t河岸\n", "utf-8")
+    source = GlossarySource(load_glossary(path))
+    assert [d.id for d in source.search("a phin by the bank", 5)] == ["glossary:1", "glossary:2"]
+
+
+# Python's case-insensitive matching pairs these with ASCII letters; the rest
+# cover non-ASCII word characters, characters with several case forms and
+# ASCII punctuation next to a term's leading word.
+GLOSSARY_ALPHABET = "aiksqAIKS_09ıİſ\u212aéßςσ\u0345ι-.+#"
+
+
+def test_glossary_search_matches_the_full_scan():
+    rng = random.Random(5)
+
+    def phrase(max_len):
+        chars = rng.choices(GLOSSARY_ALPHABET + "  ", k=rng.randint(1, max_len))
+        return "".join(chars).strip() or rng.choice(GLOSSARY_ALPHABET)
+
+    for _ in range(2000):
+        terms = [phrase(4) for _ in range(rng.randint(1, 12))]
+        terms += [rng.choice(terms).swapcase() for _ in range(rng.randint(0, 3))]
+        terms += [rng.choice(terms) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(terms)
+        entries = [GlossaryEntry(t, f"t{n}", rng.choice(["", "note"]))
+                   for n, t in enumerate(terms)]
+        query = rng.choice(terms)
+        for _ in range(rng.randint(0, 4)):
+            query += rng.choice([" ", " ", "", "-", "é"]) + rng.choice(terms + [phrase(6)])
+        k = rng.choice([1, 2, 5, 50])
+        got = [(d.id, d.title, d.text, d.source, d.score)
+               for d in GlossarySource(entries).search(query, k)]
+        assert got == glossary_lookup(entries, query, k), (terms, query, k)
+
+
+def test_ascii_word_characters_fold_only_to_the_four_table_keys():
+    every = "".join(chr(c) for c in range(128, sys.maxunicode + 1)
+                    if not 0xD800 <= c <= 0xDFFF)
+    folding = re.findall(r"[A-Za-z0-9_]", every, re.IGNORECASE)
+    assert sorted(folding) == sorted(chr(c) for c in _ASCII_FOLDS)
 
 
 # --- remote -------------------------------------------------------------------
