@@ -5,10 +5,9 @@ BM25 inverted index, a bilingual glossary (one TSV record per line), and a
 pluggable remote search endpoint. ``retrieve_for_term`` queries configured
 sources in order, deduplicates, and caps the merged list.
 
-Glossary lookup costs the same whatever the glossary's size: the source
-builds a table from each term's leading word to its entries once, a query
-looks up its own words to find candidate entries, and each candidate is
-verified with the whole-word, case-insensitive regex a full scan would run.
+A glossary compiles each record's whole-word, case-insensitive pattern once,
+when it is built; a query runs them in file order, so its cost grows with
+the number of records, in every script alike.
 """
 
 from __future__ import annotations
@@ -211,26 +210,12 @@ def load_glossary(path: str | Path) -> list[GlossaryEntry]:
     return entries
 
 
-# Under re.IGNORECASE, an ASCII word character matches only its ASCII case
-# partner and these four characters (tests pin this over every code point).
-_ASCII_FOLDS = str.maketrans({"ı": "i", "İ": "i", "ſ": "s", "\u212a": "k"})
-_ASCII_WORD = re.compile(r"[A-Za-z0-9_]+")
-_WORD = re.compile(r"\w+")
-
-
 class GlossarySource:
     """Bilingual glossary; each record is served as a one-line document.
 
     A record matches a query that contains its source term as whole words,
     case-insensitively; ``search`` returns the first *k* matches in file
     order, with ids ``glossary:<n>`` numbering the records from 1.
-
-    Every match starts at a query word. When a term starts with an ASCII word
-    that ends at an ASCII non-word character or at the term's end, it can
-    match only where a whole query word, folded by ``_ASCII_FOLDS`` and
-    lowercased, equals that leading word lowercased. So entries are keyed on
-    that word once, here; a query looks up its own words, and only the
-    entries found, plus the few with no such key, run the regex.
     """
 
     kind = GLOSSARY
@@ -238,33 +223,25 @@ class GlossarySource:
     def __init__(self, entries: Sequence[GlossaryEntry], label: str = "glossary"):
         self.entries = list(entries)
         self.label = label
-        self._by_key: dict[str, list[int]] = {}
-        self._unkeyed: list[int] = []
-        for i, entry in enumerate(self.entries):
-            lead = _ASCII_WORD.match(entry.source_term)
-            if lead and entry.source_term[lead.end():lead.end() + 1].isascii():
-                self._by_key.setdefault(lead.group().lower(), []).append(i)
-            else:
-                self._unkeyed.append(i)
+        # Compiled here, not per query: past the re module's cache of 512
+        # patterns, re.search would recompile every one on every query.
+        self._patterns = [
+            re.compile(rf"(?<!\w){re.escape(entry.source_term)}(?!\w)", re.IGNORECASE)
+            for entry in self.entries]
 
     def search(self, query: str, k: int) -> list[RetrievedDocument]:
         if k <= 0:
             return []
-        candidates = set(self._unkeyed)
-        for word in _WORD.findall(query.translate(_ASCII_FOLDS)):
-            candidates.update(self._by_key.get(word.lower(), ()))
         hits = []
-        for i in sorted(candidates):
-            entry = self.entries[i]
-            pattern = rf"(?<!\w){re.escape(entry.source_term)}(?!\w)"
-            if re.search(pattern, query, re.IGNORECASE):
+        for i, (entry, pattern) in enumerate(zip(self.entries, self._patterns), start=1):
+            if pattern.search(query):
                 text = f"{entry.source_term}: {entry.target_term}"
                 if entry.note:
                     text += f" ({entry.note})"
                 hits.append(RetrievedDocument(
-                    f"glossary:{i + 1}", entry.source_term, text, GLOSSARY, 1.0))
-                if len(hits) >= k:
-                    break
+                    f"glossary:{i}", entry.source_term, text, GLOSSARY, 1.0))
+            if len(hits) >= k:
+                break
         return hits
 
 
