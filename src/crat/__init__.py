@@ -8,6 +8,9 @@ harness scores runs with corpus BLEU, a repeated-term consistency metric,
 and an LLM-judged quality score.
 """
 
+# Set before the imports below: the gateway names it in its User-Agent.
+__version__ = "0.1.0"
+
 from .agents import (
     AgentError,
     AgentParseError,
@@ -72,8 +75,6 @@ from .transkg import (
     serialize_graph,
     triples_for_term,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AgentError",

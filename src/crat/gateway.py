@@ -7,24 +7,32 @@ in, first choice's message content out). Every call is identified by a stable
 fingerprint of (backend, messages, params), plus the model and endpoint of an
 HTTP backend, which also keys the optional on-disk response cache. At most
 ``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
+
+HTTP goes through the standard library (``urllib.request``, with its
+process-wide opener), one connection per call. ``http_proxy`` and
+``https_proxy`` are read once per process, at the first call, and ``no_proxy``
+on each call that a proxy would carry. TLS is verified against the system
+store (``SSL_CERT_FILE`` overrides it). ``REQUESTS_CA_BUNDLE`` and
+``~/.netrc`` are not read.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import tempfile
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+from urllib.error import HTTPError
 from urllib.parse import urlparse
 
-import requests
-
-from . import canonical
+from . import __version__, canonical
 
 log = logging.getLogger(__name__)
 
@@ -185,6 +193,30 @@ class ChatExchange:
         return out
 
 
+def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
+                  timeout_s: float) -> tuple[int, bytes]:
+    """One HTTP request, a POST when ``body`` is given and a GET otherwise:
+    the reply's status and whole body, whatever the status. A failure to
+    connect, a timeout or a reply cut off before its end raises
+    ``TransportError``."""
+    request = urllib.request.Request(
+        url, data=body, headers={**headers, "User-Agent": f"crat/{__version__}"})
+    try:
+        try:
+            with urllib.request.urlopen(request, timeout=timeout_s) as reply:
+                return reply.status, reply.read()
+        except HTTPError as err:
+            with err:
+                return err.code, err.read()
+    except (OSError, http.client.HTTPException) as err:
+        raise TransportError(f"transport failure calling {url}: {err!r}") from err
+
+
+def body_excerpt(body: bytes) -> str:
+    """The start of a reply body, as error messages quote it."""
+    return body.decode("utf-8", "replace")[:200]
+
+
 # --- matchers and mock backends ---------------------------------------------
 
 Matcher = Callable[[ChatRequest], bool]
@@ -276,19 +308,17 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
-        try:
-            resp = requests.post(self.endpoint_url, json=payload, headers=headers,
-                                 timeout=self.timeout_s)
-        except (requests.Timeout, requests.ConnectionError) as err:
-            raise TransportError(f"transport failure calling {self.endpoint_url}: {err}") from err
-        if resp.status_code == 429:
+        status, body = http_exchange(self.endpoint_url,
+                                     json.dumps(payload, allow_nan=False).encode("utf-8"),
+                                     headers, self.timeout_s)
+        if status == 429:
             raise RateLimitError(f"rate limited by {self.endpoint_url}")
-        if not 200 <= resp.status_code < 300:
-            raise HttpStatusError(resp.status_code, resp.text[:200])
+        if not 200 <= status < 300:
+            raise HttpStatusError(status, body_excerpt(body))
         try:
-            data = resp.json()
+            data = json.loads(body)
         except ValueError as err:
-            raise ProtocolError(f"provider returned non-JSON payload: {resp.text[:200]!r}") from err
+            raise ProtocolError(f"provider returned non-JSON payload: {body_excerpt(body)!r}") from err
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as err:

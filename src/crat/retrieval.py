@@ -3,7 +3,9 @@
 Three source kinds produce ranked ``RetrievedDocument`` lists: a local
 BM25 inverted index, a bilingual glossary (one TSV record per line), and a
 pluggable remote search endpoint. ``retrieve_for_term`` queries configured
-sources in order, deduplicates, and caps the merged list.
+sources in order, deduplicates, and caps the merged list. A remote query
+goes over the gateway's standard-library HTTP transport
+(``gateway.http_exchange``), one connection per query.
 
 A glossary compiles each record's whole-word, case-insensitive pattern once,
 when it is built; a query runs them in file order, so its cost grows with
@@ -19,10 +21,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from . import canonical, tokenizers
+from .gateway import TransportError, body_excerpt, http_exchange
 from .transcript import warn
 from .transkg import TermCandidate
 
@@ -256,15 +258,17 @@ def remote_search(client_config: RemoteConfig, query: str, k: int) -> list[Retri
     {id, title, text, score} back, kept in server order."""
     if k <= 0:
         return []
+    parts = urlsplit(client_config.endpoint_url)
+    params = urlencode({"q": query, "k": k})
+    url = parts._replace(query=f"{parts.query}&{params}" if parts.query else params).geturl()
     try:
-        resp = requests.get(client_config.endpoint_url, params={"q": query, "k": k},
-                            timeout=client_config.timeout_s)
-    except (requests.Timeout, requests.ConnectionError) as err:
-        raise SourceError(f"remote search transport failure: {err}") from err
-    if not 200 <= resp.status_code < 300:
-        raise SourceError(f"remote search returned HTTP {resp.status_code}: {resp.text[:200]!r}")
+        status, body = http_exchange(url, None, {}, client_config.timeout_s)
+    except TransportError as err:
+        raise SourceError(f"remote search: {err}") from err
+    if not 200 <= status < 300:
+        raise SourceError(f"remote search returned HTTP {status}: {body_excerpt(body)!r}")
     try:
-        payload = resp.json()
+        payload = json.loads(body)
         docs = [
             RetrievedDocument(str(item["id"]), str(item.get("title", "")),
                               str(item["text"]), REMOTE, float(item.get("score", 0.0)))

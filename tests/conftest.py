@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import threading
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
 
@@ -72,22 +74,39 @@ def demo_gateway() -> Gateway:
     return gateway
 
 
+# Scripted replies that break the exchange instead of answering: CUT_OFF
+# declares a longer Content-Length than it sends and hangs up; STALL sends
+# the headers and half the body, then waits until the server closes.
+CUT_OFF = "cut off"
+STALL = "stall"
+
+
+class StubRequest(NamedTuple):
+    method: str
+    path: str
+    headers: Message
+    body: bytes
+
+
 class StubHandler(BaseHTTPRequestHandler):
     def _respond(self):
         server = self.server
+        received = self.rfile.read(int(self.headers.get("Content-Length") or 0))
         with server.lock:
-            if server.responses:
-                status, body = server.responses.pop(0)
-            else:
-                status, body = server.default_response
-            server.requests.append(self.path)
+            response = server.responses.pop(0) if server.responses else server.default_response
+            server.requests.append(StubRequest(self.command, self.path, self.headers, received))
+        status, body = (200, server.default_response[1]) if response in (CUT_OFF, STALL) else response
         payload = body if isinstance(body, (bytes, str)) else json.dumps(body)
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(len(payload) + (64 if response == CUT_OFF else 0)))
         self.end_headers()
+        if response == STALL:
+            self.wfile.write(payload[:len(payload) // 2])
+            server.closing.wait(10)
+            return
         self.wfile.write(payload)
 
     do_GET = _respond
@@ -98,12 +117,13 @@ class StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """Local HTTP server that replays a scripted (status, body) sequence and
-    records request paths."""
+    """Local HTTP server that replays a scripted sequence of (status, body)
+    replies, ``CUT_OFF`` or ``STALL``, and records every request."""
 
     def __init__(self):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
         self.httpd.lock = threading.Lock()
+        self.httpd.closing = threading.Event()
         self.httpd.responses = []
         self.httpd.requests = []
         self.httpd.default_response = (200, {"choices": [{"message": {"content": "ok"}}]})
@@ -115,7 +135,7 @@ class StubServer:
         host, port = self.httpd.server_address
         return f"http://{host}:{port}"
 
-    def script(self, *responses: tuple[int, object]) -> None:
+    def script(self, *responses: tuple[int, object] | str) -> None:
         with self.httpd.lock:
             self.httpd.responses = list(responses)
 
@@ -123,11 +143,12 @@ class StubServer:
         self.httpd.default_response = (status, body)
 
     @property
-    def requests(self) -> list[str]:
+    def requests(self) -> list[StubRequest]:
         with self.httpd.lock:
             return list(self.httpd.requests)
 
     def close(self) -> None:
+        self.httpd.closing.set()
         self.httpd.shutdown()
         self.httpd.server_close()
 

@@ -4,6 +4,9 @@ over the scripted demo workspace."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -254,3 +257,12 @@ def test_inspect_kg_unknown_dir(tmp_path, capsys):
     code = run_cli("inspect-kg", "--transcript", tmp_path / "missing")
     assert code == 1
     assert "no graph file" in capsys.readouterr().err
+
+
+def test_cli_imports_no_third_party_http_client():
+    # The HTTP transport is the standard library's; importing the CLI in a
+    # fresh interpreter must not pull requests or urllib3 back in.
+    probe = "import sys, crat.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

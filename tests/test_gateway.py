@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from conftest import StubServer
+import crat
+from conftest import CUT_OFF, STALL, StubServer
 from crat.gateway import (
     BackendConfigError,
     ChatMessage,
@@ -20,6 +21,7 @@ from crat.gateway import (
     HttpStatusError,
     ProtocolError,
     ScriptedMissError,
+    TransportError,
     UnknownBackendError,
     echo_last_user,
     match_fingerprint,
@@ -257,6 +259,18 @@ def test_http_transport_failure_retries_then_fails():
         gateway.complete(hello_request("live"))
 
 
+@pytest.mark.parametrize("fault", [CUT_OFF, STALL])
+def test_http_broken_reply_retries_then_is_transport_error(stub_server, fault):
+    # A reply cut off before its Content-Length, or stalled past timeout_s,
+    # is a transport failure: retried, then raised as TransportError.
+    stub_server.script(fault, fault, fault)
+    gateway = Gateway(retry_base_delay_s=0.01)
+    gateway.register_http("live", stub_server.url, "test-model", timeout_s=0.2)
+    with pytest.raises(TransportError):
+        gateway.complete(hello_request("live"))
+    assert len(stub_server.requests) == 3
+
+
 def test_register_http_validation(monkeypatch):
     gateway = Gateway()
     with pytest.raises(BackendConfigError):
@@ -276,8 +290,21 @@ def test_http_sends_auth_and_wire_shape(stub_server, monkeypatch):
                           auth_token_env_var="TEST_TOKEN")
     request = ChatRequest(
         "live",
-        (ChatMessage("system", "be brief"), ChatMessage("user", "hi")),
+        (ChatMessage("system", "be brief"), ChatMessage("user", "hi 银行")),
         GenerationParams(temperature=0.0, max_new_tokens=64, stop=("\n",)),
     )
     exchange = gateway.complete(request)
     assert exchange.response_text == "ok"
+    (sent,) = stub_server.requests
+    assert sent.method == "POST"
+    assert sent.body == json.dumps({
+        "model": "test-model",
+        "messages": [{"role": "system", "content": "be brief"},
+                     {"role": "user", "content": "hi 银行"}],
+        "temperature": 0.0,
+        "max_tokens": 64,
+        "stop": ["\n"],
+    }).encode("utf-8")
+    assert sent.headers["Authorization"] == "Bearer sekret"
+    assert sent.headers["Content-Type"] == "application/json"
+    assert sent.headers["User-Agent"] == f"crat/{crat.__version__}"

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from bm25_oracle import bm25_rank
+from conftest import CUT_OFF, STALL
 from glossary_oracle import glossary_lookup
 from crat import canonical, tokenizers
 from crat.retrieval import (
@@ -266,13 +267,30 @@ def test_remote_search_returns_server_order(stub_server):
     docs = remote_search(RemoteConfig(stub_server.url), "query", 5)
     assert [d.id for d in docs] == ["r1", "r2"]
     assert docs[0].source == "remote"
-    assert "q=query" in stub_server.requests[0]
+    assert "q=query" in stub_server.requests[0].path
+
+
+def test_remote_search_query_string(stub_server):
+    # {q, k} follow the endpoint's own query string; the query is sent as
+    # percent-encoded UTF-8.
+    stub_server.script((200, []))
+    assert remote_search(RemoteConfig(f"{stub_server.url}/q?lang=zh"), "银行 bank", 3) == []
+    (sent,) = stub_server.requests
+    assert sent.method == "GET"
+    assert sent.path == "/q?lang=zh&q=%E9%93%B6%E8%A1%8C+bank&k=3"
 
 
 def test_remote_search_500_is_source_error(stub_server):
     stub_server.script((500, {"error": "boom"}))
     with pytest.raises(SourceError, match="500"):
         remote_search(RemoteConfig(stub_server.url), "query", 5)
+
+
+@pytest.mark.parametrize("fault", [CUT_OFF, STALL])
+def test_remote_search_broken_reply_is_source_error(stub_server, fault):
+    stub_server.script(fault)
+    with pytest.raises(SourceError, match="transport failure"):
+        remote_search(RemoteConfig(stub_server.url, timeout_s=0.2), "query", 5)
 
 
 def test_remote_search_malformed_payload(stub_server):
