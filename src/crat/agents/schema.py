@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..gateway import ChatMessage, ChatRequest, Gateway, GenerationParams
+from ..gateway import ChatMessage, ChatRequest, Gateway
 
 AGENT_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
@@ -84,8 +84,7 @@ def extract_payload(text: str) -> dict:
 
 
 def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
-                    validate: Callable[[dict], Any], transcript=None,
-                    params: GenerationParams | None = None) -> AgentOutputEnvelope:
+                    validate: Callable[[dict], Any], transcript=None) -> AgentOutputEnvelope:
     """Run one agent call with bounded repair.
 
     ``validate`` turns the raw payload dict into the agent-specific value and
@@ -96,7 +95,7 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
     raw_text = ""
     last_error = "no attempt made"
     for attempt in range(MAX_REPAIR_ATTEMPTS + 1):
-        request = ChatRequest(backend_id, tuple(messages), params or GenerationParams())
+        request = ChatRequest(backend_id, tuple(messages))
         exchange = gateway.complete(request)
         if transcript is not None:
             transcript.add_exchange(exchange)
@@ -116,11 +115,11 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
     raise AgentParseError(agent, MAX_REPAIR_ATTEMPTS, last_error, raw_text)
 
 
-def require_str(payload: dict, key: str, allow_empty: bool = False) -> str:
+def require_str(payload: dict, key: str) -> str:
     value = payload.get(key)
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} must be a string")
-    if not allow_empty and not value.strip():
+    if not value.strip():
         raise ValueError(f"field {key!r} must be non-empty")
     return value
 

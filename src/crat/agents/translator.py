@@ -18,9 +18,10 @@ from ..transkg import INTERNAL, TransKG
 from . import prompts
 from .schema import chat_structured, require_str
 
-DEFAULT_MAX_TRIPLES = 20
-DEFAULT_MAX_DOC_EXCERPTS = 3
-DEFAULT_EXCERPT_CHARS = 500
+# The knowledge budget: facts, quoted documents, and characters per quote.
+_MAX_TRIPLES = 20
+_MAX_DOC_EXCERPTS = 3
+_EXCERPT_CHARS = 500
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,15 @@ def _one_line(text: str, limit: int) -> str:
     return flat[:max(1, limit - 3)] + "..."
 
 
-def knowledge_section(graph: TransKG, documents: Mapping[str, RetrievedDocument] | None = None,
-                      max_triples: int = DEFAULT_MAX_TRIPLES,
-                      max_doc_excerpts: int = DEFAULT_MAX_DOC_EXCERPTS,
-                      excerpt_chars: int = DEFAULT_EXCERPT_CHARS) -> str:
+def knowledge_section(graph: TransKG,
+                      documents: Mapping[str, RetrievedDocument] | None = None) -> str:
     """The prompt's knowledge block; empty string for an empty graph."""
     if graph.is_empty():
         return ""
     lines = ["Verified term knowledge (use these meanings and renderings):"]
     if graph.nodes:
         lines.append("Flagged terms: " + ", ".join(graph.nodes))
-    triples = graph.triples[:max_triples]
+    triples = graph.triples[:_MAX_TRIPLES]
     if triples:
         lines.append("Facts:")
         for triple in triples:
@@ -70,26 +69,22 @@ def knowledge_section(graph: TransKG, documents: Mapping[str, RetrievedDocument]
             lines.append(f"- ({triple.subject}, {triple.relation}, {triple.object}) [from {origin}]")
     if documents:
         excerpts = [doc_id for doc_id in graph.accepted_docs if doc_id in documents]
-        excerpts = excerpts[:max_doc_excerpts]
+        excerpts = excerpts[:_MAX_DOC_EXCERPTS]
         if excerpts:
             lines.append("Reference excerpts:")
             for doc_id in excerpts:
-                lines.append(f"- [{doc_id}] {_one_line(documents[doc_id].text, excerpt_chars)}")
+                lines.append(f"- [{doc_id}] {_one_line(documents[doc_id].text, _EXCERPT_CHARS)}")
     return "\n".join(lines) + "\n\n"
 
 
 def render_translator_prompt(source_text: str, graph: TransKG, lang_pair: tuple[str, str],
-                             documents: Mapping[str, RetrievedDocument] | None = None,
-                             max_triples: int = DEFAULT_MAX_TRIPLES,
-                             max_doc_excerpts: int = DEFAULT_MAX_DOC_EXCERPTS,
-                             excerpt_chars: int = DEFAULT_EXCERPT_CHARS) -> str:
+                             documents: Mapping[str, RetrievedDocument] | None = None) -> str:
     source_lang, target_lang = lang_pair
     return prompts.render(
         "translator",
         source_lang=prompts.lang_name(source_lang),
         target_lang=prompts.lang_name(target_lang),
-        knowledge_section=knowledge_section(graph, documents, max_triples,
-                                            max_doc_excerpts, excerpt_chars),
+        knowledge_section=knowledge_section(graph, documents),
         source_text=source_text,
     )
 
@@ -97,17 +92,14 @@ def render_translator_prompt(source_text: str, graph: TransKG, lang_pair: tuple[
 def translate_with_knowledge(source_text: str, graph: TransKG, lang_pair: tuple[str, str],
                              backend_id: str, gateway: Gateway, transcript=None,
                              documents: Mapping[str, RetrievedDocument] | None = None,
-                             max_triples: int = DEFAULT_MAX_TRIPLES,
-                             max_doc_excerpts: int = DEFAULT_MAX_DOC_EXCERPTS,
-                             excerpt_chars: int = DEFAULT_EXCERPT_CHARS) -> TranslatorOutput:
+                             ) -> TranslatorOutput:
     """Translate ``source_text`` conditioned on the graph's verified knowledge.
 
     ``documents`` maps accepted document ids to the retrieved documents so
     excerpts can be quoted; ids without a document are skipped. An empty
     translation after the repair budget raises ``AgentParseError``.
     """
-    prompt = render_translator_prompt(source_text, graph, lang_pair, documents,
-                                      max_triples, max_doc_excerpts, excerpt_chars)
+    prompt = render_translator_prompt(source_text, graph, lang_pair, documents)
     envelope = chat_structured(gateway, backend_id, prompt, "translator",
                                _validate, transcript)
     return envelope.parsed

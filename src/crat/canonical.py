@@ -15,10 +15,8 @@ def pretty(value) -> str:
 
 def compact(value) -> str:
     """One line with no optional whitespace: manifest lines, cache entries and
-    hashes. Values JSON cannot represent, such as dates YAML parses in a
-    config file, encode as their ``str()``."""
-    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    hashes."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def digest(value) -> str:

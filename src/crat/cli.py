@@ -51,19 +51,33 @@ def _fail(message: str) -> int:
     return EXIT_FATAL
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
+    """Each non-blank line's JSON object, with the ``path:line`` it came from."""
+    try:
+        lines = path.read_text("utf-8").splitlines()
+    except FileNotFoundError:
+        raise ValueError(f"file not found: {path}") from None
     records = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {err.msg}") from err
+            raise ValueError(f"{where}: malformed JSON: {err.msg}") from err
         if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        records.append(record)
+            raise ValueError(f"{where}: expected a JSON object")
+        records.append((where, record))
     return records
+
+
+def _require(where: str, record: dict, *keys: str) -> dict:
+    """``record``, once it is known to hold every one of ``keys``."""
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{where}: record has no {key!r}")
+    return record
 
 
 # --- translate ---------------------------------------------------------------
@@ -76,7 +90,7 @@ def _load_translate_corpus(args) -> list[dict]:
     if not path.is_file():
         raise ValueError(f"input file not found: {path}")
     if path.suffix == ".jsonl":
-        return _read_jsonl(path)
+        return [record for _, record in _read_jsonl(path)]
     return [{"id": args.doc_id or path.stem, "text": path.read_text("utf-8")}]
 
 
@@ -117,7 +131,7 @@ def cmd_translate(args) -> int:
 def cmd_build_index(args) -> int:
     path = Path(args.corpus)
     try:
-        records = _read_jsonl(path)
+        records = [_require(where, record, "id") for where, record in _read_jsonl(path)]
     except (OSError, ValueError) as err:
         return _fail(str(err))
     if not records:
@@ -155,8 +169,9 @@ def cmd_evaluate(args) -> int:
             corpus_path.read_text("utf-8").splitlines(), str(corpus_path))
         report = _evaluate_dir(args.results, examples, eval_config)
         if args.external_scores:
-            scores = {str(r["id"]): float(r["score"])
-                      for r in _read_jsonl(Path(args.external_scores))}
+            records = [_require(where, record, "id", "score")
+                       for where, record in _read_jsonl(Path(args.external_scores))]
+            scores = {str(r["id"]): float(r["score"]) for r in records}
             attach_external_scores(report, scores)
         payload: dict = {"candidate": report.to_dict()}
         if args.baseline:
@@ -171,7 +186,8 @@ def cmd_evaluate(args) -> int:
                 print(f"consis: {report.consis:.3f}")
             if report.term_consistency is not None:
                 print(f"term_consistency: {report.term_consistency:.3f}")
-    except (ConfigError, GatewayError, PipelineError, EvaluationError, ValueError) as err:
+    except (ConfigError, GatewayError, PipelineError, EvaluationError, OSError,
+            ValueError) as err:
         return _fail(str(err))
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""File-backed run configuration: validation, hashing, and construction of
+"""File-backed run configuration: validation and construction of
 the runtime objects (gateway, retrieval sources, pipeline and eval configs).
 
 The config is one YAML document with four sections -- backends, retrieval,
@@ -15,7 +15,6 @@ from typing import Any, Callable, Mapping
 
 import yaml
 
-from . import canonical
 from .evaluation import EvalConfig
 from .gateway import Gateway, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
@@ -25,17 +24,16 @@ ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
 _TOP_KEYS = {"backends", "retrieval", "pipeline", "eval"}
 _BACKENDS_KEYS = {"registrations", "roles"}
-_MOCK_REG_KEYS = {"id", "kind", "script_path", "fallback"}
-_HTTP_REG_KEYS = {"id", "kind", "endpoint", "model", "auth_env", "request_shape", "timeout_s"}
+_MOCK_REG_KEYS = {"id", "kind", "script_path"}
+_HTTP_REG_KEYS = {"id", "kind", "endpoint", "model", "auth_env", "timeout_s"}
 _RETRIEVAL_KEYS = {"sources", "n2", "k_per_source"}
 _SOURCE_KEYS = {
     "glossary": {"kind", "path"},
     "local_index": {"kind", "path"},
     "remote": {"kind", "endpoint", "timeout_s"},
 }
-_PIPELINE_KEYS = {"max_triples", "max_doc_excerpts", "excerpt_chars",
-                  "on_detector_error", "width", "cache_dir", "judge_enabled"}
-_EVAL_KEYS = {"consis_backend", "term_consistency"}
+_PIPELINE_KEYS = {"on_detector_error", "width", "cache_dir", "judge_enabled"}
+_EVAL_KEYS = {"consis_backend"}
 
 
 class ConfigError(Exception):
@@ -102,9 +100,6 @@ class RunConfig:
         consis_backend = self.data.get("eval", {}).get("consis_backend")
         if consis_backend is not None and consis_backend not in ids:
             raise ConfigError(f"eval.consis_backend: unregistered backend {consis_backend!r}")
-
-    def config_hash(self) -> str:
-        return canonical.digest(self.data)
 
     def resolve(self, path: str) -> Path:
         candidate = Path(path)
@@ -207,7 +202,7 @@ def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
             gateway.register_http(
                 reg["id"], reg["endpoint"], reg["model"],
                 auth_token_env_var=reg.get("auth_env"),
-                **_given(reg, request_shape=str, timeout_s=float),
+                **_given(reg, timeout_s=float),
             )
     return gateway
 
@@ -239,8 +234,7 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
                 raise ConfigError(f"backends.roles.{role} is required in crat mode")
     pipeline = config.pipeline_section()
     knobs = _given(config.retrieval_section(), n2=int, k_per_source=int)
-    knobs.update(_given(pipeline, max_triples=int, max_doc_excerpts=int, excerpt_chars=int,
-                        on_detector_error=str, width=int))
+    knobs.update(_given(pipeline, on_detector_error=str, width=int))
     if "judge_enabled" in pipeline:
         knobs["use_judge"] = bool(pipeline["judge_enabled"])
     if width_override:
@@ -257,9 +251,4 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
 
 
 def build_eval_config(config: RunConfig, gateway: Gateway) -> EvalConfig:
-    section = config.eval_section()
-    return EvalConfig(
-        gateway=gateway,
-        consis_backend=section.get("consis_backend"),
-        term_consistency_enabled=bool(section.get("term_consistency", True)),
-    )
+    return EvalConfig(gateway=gateway, consis_backend=config.eval_section().get("consis_backend"))

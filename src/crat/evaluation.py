@@ -150,13 +150,12 @@ def term_consistency(result: TranslationResult) -> float | None:
 class EvalConfig:
     gateway: Gateway | None = None
     consis_backend: str | None = None
-    term_consistency_enabled: bool = True
 
     def describe(self) -> dict:
         return {
             "bleu": True,
             "consis_backend": self.consis_backend,
-            "term_consistency": self.term_consistency_enabled,
+            "term_consistency": True,
         }
 
     def config_hash(self) -> str:
@@ -222,11 +221,9 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
                      "bleu_stats": bleu_pair_stats(result.target_text,
                                                    example.reference_text,
                                                    example.target_lang)}
-        if config.term_consistency_enabled:
-            consistency = term_consistency(result)
-            row["term_consistency"] = consistency
-            if consistency is not None:
-                consistency_scores.append(consistency)
+        row["term_consistency"] = term_consistency(result)
+        if row["term_consistency"] is not None:
+            consistency_scores.append(row["term_consistency"])
         if config.consis_backend and config.gateway is not None:
             try:
                 scored = consis_evaluate(
@@ -245,7 +242,7 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
     return MetricReport(
         bleu=bleu_from_stats([row["bleu_stats"] for row in per_example]),
         consis=_mean(consis_scores) if (config.consis_backend and config.gateway) else None,
-        term_consistency=_mean(consistency_scores) if config.term_consistency_enabled else None,
+        term_consistency=_mean(consistency_scores),
         per_example=per_example,
         config_hash=config.config_hash(),
     )

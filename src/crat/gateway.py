@@ -37,8 +37,6 @@ from . import __version__, canonical
 log = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
-OPENAI_CHAT_V1 = "openai_chat_v1"
-REQUEST_SHAPES = (OPENAI_CHAT_V1,)
 
 DEFAULT_MAX_NEW_TOKENS = 2048
 
@@ -169,7 +167,8 @@ def request_fingerprint(request: ChatRequest, model: dict | None = None) -> str:
 
 @dataclass
 class ChatExchange:
-    """One completed gateway call, as recorded in run transcripts."""
+    """One completed gateway call. ``to_dict``, what transcripts record, leaves
+    out the latency, cache flag and attempt count, which vary between reruns."""
 
     request: ChatRequest
     response_text: str
@@ -178,19 +177,14 @@ class ChatExchange:
     fingerprint: str
     attempts: int = 1
 
-    def to_dict(self, volatile: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "backend_id": self.request.backend_id,
             "messages": [{"role": m.role, "content": m.content} for m in self.request.messages],
             "params": _params_payload(self.request.params),
             "response_text": self.response_text,
             "fingerprint": self.fingerprint,
         }
-        if volatile:
-            out["latency_ms"] = self.latency_ms
-            out["cache_hit"] = self.cache_hit
-            out["attempts"] = self.attempts
-        return out
 
 
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
@@ -257,13 +251,11 @@ class MockBackend:
     # Scripts are keyed on request content alone, so mock fingerprints are too.
     model = None
 
-    def __init__(self, backend_id: str,
-                 script: Sequence[tuple[Matcher | str, str | Responder]] | Mapping,
+    def __init__(self, backend_id: str, script: Sequence[tuple[Matcher | str, str | Responder]],
                  fallback: str | Responder | None = None):
         self.backend_id = backend_id
-        items = script.items() if isinstance(script, Mapping) else script
         self._rules = tuple(
-            (match_substring(m) if isinstance(m, str) else m, r) for m, r in items
+            (match_substring(m) if isinstance(m, str) else m, r) for m, r in script
         )
         self._fallback = fallback
 
@@ -360,21 +352,18 @@ class Gateway:
         return backend.backend_id
 
     def register_mock(self, backend_id: str,
-                      script: Sequence[tuple[Matcher | str, str | Responder]] | Mapping,
+                      script: Sequence[tuple[Matcher | str, str | Responder]],
                       fallback: str | Responder | None = None) -> str:
         self._claim_id(backend_id)
         return self._add(MockBackend(backend_id, script, fallback))
 
     def register_http(self, backend_id: str, endpoint_url: str, model_name: str,
                       auth_token_env_var: str | None = None,
-                      request_shape: str = OPENAI_CHAT_V1,
                       timeout_s: float = 30.0) -> str:
         self._claim_id(backend_id)
         parsed = urlparse(endpoint_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise BackendConfigError(f"malformed endpoint URL: {endpoint_url!r}")
-        if request_shape not in REQUEST_SHAPES:
-            raise BackendConfigError(f"unsupported request shape: {request_shape!r}")
         token = None
         if auth_token_env_var:
             token = os.environ.get(auth_token_env_var)
@@ -385,6 +374,11 @@ class Gateway:
 
     def has_backend(self, backend_id: str) -> bool:
         return backend_id in self._backends
+
+    def model_of(self, backend_id: str) -> dict | None:
+        """The ``model`` of a registered backend: what answers its calls, or
+        None for a mock or an unregistered id."""
+        return getattr(self._backends.get(backend_id), "model", None)
 
     # -- completion ------------------------------------------------------
 

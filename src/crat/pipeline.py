@@ -23,7 +23,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,11 +35,6 @@ from .agents import (
     extract_internal_knowledge,
     judge_document,
     translate_with_knowledge,
-)
-from .agents.translator import (
-    DEFAULT_EXCERPT_CHARS,
-    DEFAULT_MAX_DOC_EXCERPTS,
-    DEFAULT_MAX_TRIPLES,
 )
 from .gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
@@ -71,7 +66,7 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Backends, retrieval setup, budgets, and failure policy for a run."""
+    """Backends, retrieval setup, and failure policy for a run."""
 
     detector_backend: str = "main"
     extractor_backend: str = "main"
@@ -80,9 +75,6 @@ class PipelineConfig:
     sources: Sequence = ()
     n2: int = DEFAULT_N2
     k_per_source: int = DEFAULT_N2
-    max_triples: int = DEFAULT_MAX_TRIPLES
-    max_doc_excerpts: int = DEFAULT_MAX_DOC_EXCERPTS
-    excerpt_chars: int = DEFAULT_EXCERPT_CHARS
     on_detector_error: str = "translate_direct"
     width: int = 1
     use_knowledge: bool = True   # False: direct mode, translator only
@@ -109,31 +101,13 @@ class PipelineConfig:
         if missing:
             raise PipelineError(f"backends not registered: {', '.join(missing)}")
 
-    def describe(self) -> dict:
-        """Stable summary used for the manifest's config hash."""
-        return {
-            "backends": {
-                "detector": self.detector_backend,
-                "extractor": self.extractor_backend,
-                "judge": self.judge_backend,
-                "translator": self.translator_backend,
-            },
-            "sources": [getattr(s, "label", str(s)) for s in self.sources],
-            "n2": self.n2,
-            "k_per_source": self.k_per_source,
-            "budget": {
-                "max_triples": self.max_triples,
-                "max_doc_excerpts": self.max_doc_excerpts,
-                "excerpt_chars": self.excerpt_chars,
-            },
-            "on_detector_error": self.on_detector_error,
-            "width": self.width,
-            "use_knowledge": self.use_knowledge,
-            "use_judge": self.use_judge,
-        }
-
-    def config_hash(self) -> str:
-        return canonical.digest(self.describe())
+    def config_hash(self, gateway: Gateway) -> str:
+        """The run's identity: every setting, with sources by label, and the
+        model behind each backend the run needs."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self)}
+        settings["sources"] = [getattr(s, "label", str(s)) for s in self.sources]
+        models = {b: gateway.model_of(b) for b in self.required_backends()}
+        return canonical.digest({"settings": settings, "models": models})
 
 
 @dataclass
@@ -290,9 +264,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
         try:
             output = translate_with_knowledge(
                 source_text, graph, lang_pair, config.translator_backend, gateway,
-                transcript, documents=documents, max_triples=config.max_triples,
-                max_doc_excerpts=config.max_doc_excerpts,
-                excerpt_chars=config.excerpt_chars)
+                transcript, documents=documents)
         except AgentError as err:
             raise PipelineError(f"translation failed: {err}") from err
 
@@ -376,7 +348,7 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
             "timings_ms": outcome.timings_ms,
         })
     manifest = BatchManifest(
-        config_hash=config.config_hash(),
+        config_hash=config.config_hash(gateway),
         records=records,
         aggregate={
             "documents": len(docs),
@@ -411,8 +383,7 @@ def write_transcript(result: TranslationResult, directory: str | Path) -> list[P
     transcript_path = doc_dir / "transcript.json"
     result_path.write_bytes(serialize_result(result))
     graph_path.write_bytes(serialize_graph(result.graph))
-    transcript_path.write_text(canonical.pretty(result.transcript.to_dict(volatile=False)),
-                               encoding="utf-8")
+    transcript_path.write_text(canonical.pretty(result.transcript.to_dict()), encoding="utf-8")
     return [result_path, graph_path, transcript_path]
 
 

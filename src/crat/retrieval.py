@@ -293,10 +293,9 @@ class RemoteSource:
 # --- per-term retrieval -------------------------------------------------------
 
 
-def term_query(term: TermCandidate, source_text: str,
-               window: int = CONTEXT_WINDOW_TOKENS) -> str:
-    """Query string for one term: the surface plus +-``window`` source tokens
-    of context around its span."""
+def term_query(term: TermCandidate, source_text: str) -> str:
+    """Query string for one term: the surface plus +-``CONTEXT_WINDOW_TOKENS``
+    source tokens of context around its span."""
     spans = tokenizers.word_spans(source_text)
     if not spans:
         return term.surface
@@ -307,8 +306,8 @@ def term_query(term: TermCandidate, source_text: str,
     else:
         after = [i for i, (s, _) in enumerate(spans) if s >= term.start]
         first = last = after[0] if after else len(spans) - 1
-    lo = max(0, first - window)
-    hi = min(len(spans) - 1, last + window)
+    lo = max(0, first - CONTEXT_WINDOW_TOKENS)
+    hi = min(len(spans) - 1, last + CONTEXT_WINDOW_TOKENS)
     context = source_text[spans[lo][0]:spans[hi][1]]
     return f"{term.surface} {context}"
 

@@ -63,16 +63,16 @@ class AgentTranscript:
     def warnings(self) -> list[str]:
         return [e.message for e in self.events if e.kind == "warning"]
 
-    def to_dict(self, volatile: bool = True) -> list[dict]:
-        """Event list in canonical form; ``volatile=False`` drops latency,
-        cache flags, and attempt counts so reruns serialize identically."""
+    def to_dict(self) -> list[dict]:
+        """Event list in canonical form, without latency, cache flags or
+        attempt counts, so reruns serialize identically."""
         out = []
         for event in self.events:
             if event.kind == "stage":
                 out.append({"kind": "stage", "stage": event.stage})
             elif event.kind == "exchange":
                 entry = {"kind": "exchange", "stage": event.stage}
-                entry.update(event.exchange.to_dict(volatile=volatile))
+                entry.update(event.exchange.to_dict())
                 out.append(entry)
             else:
                 out.append({"kind": "warning", "stage": event.stage,

@@ -171,6 +171,17 @@ def _check_term_keys(graph: TransKG, triple: KnowledgeTriple) -> None:
             raise GraphError(f"triple references unknown term key: {key!r}")
 
 
+def _unseen(graph: TransKG, incoming: Iterable[KnowledgeTriple]) -> tuple[KnowledgeTriple, ...]:
+    """``incoming`` in order without triples already in ``graph`` or repeated."""
+    seen = {t.key() for t in graph.triples}
+    added = []
+    for triple in incoming:
+        if triple.key() not in seen:
+            seen.add(triple.key())
+            added.append(triple)
+    return tuple(added)
+
+
 def add_internal(graph: TransKG, triples: Iterable[KnowledgeTriple]) -> TransKG:
     """Append source-context facts in input order, dropping exact duplicates."""
     incoming = list(triples)
@@ -180,19 +191,13 @@ def add_internal(graph: TransKG, triples: Iterable[KnowledgeTriple]) -> TransKG:
                 f"add_internal rejected triple with {triple.provenance.kind} provenance: "
                 f"({triple.subject}, {triple.relation}, {triple.object})")
         _check_term_keys(graph, triple)
-    seen = {t.key() for t in graph.triples}
-    added = []
-    for triple in incoming:
-        if triple.key() in seen:
-            continue
-        seen.add(triple.key())
-        added.append(triple)
+    added = _unseen(graph, incoming)
     if not added:
         return graph
     return TransKG(
         source_doc_id=graph.source_doc_id,
         nodes=graph.nodes,
-        internal_triples=graph.internal_triples + tuple(added),
+        internal_triples=graph.internal_triples + added,
         external_triples=graph.external_triples,
         accepted_docs=graph.accepted_docs,
     )
@@ -223,18 +228,11 @@ def integrate_external(graph: TransKG, doc, verdict, triples: Iterable[Knowledge
     accepted = graph.accepted_docs
     if doc.id not in accepted:
         accepted = accepted + (doc.id,)
-    seen = {t.key() for t in graph.triples}
-    added = []
-    for triple in incoming:
-        if triple.key() in seen:
-            continue
-        seen.add(triple.key())
-        added.append(triple)
     return TransKG(
         source_doc_id=graph.source_doc_id,
         nodes=graph.nodes,
         internal_triples=graph.internal_triples,
-        external_triples=graph.external_triples + tuple(added),
+        external_triples=graph.external_triples + _unseen(graph, incoming),
         accepted_docs=accepted,
     )
 

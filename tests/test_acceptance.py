@@ -291,7 +291,7 @@ def test_criterion_8_ablation_stage_nesting():
     unrefined = run_with(use_judge=False)
     full = run_with()
 
-    transcripts = [json.dumps(r.transcript.to_dict(volatile=False))
+    transcripts = [json.dumps(r.transcript.to_dict())
                    for r in (vanilla, unrefined, full)]
     assert len(set(transcripts)) == 3
     sets = [set(r.transcript.stages()) for r in (vanilla, unrefined, full)]

@@ -154,6 +154,16 @@ def test_build_index_malformed_line(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
+def test_build_index_record_without_id(tmp_path, capsys):
+    corpus = tmp_path / "noid.jsonl"
+    corpus.write_text('{"id": "a", "text": "x"}\n{"text": "no id"}\n')
+    code = run_cli("build-index", "--corpus", corpus, "--output", tmp_path / "i.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{corpus}:2" in err and "'id'" in err
+    assert "Traceback" not in err
+
+
 # --- evaluate -----------------------------------------------------------------
 
 
@@ -224,6 +234,34 @@ def test_evaluate_external_scores(demo, tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text("utf-8"))
     assert report["candidate"]["external_score"] == pytest.approx(0.8)
+
+
+def test_evaluate_external_scores_missing_file(demo, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()  # discard translate output
+    scores = tmp_path / "nope.jsonl"
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", tmp_path / "r.json",
+                   "--external-scores", scores)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(scores) in err and "not found" in err
+
+
+def test_evaluate_external_scores_record_without_score(demo, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()  # discard translate output
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"id": "geo-1", "score": 0.9}) + "\n"
+                      + json.dumps({"id": "fin-1"}) + "\n")
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", tmp_path / "r.json",
+                   "--external-scores", scores)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{scores}:2" in err and "'score'" in err
 
 
 # --- inspect-kg ---------------------------------------------------------------

@@ -275,8 +275,6 @@ def test_register_http_validation(monkeypatch):
     gateway = Gateway()
     with pytest.raises(BackendConfigError):
         gateway.register_http("bad", "not a url", "m")
-    with pytest.raises(BackendConfigError):
-        gateway.register_http("bad", "http://x.test", "m", request_shape="soap")
     monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
     with pytest.raises(BackendConfigError, match="MISSING_TOKEN_VAR"):
         gateway.register_http("bad", "http://x.test", "m",

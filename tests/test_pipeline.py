@@ -406,6 +406,29 @@ def test_batch_empty_corpus(demo_gateway):
     assert manifest.config_hash
 
 
+def test_config_hash_names_each_roles_model(stub_server):
+    """The manifest's run identity changes when a role's backend points at
+    another model or endpoint, and not between two runs of one config."""
+    stub_server.set_default(200, {"choices": [{"message": {"content": fenced_payload(
+        {"translation": "translated", "term_renderings": {}})}}]})
+    corpus = [{"id": "d1", "text": "hello"}]
+    config = PipelineConfig(translator_backend="live", use_knowledge=False)
+
+    def manifest_hash(endpoint: str, model: str) -> str:
+        gateway = Gateway()
+        gateway.register_http("live", endpoint, model)
+        results, manifest = run_batch(corpus, EN_ZH, config, gateway)
+        assert [r["status"] for r in manifest.records] == ["ok"]
+        return manifest.config_hash
+
+    endpoint = f"{stub_server.url}/v1/chat/completions"
+    first = manifest_hash(endpoint, "model-a")
+    assert manifest_hash(endpoint, "model-a") == first
+    assert len(first) == 64
+    assert manifest_hash(endpoint, "model-b") != first
+    assert manifest_hash(f"{stub_server.url}/other/chat", "model-a") != first
+
+
 def test_batch_width_does_not_change_results(tmp_path, demo_gateway):
     corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE if i % 2
                else fixtures.FINANCIAL_SOURCE} for i in range(10)]

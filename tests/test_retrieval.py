@@ -322,7 +322,7 @@ def test_term_query_window():
     words[11] = "TERM"
     source = " ".join(words)
     term = TermCandidate("TERM", source.index("TERM"), source.index("TERM") + 4, "new_term")
-    query = term_query(term, source, window=10)
+    query = term_query(term, source)
     expected_context = " ".join(words[1:22])
     assert query == f"TERM {expected_context}"
 
