@@ -43,6 +43,7 @@ from .transkg import (
     CORRECT,
     KnowledgeTriple,
     TransKG,
+    admit_external,
     deserialize_graph,
     external_provenance,
     integrate_external,
@@ -252,11 +253,9 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                             documents[doc.id] = doc
             else:
                 # Unrefined mode: admit every retrieved document without judging.
-                for term, docs in per_term_docs:
+                for _, docs in per_term_docs:
                     for doc in docs:
-                        verdict = JudgeVerdict(doc.id, CORRECT, "", "",
-                                               "auto-admitted: judging disabled")
-                        graph = integrate_external(graph, doc, verdict, [])
+                        graph = admit_external(graph, doc.id)
                         documents[doc.id] = doc
 
     with _timed(timings, "translate"):

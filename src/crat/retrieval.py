@@ -7,6 +7,13 @@ sources in order, deduplicates, and caps the merged list. A remote query
 goes over the gateway's standard-library HTTP transport
 (``gateway.http_exchange``), one connection per query.
 
+The index numbers documents by ordinal, their position in ascending id
+order, and keeps their ids, titles, texts and token counts as parallel
+columns. Each term's postings are one flat int list ``[ordinal, tf, ...]``
+in ascending ordinal order. The index file (format 2) stores these lists as
+they are, so saving and loading create no object per posting. Ranking
+breaks score ties by ordinal, that is by ascending id.
+
 A glossary compiles each record's whole-word, case-insensitive pattern once,
 when it is built; a query runs them in file order, so its cost grows with
 the number of records, in every script alike.
@@ -18,7 +25,10 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from urllib.parse import urlencode, urlsplit
@@ -39,7 +49,7 @@ SOURCE_KINDS = (LOCAL_INDEX, GLOSSARY, REMOTE)
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 DEFAULT_N2 = 5
 CONTEXT_WINDOW_TOKENS = 10
@@ -70,43 +80,56 @@ class RetrievedDocument:
 
 @dataclass
 class CorpusIndex:
-    """Inverted index over a small document corpus."""
+    """Inverted index over a document corpus, in the layout of index format 2.
 
-    doc_count: int
-    postings: dict[str, list[tuple[str, int]]]  # term -> [(doc_id, tf)] by doc_id
-    doc_lengths: dict[str, int]
-    avg_doc_length: float
+    Documents are numbered by ordinal, in ascending id order; ``doc_ids``,
+    ``titles``, ``texts`` and ``doc_lengths`` are columns indexed by it.
+    ``postings`` maps each term to one flat list ``[ordinal, tf, ordinal,
+    tf, ...]`` in ascending ordinal order.
+    """
+
+    doc_ids: list[str]
+    titles: list[str]
+    texts: list[str]
+    doc_lengths: list[int]
+    postings: dict[str, list[int]]
     tokenizer_id: str
-    docs: dict[str, tuple[str, str]] = field(default_factory=dict)  # id -> (title, text)
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
+
+    @property
+    def avg_doc_length(self) -> float:
+        return sum(self.doc_lengths) / len(self.doc_lengths) if self.doc_lengths else 0.0
+
+    @cached_property
+    def length_norms(self) -> list[float]:
+        """Each document's BM25 length normalisation, by ordinal."""
+        avg = self.avg_doc_length or 1.0  # 0.0 only when every length is 0
+        return [BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg) for length in self.doc_lengths]
 
 
 def build_index(corpus: Iterable[Mapping], tokenizer_id: str = tokenizers.SIMPLE) -> CorpusIndex:
     """Index ``corpus`` records ({id, title, text}); ids must be unique."""
     if tokenizer_id not in tokenizers.TOKENIZER_IDS:
         raise ValueError(f"unknown tokenizer: {tokenizer_id!r}")
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
-    docs: dict[str, tuple[str, str]] = {}
-    for record in corpus:
-        doc_id = str(record["id"])
-        if doc_id in docs:
+    records = sorted(((str(r["id"]), str(r.get("title", "")), str(r.get("text", "")))
+                      for r in corpus), key=itemgetter(0))
+    doc_ids = [doc_id for doc_id, _, _ in records]
+    for previous, doc_id in zip(doc_ids, doc_ids[1:]):
+        if previous == doc_id:
             raise ValueError(f"duplicate document id: {doc_id!r}")
-        title = str(record.get("title", ""))
-        text = str(record.get("text", ""))
-        docs[doc_id] = (title, text)
+    doc_lengths = []
+    postings: defaultdict[str, list[int]] = defaultdict(list)
+    for ordinal, (_, _, text) in enumerate(records):
         tokens = tokenizers.tokenize(text, tokenizer_id)
-        doc_lengths[doc_id] = len(tokens)
-        for token in tokens:
-            postings.setdefault(token, {}).setdefault(doc_id, 0)
-            postings[token][doc_id] += 1
-    doc_count = len(docs)
-    avg = sum(doc_lengths.values()) / doc_count if doc_count else 0.0
-    sorted_postings = {
-        term: sorted(freqs.items()) for term, freqs in postings.items()
-    }
-    return CorpusIndex(doc_count=doc_count, postings=sorted_postings,
-                       doc_lengths=doc_lengths, avg_doc_length=avg,
-                       tokenizer_id=tokenizer_id, docs=docs)
+        doc_lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            postings[term] += (ordinal, tf)
+    return CorpusIndex(doc_ids=doc_ids, titles=[title for _, title, _ in records],
+                       texts=[text for _, _, text in records], doc_lengths=doc_lengths,
+                       postings=dict(postings), tokenizer_id=tokenizer_id)
 
 
 def bm25_idf(doc_count: int, doc_freq: int) -> float:
@@ -120,57 +143,84 @@ def search(index: CorpusIndex, query: str, k: int) -> list[RetrievedDocument]:
     terms = list(dict.fromkeys(tokenizers.tokenize(query, index.tokenizer_id)))
     if not terms:
         return []
-    scores: dict[str, float] = {}
+    norms = index.length_norms
+    scores: dict[int, float] = {}
     for term in terms:
         posting = index.postings.get(term)
         if not posting:
             continue
-        idf = bm25_idf(index.doc_count, len(posting))
-        for doc_id, tf in posting:
-            length_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * index.doc_lengths[doc_id]
-                                     / index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + length_norm)
+        idf = bm25_idf(index.doc_count, len(posting) // 2)
+        for ordinal, tf in zip(posting[::2], posting[1::2]):
+            scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + norms[ordinal])
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    results = []
-    for doc_id, score in ranked:
-        title, text = index.docs[doc_id]
-        results.append(RetrievedDocument(doc_id, title, text, LOCAL_INDEX, score))
-    return results
+    return [RetrievedDocument(index.doc_ids[ordinal], index.titles[ordinal], index.texts[ordinal],
+                              LOCAL_INDEX, score)
+            for ordinal, score in ranked]
+
+
+_COLUMNS = ("doc_ids", "titles", "texts", "doc_lengths")
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    payload = {
-        "version": INDEX_FORMAT_VERSION,
-        "doc_count": index.doc_count,
-        "postings": {t: [[d, f] for d, f in p] for t, p in index.postings.items()},
-        "doc_lengths": index.doc_lengths,
-        "avg_doc_length": index.avg_doc_length,
-        "tokenizer_id": index.tokenizer_id,
-        "docs": {i: [t, x] for i, (t, x) in index.docs.items()},
-    }
+    payload = {"version": INDEX_FORMAT_VERSION, "tokenizer_id": index.tokenizer_id,
+               "postings": index.postings,
+               **{column: getattr(index, column) for column in _COLUMNS}}
     Path(path).write_text(canonical.compact(payload) + "\n", encoding="utf-8")
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     try:
-        payload = json.loads(Path(path).read_text("utf-8"))
+        # Format 2 holds no floats: one reads as null, which _check_index rejects.
+        payload = json.loads(Path(path).read_text("utf-8"), parse_float=lambda _: None,
+                             parse_constant=lambda _: None)
     except FileNotFoundError:
         raise RetrievalError(f"index file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise RetrievalError(f"malformed index file {path}: {err}") from err
-    if not isinstance(payload, dict) or payload.get("version") != INDEX_FORMAT_VERSION:
-        raise RetrievalError(f"unsupported index file version in {path}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != INDEX_FORMAT_VERSION:
+        raise RetrievalError(f"unsupported index file version {version!r} in {path}; "
+                             f"rebuild it with `crat build-index`")
     try:
-        return CorpusIndex(
-            doc_count=payload["doc_count"],
-            postings={t: [(d, f) for d, f in p] for t, p in payload["postings"].items()},
-            doc_lengths=payload["doc_lengths"],
-            avg_doc_length=payload["avg_doc_length"],
-            tokenizer_id=payload["tokenizer_id"],
-            docs={i: (t, x) for i, (t, x) in payload["docs"].items()},
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
-        raise RetrievalError(f"malformed index file {path}: {err!r}") from err
+        index = CorpusIndex(postings=payload["postings"], tokenizer_id=payload["tokenizer_id"],
+                            **{column: payload[column] for column in _COLUMNS})
+        _check_index(index)
+    except KeyError as err:
+        raise RetrievalError(f"malformed index file {path}: missing key {err}") from None
+    except ValueError as err:
+        raise RetrievalError(f"malformed index file {path}: {err}") from None
+    return index
+
+
+def _check_index(index: CorpusIndex) -> None:
+    """Raise ValueError unless ``index`` has the shape ``search`` relies on.
+
+    A posting that is not an int (``load_index`` reads a float as null) fails
+    a comparison below with TypeError. Each postings list is scanned by ``min``
+    and ``max`` alone, with no Python step per posting.
+    """
+    if index.tokenizer_id not in tokenizers.TOKENIZER_IDS:
+        raise ValueError(f"unknown tokenizer {index.tokenizer_id!r}")
+    n = len(index.doc_ids)
+    for column, kind in zip(_COLUMNS, (str, str, str, int)):
+        values = getattr(index, column)
+        if type(values) is not list or len(values) != n or not set(map(type, values)) <= {kind}:
+            raise ValueError(f"{column} must be a list of {n} {kind.__name__} values")
+    if any(a >= b for a, b in zip(index.doc_ids, index.doc_ids[1:])):
+        raise ValueError("doc_ids must be unique and in ascending order")
+    if min(index.doc_lengths, default=0) < 0:
+        raise ValueError("doc_lengths must not be negative")
+    if type(index.postings) is not dict:
+        raise ValueError("postings must be an object")
+    for term, posting in index.postings.items():
+        try:
+            valid = (type(posting) is list and posting and len(posting) % 2 == 0
+                     and min(posting) >= 0 and max(posting[::2]) < n)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"postings of {term!r} must be [ordinal, tf, ...] "
+                             f"of non-negative ints with ordinal < {n}")
 
 
 # --- sources ----------------------------------------------------------------

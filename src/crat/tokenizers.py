@@ -31,7 +31,8 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 def tokenize(text: str, tokenizer_id: str = SIMPLE) -> list[str]:
     """Split ``text`` into tokens according to ``tokenizer_id``."""
     if tokenizer_id == SIMPLE:
-        return [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+        # Lowered after matching: "İ".lower() adds U+0307, which is not \w.
+        return [word.lower() for word in _WORD_RE.findall(text)]
     if tokenizer_id == CHAR:
         return [ch for ch in text if not ch.isspace()]
     raise ValueError(f"unknown tokenizer: {tokenizer_id!r}")

@@ -208,26 +208,32 @@ def integrate_external(graph: TransKG, doc, verdict, triples: Iterable[Knowledge
 
     ``doc`` needs an ``id`` attribute and ``verdict`` needs ``doc_id`` and
     ``verdict`` attributes; the concrete types live in the retrieval and
-    agents modules. On a CORRECT verdict the document id is appended to
-    ``accepted_docs`` (once) and the triples are appended in input order; an
-    INCORRECT verdict returns the input graph unchanged.
+    agents modules. A CORRECT verdict admits the document with its triples
+    (``admit_external``); an INCORRECT verdict returns the input graph
+    unchanged and its triples are not looked at.
     """
-    incoming = list(triples)
     if verdict.doc_id != doc.id:
         raise GraphError(f"verdict is for document {verdict.doc_id!r}, not {doc.id!r}")
     if verdict.verdict not in VERDICTS:
         raise GraphError(f"unknown verdict: {verdict.verdict!r}")
-    for triple in incoming:
-        if triple.provenance.kind != EXTERNAL or triple.provenance.doc_id != doc.id:
-            raise GraphError(
-                f"external triple must carry provenance of document {doc.id!r}: "
-                f"({triple.subject}, {triple.relation}, {triple.object})")
-        _check_term_keys(graph, triple)
     if verdict.verdict == INCORRECT:
         return graph
+    return admit_external(graph, doc.id, triples)
+
+
+def admit_external(graph: TransKG, doc_id: str, triples: Iterable[KnowledgeTriple] = ()) -> TransKG:
+    """Append ``doc_id`` to ``accepted_docs`` (once) and its triples in input
+    order; each triple must carry that document's external provenance."""
+    incoming = list(triples)
+    for triple in incoming:
+        if triple.provenance.kind != EXTERNAL or triple.provenance.doc_id != doc_id:
+            raise GraphError(
+                f"external triple must carry provenance of document {doc_id!r}: "
+                f"({triple.subject}, {triple.relation}, {triple.object})")
+        _check_term_keys(graph, triple)
     accepted = graph.accepted_docs
-    if doc.id not in accepted:
-        accepted = accepted + (doc.id,)
+    if doc_id not in accepted:
+        accepted = accepted + (doc_id,)
     return TransKG(
         source_doc_id=graph.source_doc_id,
         nodes=graph.nodes,

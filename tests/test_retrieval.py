@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,17 @@ def test_simple_tokenizer_lowercases_and_splits_punctuation():
     assert tokenizers.tokenize("The cat, the mat!") == ["the", "cat", "the", "mat"]
 
 
+def test_simple_tokenizer_lowers_each_word_after_matching():
+    rng = random.Random(2718)
+    alphabet = ["a", "Z", "_", "0", "İ", "ı", "ß", "ẞ", "ς", "σ", "é", "\u0307", "-", "银", " "]
+    for _ in range(500):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+        expected = [m.group(0).lower() for m in re.finditer(r"\w+", text)]
+        assert tokenizers.tokenize(text) == expected
+    # "İ".lower() appends U+0307, which is not \w: lowering first would split.
+    assert tokenizers.tokenize("İstanbul") == ["i\u0307stanbul"]
+
+
 def test_char_tokenizer_for_chinese():
     assert tokenizers.tokenize("河岸 边", tokenizers.CHAR) == ["河", "岸", "边"]
 
@@ -76,11 +88,12 @@ def test_build_index_empty_corpus():
 def test_build_index_hand_counted_postings():
     index = build_index(THREE_DOCS)
     assert index.doc_count == 3
-    assert index.postings["scotia"] == [("dA", 1), ("dB", 1)]
-    assert index.postings["bank"] == [("dA", 1)]
-    assert index.postings["banks"] == [("dB", 1)]
-    assert index.postings["a"] == [("dA", 1), ("dC", 1)]
-    assert index.doc_lengths == {"dA": 8, "dB": 9, "dC": 8}
+    assert index.doc_ids == ["dA", "dB", "dC"]
+    assert index.postings["scotia"] == [0, 1, 1, 1]
+    assert index.postings["bank"] == [0, 1]
+    assert index.postings["banks"] == [1, 1]
+    assert index.postings["a"] == [0, 1, 2, 1]
+    assert index.doc_lengths == [8, 9, 8]
     assert index.avg_doc_length == pytest.approx(25 / 3)
 
 
@@ -135,18 +148,25 @@ def test_search_result_fields():
     assert "phin" in top.text
 
 
-def test_randomized_search_matches_oracle():
+def test_randomized_search_matches_oracle(tmp_path):
     rng = random.Random(1234)
     vocabulary = [f"w{i}" for i in range(30)]
-    corpus = [{"id": f"d{i:02d}", "text": " ".join(rng.choices(vocabulary, k=rng.randint(3, 30)))}
+    padded = [{"id": f"d{i:02d}", "text": " ".join(rng.choices(vocabulary, k=rng.randint(3, 30)))}
               for i in range(25)]
-    index = build_index(corpus)
-    tokens = corpus_tokens(corpus)
-    for _ in range(40):
-        query = " ".join(rng.choices(vocabulary, k=rng.randint(1, 4)))
-        k = rng.randint(1, 10)
-        got = [(r.id, r.score) for r in search(index, query, k)]
-        assert got == bm25_rank(tokens, tokenizers.tokenize(query), k)
+    shuffled = rng.sample(padded, len(padded))
+    # d9 sorts after d10, and every seventh document repeats a text, so ties
+    # must break by id string order, not by insertion order.
+    unpadded = [{"id": f"d{i}", "text": padded[i % 7]["text"]} for i in range(25)]
+    for n, corpus in enumerate((padded, shuffled, unpadded)):
+        built = build_index(corpus)
+        save_index(built, tmp_path / f"index{n}.json")
+        tokens = corpus_tokens(corpus)
+        for index in (built, load_index(tmp_path / f"index{n}.json")):
+            for _ in range(40):
+                query = " ".join(rng.choices(vocabulary, k=rng.randint(1, 4)))
+                k = rng.randint(1, 10)
+                got = [(r.id, r.score) for r in search(index, query, k)]
+                assert got == bm25_rank(tokens, tokenizers.tokenize(query), k)
 
 
 # --- persistence -----------------------------------------------------------------
@@ -171,12 +191,32 @@ def test_index_load_rejects_bad_version(tmp_path):
         load_index(path)
 
 
+def test_index_load_rejects_format_1_with_rebuild_hint(tmp_path):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({
+        "version": 1, "doc_count": 1, "postings": {"scotia": [["dA", 1]]},
+        "doc_lengths": {"dA": 1}, "avg_doc_length": 1.0, "tokenizer_id": "simple",
+        "docs": {"dA": ["retail", "Scotia"]}}))
+    with pytest.raises(RetrievalError, match="rebuild it with `crat build-index`"):
+        load_index(path)
+
+
 def test_index_load_rejects_malformed_payload(tmp_path):
     path = tmp_path / "index.json"
     save_index(build_index(THREE_DOCS), path)
     good = json.loads(path.read_text("utf-8"))
-    for bad in ({"version": 1}, {**good, "postings": {"scotia": [["d"]]}},
-                {**good, "postings": []}, {**good, "docs": {"dA": "no title"}}):
+    postings = good["postings"]
+    for bad in ({"version": 2}, {**good, "postings": {"scotia": [["d"]]}},
+                {**good, "postings": []}, {**good, "titles": "no title"},
+                {**good, "postings": {**postings, "scotia": [0, 1, 1]}},
+                {**good, "postings": {**postings, "scotia": [-1, 1]}},
+                {**good, "postings": {**postings, "scotia": [0, 1, 3, 1]}},
+                {**good, "postings": {**postings, "scotia": ["0", 1]}},
+                {**good, "postings": {**postings, "scotia": [0, 1.5]}},
+                {**good, "postings": {**postings, "scotia": [0, None]}},
+                {**good, "doc_lengths": [8, 9]},
+                {**good, "texts": good["texts"] + ["extra"]},
+                {**good, "doc_ids": ["dB", "dA", "dC"]}):
         path.write_text(json.dumps(bad))
         with pytest.raises(RetrievalError, match="malformed index file"):
             load_index(path)
