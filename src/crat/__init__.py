@@ -38,7 +38,6 @@ from .gateway import (
     ChatRequest,
     Gateway,
     GatewayError,
-    GenerationParams,
     request_fingerprint,
 )
 from .pipeline import (
@@ -90,7 +89,6 @@ __all__ = [
     "EvalConfig",
     "Gateway",
     "GatewayError",
-    "GenerationParams",
     "GraphError",
     "GraphParseError",
     "INCORRECT",

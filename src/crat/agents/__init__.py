@@ -9,7 +9,6 @@ from .extractor import extract_internal_knowledge
 from .judge import JudgeVerdict, judge_document, render_judge_prompt
 from .schema import (
     AgentError,
-    AgentOutputEnvelope,
     AgentParseError,
     chat_structured,
     extract_payload,
@@ -23,7 +22,6 @@ from .translator import (
 
 __all__ = [
     "AgentError",
-    "AgentOutputEnvelope",
     "AgentParseError",
     "ConsisFinding",
     "ConsisResult",

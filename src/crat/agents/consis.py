@@ -48,32 +48,23 @@ def _validate(payload: dict) -> tuple[float, tuple[ConsisFinding, ...]]:
     return float(score), tuple(findings)
 
 
-def _surface(term) -> str:
-    return term if isinstance(term, str) else term.surface
-
-
-def consis_evaluate(source_text: str, candidate_translation: str, terms: Sequence,
+def consis_evaluate(source_text: str, candidate_translation: str, surfaces: Sequence[str],
                     lang_pair: tuple[str, str], backend_id: str, gateway: Gateway,
                     transcript=None) -> ConsisResult:
-    """Grade a translation; the score is clamped to [0, 100].
+    """Grade a translation of the flagged term ``surfaces``; the score is
+    clamped to [0, 100].
 
-    ``terms`` may hold term candidates, graph nodes, or plain surface
-    strings. Unusable replies raise ``AgentParseError`` -- there is no
-    silent default score.
+    Unusable replies raise ``AgentParseError`` -- there is no silent default
+    score.
     """
-    surfaces = [_surface(t) for t in terms]
-    source_lang, target_lang = lang_pair
     prompt = prompts.render(
-        "consis",
-        source_lang=prompts.lang_name(source_lang),
-        target_lang=prompts.lang_name(target_lang),
+        "consis", lang_pair,
         term_list=", ".join(surfaces) if surfaces else "(none)",
         source_text=source_text,
         candidate_translation=candidate_translation,
     )
-    envelope = chat_structured(gateway, backend_id, prompt, "consis",
-                               _validate, transcript)
-    score, findings = envelope.parsed
+    score, findings = chat_structured(gateway, backend_id, prompt, "consis",
+                                      _validate, transcript)
     if not 0.0 <= score <= 100.0:
         clamped = min(100.0, max(0.0, score))
         warn(transcript, log, f"consis: score {score} outside [0, 100], clamped to {clamped}")

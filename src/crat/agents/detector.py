@@ -46,19 +46,12 @@ def detect_unknown_terms(source_text: str, lang_pair: tuple[str, str], backend_i
     """
     if not source_text:
         raise ValueError("source text must be non-empty")
-    source_lang, target_lang = lang_pair
-    prompt = prompts.render(
-        "detector",
-        source_lang=prompts.lang_name(source_lang),
-        target_lang=prompts.lang_name(target_lang),
-        source_text=source_text,
-    )
-    envelope = chat_structured(gateway, backend_id, prompt, "detector",
-                               _validate, transcript)
+    prompt = prompts.render("detector", lang_pair, source_text=source_text)
+    reported = chat_structured(gateway, backend_id, prompt, "detector", _validate, transcript)
 
     candidates = []
     seen_surfaces = set()
-    for surface, category, rationale in envelope.parsed:
+    for surface, category, rationale in reported:
         if surface in seen_surfaces:
             continue
         seen_surfaces.add(surface)

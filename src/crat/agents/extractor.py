@@ -47,11 +47,10 @@ def extract_internal_knowledge(source_text: str, terms: Sequence[TermCandidate],
         term_list=", ".join(t.surface for t in terms),
         source_text=source_text,
     )
-    envelope = chat_structured(gateway, backend_id, prompt, "extractor",
-                               _validate, transcript)
+    reported = chat_structured(gateway, backend_id, prompt, "extractor", _validate, transcript)
 
     triples = []
-    for subject, relation, obj, keys in envelope.parsed:
+    for subject, relation, obj, keys in reported:
         unknown = sorted(set(keys) - known)
         if unknown:
             warn(transcript, log,

@@ -74,12 +74,9 @@ def _facts_lines(internal_knowledge: Sequence[KnowledgeTriple]) -> str:
 def render_judge_prompt(internal_knowledge: Sequence[KnowledgeTriple],
                         doc: RetrievedDocument, source_text: str,
                         term: TermCandidate, lang_pair: tuple[str, str]) -> str:
-    source_lang, target_lang = lang_pair
     doc_text = doc.text if len(doc.text) <= JUDGE_DOC_CHARS else doc.text[:JUDGE_DOC_CHARS] + "..."
     return prompts.render(
-        "judge",
-        source_lang=prompts.lang_name(source_lang),
-        target_lang=prompts.lang_name(target_lang),
+        "judge", lang_pair,
         term_surface=term.surface,
         term_category=term.category,
         source_text=source_text,
@@ -96,8 +93,7 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
     """Judge one (term, document) pair; fails closed to INCORRECT."""
     prompt = render_judge_prompt(internal_knowledge, doc, source_text, term, lang_pair)
     try:
-        envelope = chat_structured(gateway, backend_id, prompt, "judge",
-                                   _validate, transcript)
+        parsed = chat_structured(gateway, backend_id, prompt, "judge", _validate, transcript)
     except AgentParseError as err:
         warn(transcript, log,
              f"judge: unparsable reply for document {doc.id!r}, ruling INCORRECT", err)
@@ -106,7 +102,6 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
         warn(transcript, log, f"judge: call failed for document {doc.id!r} "
                               f"({type(err).__name__}), ruling INCORRECT", err)
         return JudgeVerdict(doc.id, INCORRECT, "", "", "call failed")
-    parsed = envelope.parsed
     return JudgeVerdict(
         doc_id=doc.id,
         verdict=parsed["verdict"],

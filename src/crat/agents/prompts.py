@@ -35,7 +35,11 @@ def _template(name: str) -> Template:
     return Template(text)
 
 
-def render(name: str, **values: str) -> str:
+def render(name: str, lang_pair: tuple[str, str] | None = None, **values: str) -> str:
+    """Fill in template ``name``. A ``lang_pair`` of language codes supplies
+    the ``source_lang`` and ``target_lang`` display names."""
+    if lang_pair is not None:
+        values["source_lang"], values["target_lang"] = map(lang_name, lang_pair)
     try:
         return _template(name).substitute(values)
     except KeyError as err:

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..gateway import ChatMessage, ChatRequest, Gateway
-
-AGENT_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
 MAX_REPAIR_ATTEMPTS = 2
 
@@ -47,14 +44,6 @@ class AgentParseError(AgentError):
         self.raw_text = raw_text
 
 
-@dataclass
-class AgentOutputEnvelope:
-    agent: str
-    raw_text: str
-    parsed: Any
-    repair_attempts: int
-
-
 def extract_payload(text: str) -> dict:
     """The single JSON object payload of a reply.
 
@@ -84,8 +73,9 @@ def extract_payload(text: str) -> dict:
 
 
 def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
-                    validate: Callable[[dict], Any], transcript=None) -> AgentOutputEnvelope:
-    """Run one agent call with bounded repair.
+                    validate: Callable[[dict], Any], transcript=None) -> Any:
+    """Run one agent call with bounded repair; returns what ``validate``
+    returns for the first usable reply.
 
     ``validate`` turns the raw payload dict into the agent-specific value and
     raises ``ValueError`` on schema violations; a violation counts as a parse
@@ -101,8 +91,7 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
             transcript.add_exchange(exchange)
         raw_text = exchange.response_text
         try:
-            payload = extract_payload(raw_text)
-            parsed = validate(payload)
+            return validate(extract_payload(raw_text))
         except ValueError as err:
             last_error = str(err)
             if attempt < MAX_REPAIR_ATTEMPTS:
@@ -110,8 +99,6 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
                 repair = (_REPAIR_PROMPT.format(error=last_error)
                           if attempt == 0 else _STRICT_REPAIR_PROMPT)
                 messages.append(ChatMessage("user", repair))
-            continue
-        return AgentOutputEnvelope(agent, raw_text, parsed, attempt)
     raise AgentParseError(agent, MAX_REPAIR_ATTEMPTS, last_error, raw_text)
 
 

@@ -79,11 +79,8 @@ def knowledge_section(graph: TransKG,
 
 def render_translator_prompt(source_text: str, graph: TransKG, lang_pair: tuple[str, str],
                              documents: Mapping[str, RetrievedDocument] | None = None) -> str:
-    source_lang, target_lang = lang_pair
     return prompts.render(
-        "translator",
-        source_lang=prompts.lang_name(source_lang),
-        target_lang=prompts.lang_name(target_lang),
+        "translator", lang_pair,
         knowledge_section=knowledge_section(graph, documents),
         source_text=source_text,
     )
@@ -100,6 +97,4 @@ def translate_with_knowledge(source_text: str, graph: TransKG, lang_pair: tuple[
     translation after the repair budget raises ``AgentParseError``.
     """
     prompt = render_translator_prompt(source_text, graph, lang_pair, documents)
-    envelope = chat_structured(gateway, backend_id, prompt, "translator",
-                               _validate, transcript)
-    return envelope.parsed
+    return chat_structured(gateway, backend_id, prompt, "translator", _validate, transcript)

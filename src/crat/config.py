@@ -18,7 +18,7 @@ import yaml
 from .evaluation import EvalConfig
 from .gateway import Gateway, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
-from .retrieval import RemoteConfig, RemoteSource, glossary_source_from_file, index_source_from_file
+from .retrieval import RemoteSource, glossary_source_from_file, index_source_from_file
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
@@ -215,8 +215,7 @@ def build_sources(config: RunConfig) -> list:
         elif spec["kind"] == "local_index":
             sources.append(index_source_from_file(config.resolve(spec["path"])))
         else:
-            sources.append(RemoteSource(RemoteConfig(
-                spec["endpoint"], **_given(spec, timeout_s=float))))
+            sources.append(RemoteSource(spec["endpoint"], **_given(spec, timeout_s=float)))
     return sources
 
 

@@ -228,7 +228,7 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
             try:
                 scored = consis_evaluate(
                     example.source_text, result.target_text,
-                    list(result.graph.nodes.values()),
+                    list(result.graph.nodes),
                     (example.source_lang, example.target_lang),
                     config.consis_backend, config.gateway)
                 row["consis"] = scored.score

@@ -3,10 +3,12 @@
 Two backend kinds sit behind one ``Gateway.complete`` call: deterministic
 scripted mocks for tests and demos, and a generic HTTP client speaking the
 common chat wire shape (``model``/``messages``/``temperature``/``max_tokens``
-in, first choice's message content out). Every call is identified by a stable
-fingerprint of (backend, messages, params), plus the model and endpoint of an
-HTTP backend, which also keys the optional on-disk response cache. At most
-``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
+in, first choice's message content out). Every call decodes greedily, with
+at most ``MAX_NEW_TOKENS`` new tokens and no stop sequences, and is
+identified by a stable fingerprint of (backend, messages, ``PARAMS``), plus
+the model and endpoint of an HTTP backend, which also keys the optional
+on-disk response cache. At most ``MAX_INFLIGHT_PER_BACKEND`` calls wait on
+one backend at a time.
 
 HTTP goes through the standard library (``urllib.request``, with its
 process-wide opener), one connection per call. ``http_proxy`` and
@@ -26,7 +28,7 @@ import tempfile
 import threading
 import time
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.error import HTTPError
@@ -38,7 +40,11 @@ log = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
 
-DEFAULT_MAX_NEW_TOKENS = 2048
+MAX_NEW_TOKENS = 2048
+
+# The decoding of every call, as fingerprints, cache entries and transcripts
+# record it; temperature stays the float 0.0 so that it encodes as ``0.0``.
+PARAMS = {"temperature": 0.0, "max_new_tokens": MAX_NEW_TOKENS, "stop": None}
 
 # Calls one backend may have in flight at once, over every thread of a process
 # that shares the gateway: batch width times the judge fan-out stays under it.
@@ -99,25 +105,9 @@ class ChatMessage:
 
 
 @dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.0
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    stop: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be positive")
-        if self.stop is not None:
-            object.__setattr__(self, "stop", tuple(self.stop))
-
-
-@dataclass(frozen=True)
 class ChatRequest:
     backend_id: str
     messages: tuple[ChatMessage, ...]
-    params: GenerationParams = field(default_factory=GenerationParams)
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -133,26 +123,16 @@ class ChatRequest:
         return ""
 
 
-def simple_request(backend_id: str, prompt: str,
-                   params: GenerationParams | None = None) -> ChatRequest:
+def simple_request(backend_id: str, prompt: str) -> ChatRequest:
     """A single-user-message request, the shape every agent uses."""
-    return ChatRequest(backend_id, (ChatMessage("user", prompt),),
-                       params or GenerationParams())
-
-
-def _params_payload(params: GenerationParams) -> dict:
-    return {
-        "temperature": params.temperature,
-        "max_new_tokens": params.max_new_tokens,
-        "stop": list(params.stop) if params.stop else None,
-    }
+    return ChatRequest(backend_id, (ChatMessage("user", prompt),))
 
 
 def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
     payload = {
         "backend": request.backend_id,
         "messages": [[m.role, m.content] for m in request.messages],
-        "params": _params_payload(request.params),
+        "params": PARAMS,
     }
     if model is not None:
         payload["model"] = model
@@ -160,7 +140,7 @@ def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
 
 
 def request_fingerprint(request: ChatRequest, model: dict | None = None) -> str:
-    """Stable content hash of (backend, messages, params), and of ``model``,
+    """Stable content hash of (backend, messages, ``PARAMS``), and of ``model``,
     the identity of the model that answers, when the backend has one."""
     return canonical.digest(_canonical_payload(request, model))
 
@@ -181,7 +161,7 @@ class ChatExchange:
         return {
             "backend_id": self.request.backend_id,
             "messages": [{"role": m.role, "content": m.content} for m in self.request.messages],
-            "params": _params_payload(self.request.params),
+            "params": dict(PARAMS),
             "response_text": self.response_text,
             "fingerprint": self.fingerprint,
         }
@@ -292,11 +272,9 @@ class HttpBackend:
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.params.temperature,
-            "max_tokens": request.params.max_new_tokens,
+            "temperature": PARAMS["temperature"],
+            "max_tokens": MAX_NEW_TOKENS,
         }
-        if request.params.stop:
-            payload["stop"] = list(request.params.stop)
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
@@ -330,10 +308,8 @@ class Gateway:
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
-                 max_new_tokens_ceiling: int = DEFAULT_MAX_NEW_TOKENS,
                  max_attempts: int = 3, retry_base_delay_s: float = 0.5):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.max_new_tokens_ceiling = max_new_tokens_ceiling
         self.max_attempts = max_attempts
         self.retry_base_delay_s = retry_base_delay_s
         self._backends: dict[str, MockBackend | HttpBackend] = {}
@@ -386,10 +362,6 @@ class Gateway:
         backend = self._backends.get(request.backend_id)
         if backend is None:
             raise UnknownBackendError(f"unknown backend: {request.backend_id!r}")
-        if request.params.max_new_tokens > self.max_new_tokens_ceiling:
-            raise GatewayError(
-                f"max_new_tokens {request.params.max_new_tokens} exceeds ceiling "
-                f"{self.max_new_tokens_ceiling}")
         fingerprint = request_fingerprint(request, backend.model)
         started = time.perf_counter()
 

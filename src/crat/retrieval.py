@@ -2,17 +2,19 @@
 
 Three source kinds produce ranked ``RetrievedDocument`` lists: a local
 BM25 inverted index, a bilingual glossary (one TSV record per line), and a
-pluggable remote search endpoint. ``retrieve_for_term`` queries configured
-sources in order, deduplicates, and caps the merged list. A remote query
-goes over the gateway's standard-library HTTP transport
-(``gateway.http_exchange``), one connection per query.
+remote search endpoint. ``retrieve_for_term`` queries configured sources in
+order, deduplicates, and caps the merged list. ``RemoteSource.search`` sends
+one GET per query, ``{q, k}`` appended to the endpoint's query string, over
+the gateway's standard-library HTTP transport (``gateway.http_exchange``),
+one connection per query.
 
 The index numbers documents by ordinal, their position in ascending id
 order, and keeps their ids, titles, texts and token counts as parallel
 columns. Each term's postings are one flat int list ``[ordinal, tf, ...]``
 in ascending ordinal order. The index file (format 2) stores these lists as
 they are, so saving and loading create no object per posting. Ranking
-breaks score ties by ordinal, that is by ascending id.
+breaks score ties by ordinal, that is by ascending id, and keeps the top *k*
+in a heap rather than sorting every scored document.
 
 A glossary compiles each record's whole-word, case-insensitive pattern once,
 when it is built; a query runs them in file order, so its cost grows with
@@ -21,6 +23,7 @@ the number of records, in every script alike.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -152,7 +155,7 @@ def search(index: CorpusIndex, query: str, k: int) -> list[RetrievedDocument]:
         idf = bm25_idf(index.doc_count, len(posting) // 2)
         for ordinal, tf in zip(posting[::2], posting[1::2]):
             scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + norms[ordinal])
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+    ranked = heapq.nsmallest(k, scores.items(), key=lambda item: (-item[1], item[0]))
     return [RetrievedDocument(index.doc_ids[ordinal], index.titles[ordinal], index.texts[ordinal],
                               LOCAL_INDEX, score)
             for ordinal, score in ranked]
@@ -297,47 +300,38 @@ class GlossarySource:
         return hits
 
 
-@dataclass(frozen=True)
-class RemoteConfig:
-    endpoint_url: str
-    timeout_s: float = 10.0
-
-
-def remote_search(client_config: RemoteConfig, query: str, k: int) -> list[RetrievedDocument]:
-    """One GET against the remote wire contract: params {q, k}, JSON array of
-    {id, title, text, score} back, kept in server order."""
-    if k <= 0:
-        return []
-    parts = urlsplit(client_config.endpoint_url)
-    params = urlencode({"q": query, "k": k})
-    url = parts._replace(query=f"{parts.query}&{params}" if parts.query else params).geturl()
-    try:
-        status, body = http_exchange(url, None, {}, client_config.timeout_s)
-    except TransportError as err:
-        raise SourceError(f"remote search: {err}") from err
-    if not 200 <= status < 300:
-        raise SourceError(f"remote search returned HTTP {status}: {body_excerpt(body)!r}")
-    try:
-        payload = json.loads(body)
-        docs = [
-            RetrievedDocument(str(item["id"]), str(item.get("title", "")),
-                              str(item["text"]), REMOTE, float(item.get("score", 0.0)))
-            for item in payload
-        ]
-    except (ValueError, KeyError, TypeError) as err:
-        raise SourceError(f"remote search returned a malformed payload: {err}") from err
-    return docs[:k]
-
-
 class RemoteSource:
     kind = REMOTE
 
-    def __init__(self, config: RemoteConfig, label: str = "remote"):
-        self.config = config
+    def __init__(self, endpoint_url: str, timeout_s: float = 10.0, label: str = "remote"):
+        self.endpoint_url = endpoint_url
+        self.timeout_s = timeout_s
         self.label = label
 
     def search(self, query: str, k: int) -> list[RetrievedDocument]:
-        return remote_search(self.config, query, k)
+        """One GET against the remote wire contract: params {q, k}, JSON
+        array of {id, title, text, score} back, kept in server order."""
+        if k <= 0:
+            return []
+        parts = urlsplit(self.endpoint_url)
+        params = urlencode({"q": query, "k": k})
+        url = parts._replace(query=f"{parts.query}&{params}" if parts.query else params).geturl()
+        try:
+            status, body = http_exchange(url, None, {}, self.timeout_s)
+        except TransportError as err:
+            raise SourceError(f"remote search: {err}") from err
+        if not 200 <= status < 300:
+            raise SourceError(f"remote search returned HTTP {status}: {body_excerpt(body)!r}")
+        try:
+            payload = json.loads(body)
+            docs = [
+                RetrievedDocument(str(item["id"]), str(item.get("title", "")),
+                                  str(item["text"]), REMOTE, float(item.get("score", 0.0)))
+                for item in payload
+            ]
+        except (ValueError, KeyError, TypeError) as err:
+            raise SourceError(f"remote search returned a malformed payload: {err}") from err
+        return docs[:k]
 
 
 # --- per-term retrieval -------------------------------------------------------
@@ -389,9 +383,9 @@ def retrieve_for_term(term: TermCandidate, source_text: str, sources: Sequence,
     return merged[:n2]
 
 
-def index_source_from_file(path: str | Path, label: str | None = None) -> LocalIndexSource:
-    return LocalIndexSource(load_index(path), label or f"local_index:{path}")
+def index_source_from_file(path: str | Path) -> LocalIndexSource:
+    return LocalIndexSource(load_index(path), f"local_index:{path}")
 
 
-def glossary_source_from_file(path: str | Path, label: str | None = None) -> GlossarySource:
-    return GlossarySource(load_glossary(path), label or f"glossary:{path}")
+def glossary_source_from_file(path: str | Path) -> GlossarySource:
+    return GlossarySource(load_glossary(path), f"glossary:{path}")

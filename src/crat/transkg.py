@@ -64,10 +64,6 @@ class TermCandidate:
         if self.category not in TERM_CATEGORIES:
             raise ValueError(f"unknown term category: {self.category!r}")
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass(frozen=True)
 class TermNode:

@@ -115,17 +115,21 @@ def identity_validator(payload: dict) -> dict:
 def test_repair_after_one_bad_reply():
     gateway = mock_gateway("m", fallback=sequence_responder(
         ["gibberish", fenced({"value": 7})]))
-    envelope = chat_structured(gateway, "m", "prompt", "detector", identity_validator)
-    assert envelope.parsed == {"value": 7}
-    assert envelope.repair_attempts == 1
+    transcript = AgentTranscript()
+    transcript.begin_stage("detect")
+    assert chat_structured(gateway, "m", "prompt", "detector", identity_validator,
+                           transcript) == {"value": 7}
+    assert len(transcript.exchanges()) == 2
 
 
 def test_strict_repair_after_two_bad_replies():
     gateway = mock_gateway("m", fallback=sequence_responder(
         ["gibberish", fenced({"wrong": 1}), fenced({"value": 7})]))
-    envelope = chat_structured(gateway, "m", "prompt", "detector", identity_validator)
-    assert envelope.parsed == {"value": 7}
-    assert envelope.repair_attempts == 2
+    transcript = AgentTranscript()
+    transcript.begin_stage("detect")
+    assert chat_structured(gateway, "m", "prompt", "detector", identity_validator,
+                           transcript) == {"value": 7}
+    assert len(transcript.exchanges()) == 3
 
 
 def test_parse_error_after_budget_exhausted():

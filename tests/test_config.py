@@ -258,3 +258,4 @@ def test_transcript_volatile_fields_stripped():
     transcript.add_exchange(dummy_exchange())
     stable = transcript.to_dict()
     assert not {"latency_ms", "cache_hit", "attempts"} & set(stable[1])
+    assert stable[1]["params"] == {"temperature": 0.0, "max_new_tokens": 2048, "stop": None}

@@ -17,7 +17,6 @@ from crat.gateway import (
     EmptyResponseError,
     Gateway,
     GatewayError,
-    GenerationParams,
     HttpStatusError,
     ProtocolError,
     ScriptedMissError,
@@ -46,10 +45,6 @@ def test_request_validation():
         ChatRequest("b", (ChatMessage("assistant", "hi"),))
     with pytest.raises(ValueError):
         ChatMessage("narrator", "hi")
-    with pytest.raises(ValueError):
-        GenerationParams(temperature=-1)
-    with pytest.raises(ValueError):
-        GenerationParams(max_new_tokens=0)
 
 
 def test_fingerprint_stability_and_sensitivity():
@@ -57,9 +52,6 @@ def test_fingerprint_stability_and_sensitivity():
     assert fp == request_fingerprint(hello_request())
     assert fp == HELLO_FINGERPRINT
     assert fp != request_fingerprint(simple_request("mock", "say goodbye"))
-    assert fp != request_fingerprint(
-        ChatRequest("mock", (ChatMessage("user", "say hello"),),
-                    GenerationParams(temperature=0.5)))
 
 
 def test_mock_fingerprint_rule():
@@ -112,15 +104,6 @@ def test_empty_response_is_an_error():
     gateway.register_mock("mock", [], fallback="   ")
     with pytest.raises(EmptyResponseError):
         gateway.complete(hello_request())
-
-
-def test_max_new_tokens_ceiling():
-    gateway = Gateway(max_new_tokens_ceiling=100)
-    gateway.register_mock("mock", [], fallback="x")
-    request = ChatRequest("mock", (ChatMessage("user", "hi"),),
-                          GenerationParams(max_new_tokens=101))
-    with pytest.raises(GatewayError, match="ceiling"):
-        gateway.complete(request)
 
 
 # --- cache --------------------------------------------------------------------
@@ -289,7 +272,6 @@ def test_http_sends_auth_and_wire_shape(stub_server, monkeypatch):
     request = ChatRequest(
         "live",
         (ChatMessage("system", "be brief"), ChatMessage("user", "hi 银行")),
-        GenerationParams(temperature=0.0, max_new_tokens=64, stop=("\n",)),
     )
     exchange = gateway.complete(request)
     assert exchange.response_text == "ok"
@@ -300,8 +282,7 @@ def test_http_sends_auth_and_wire_shape(stub_server, monkeypatch):
         "messages": [{"role": "system", "content": "be brief"},
                      {"role": "user", "content": "hi 银行"}],
         "temperature": 0.0,
-        "max_tokens": 64,
-        "stop": ["\n"],
+        "max_tokens": 2048,
     }).encode("utf-8")
     assert sent.headers["Authorization"] == "Bearer sekret"
     assert sent.headers["Content-Type"] == "application/json"

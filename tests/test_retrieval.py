@@ -17,14 +17,13 @@ from crat.retrieval import (
     GlossaryEntry,
     GlossarySource,
     LocalIndexSource,
-    RemoteConfig,
+    RemoteSource,
     RetrievalError,
     RetrievedDocument,
     SourceError,
     build_index,
     load_glossary,
     load_index,
-    remote_search,
     retrieve_for_term,
     save_index,
     search,
@@ -304,7 +303,7 @@ def test_remote_search_returns_server_order(stub_server):
         {"id": "r1", "title": "one", "text": "first hit", "score": 9.0},
         {"id": "r2", "title": "two", "text": "second hit", "score": 5.0},
     ]))
-    docs = remote_search(RemoteConfig(stub_server.url), "query", 5)
+    docs = RemoteSource(stub_server.url).search("query", 5)
     assert [d.id for d in docs] == ["r1", "r2"]
     assert docs[0].source == "remote"
     assert "q=query" in stub_server.requests[0].path
@@ -314,7 +313,7 @@ def test_remote_search_query_string(stub_server):
     # {q, k} follow the endpoint's own query string; the query is sent as
     # percent-encoded UTF-8.
     stub_server.script((200, []))
-    assert remote_search(RemoteConfig(f"{stub_server.url}/q?lang=zh"), "银行 bank", 3) == []
+    assert RemoteSource(f"{stub_server.url}/q?lang=zh").search("银行 bank", 3) == []
     (sent,) = stub_server.requests
     assert sent.method == "GET"
     assert sent.path == "/q?lang=zh&q=%E9%93%B6%E8%A1%8C+bank&k=3"
@@ -323,30 +322,30 @@ def test_remote_search_query_string(stub_server):
 def test_remote_search_500_is_source_error(stub_server):
     stub_server.script((500, {"error": "boom"}))
     with pytest.raises(SourceError, match="500"):
-        remote_search(RemoteConfig(stub_server.url), "query", 5)
+        RemoteSource(stub_server.url).search("query", 5)
 
 
 @pytest.mark.parametrize("fault", [CUT_OFF, STALL])
 def test_remote_search_broken_reply_is_source_error(stub_server, fault):
     stub_server.script(fault)
     with pytest.raises(SourceError, match="transport failure"):
-        remote_search(RemoteConfig(stub_server.url, timeout_s=0.2), "query", 5)
+        RemoteSource(stub_server.url, timeout_s=0.2).search("query", 5)
 
 
 def test_remote_search_malformed_payload(stub_server):
     stub_server.script((200, {"not": "a list"}))
     with pytest.raises(SourceError):
-        remote_search(RemoteConfig(stub_server.url), "query", 5)
+        RemoteSource(stub_server.url).search("query", 5)
 
 
 def test_remote_search_k_zero_makes_no_call():
     # Closed port: any actual request would raise.
-    assert remote_search(RemoteConfig("http://127.0.0.1:9"), "query", 0) == []
+    assert RemoteSource("http://127.0.0.1:9").search("query", 0) == []
 
 
 def test_remote_search_connection_failure_is_source_error():
     with pytest.raises(SourceError):
-        remote_search(RemoteConfig("http://127.0.0.1:9", timeout_s=0.2), "query", 1)
+        RemoteSource("http://127.0.0.1:9", timeout_s=0.2).search("query", 1)
 
 
 # --- retrieve_for_term -----------------------------------------------------------
