@@ -208,14 +208,16 @@ def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
 
 
 def build_sources(config: RunConfig) -> list:
+    """File sources are labelled by their path as the config writes it, so a
+    run's identity does not depend on where its workspace sits."""
     sources = []
     for spec in config.retrieval_section().get("sources", []):
-        if spec["kind"] == "glossary":
-            sources.append(glossary_source_from_file(config.resolve(spec["path"])))
-        elif spec["kind"] == "local_index":
-            sources.append(index_source_from_file(config.resolve(spec["path"])))
-        else:
+        kind = spec["kind"]
+        if kind == "remote":
             sources.append(RemoteSource(spec["endpoint"], **_given(spec, timeout_s=float)))
+            continue
+        from_file = glossary_source_from_file if kind == "glossary" else index_source_from_file
+        sources.append(from_file(config.resolve(spec["path"]), f"{kind}:{spec['path']}"))
     return sources
 
 

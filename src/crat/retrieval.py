@@ -16,9 +16,13 @@ they are, so saving and loading create no object per posting. Ranking
 breaks score ties by ordinal, that is by ascending id, and keeps the top *k*
 in a heap rather than sorting every scored document.
 
-A glossary compiles each record's whole-word, case-insensitive pattern once,
-when it is built; a query runs them in file order, so its cost grows with
-the number of records, in every script alike.
+A glossary keys each record on a case fold of its source term when it is
+built, and compiles nothing then. A query folds each of its windows that
+has a term's length and could hold a whole-word match, and looks it up, so
+its cost grows with the query's length times the number of distinct term
+lengths, not with the number of records. Each record found that way is
+confirmed by its whole-word, case-insensitive pattern, compiled the first
+time the record is a candidate.
 """
 
 from __future__ import annotations
@@ -265,12 +269,36 @@ def load_glossary(path: str | Path) -> list[GlossaryEntry]:
     return entries
 
 
+def fold(text: str) -> str:
+    """Case key of ``text``: two strings that ``re.IGNORECASE`` matches one
+    literal code point at a time get the same key.
+
+    ``lower().upper()`` gives every pair of characters that ``re`` equates
+    the same key except U+0130, whose full lowercase adds U+0307.
+    """
+    return text.replace("\u0130", "I").lower().upper()
+
+
+# Every position where a whole-word pattern's (?<!\w), or its (?!\w), holds.
+_MATCH_START_RE = re.compile(r"(?<!\w)")
+_MATCH_END_RE = re.compile(r"(?!\w)")
+
+
 class GlossarySource:
     """Bilingual glossary; each record is served as a one-line document.
 
     A record matches a query that contains its source term as whole words,
     case-insensitively; ``search`` returns the first *k* matches in file
     order, with ids ``glossary:<n>`` numbering the records from 1.
+
+    Records are keyed on the ``fold`` of their source term. ``re`` matches
+    one code point per literal, so a match of a term of *n* code points is a
+    query window of *n* code points with the same fold, starting where
+    ``(?<!\\w)`` holds and ending where ``(?!\\w)`` holds. ``search`` looks up
+    every such window of a term's length; the records found are candidates,
+    tested in file order by their own pattern until *k* match. A pattern is
+    compiled the first time its record is a candidate; two threads compiling
+    the same one at once each store an equal pattern.
     """
 
     kind = GLOSSARY
@@ -278,25 +306,38 @@ class GlossarySource:
     def __init__(self, entries: Sequence[GlossaryEntry], label: str = "glossary"):
         self.entries = list(entries)
         self.label = label
-        # Compiled here, not per query: past the re module's cache of 512
-        # patterns, re.search would recompile every one on every query.
-        self._patterns = [
-            re.compile(rf"(?<!\w){re.escape(entry.source_term)}(?!\w)", re.IGNORECASE)
-            for entry in self.entries]
+        self._by_key: defaultdict[str, list[int]] = defaultdict(list)
+        for ordinal, entry in enumerate(self.entries):
+            self._by_key[fold(entry.source_term)].append(ordinal)
+        self._lengths = {len(entry.source_term) for entry in self.entries}
+        self._patterns: list[re.Pattern | None] = [None] * len(self.entries)
 
     def search(self, query: str, k: int) -> list[RetrievedDocument]:
         if k <= 0:
             return []
+        ends = {match.start() for match in _MATCH_END_RE.finditer(query)}
+        candidates: set[int] = set()
+        for match in _MATCH_START_RE.finditer(query):
+            start = match.start()
+            for length in self._lengths:
+                end = start + length
+                if end in ends:
+                    candidates.update(self._by_key.get(fold(query[start:end]), ()))
         hits = []
-        for i, (entry, pattern) in enumerate(zip(self.entries, self._patterns), start=1):
+        for ordinal in sorted(candidates):
+            entry = self.entries[ordinal]
+            pattern = self._patterns[ordinal]
+            if pattern is None:
+                pattern = self._patterns[ordinal] = re.compile(
+                    rf"(?<!\w){re.escape(entry.source_term)}(?!\w)", re.IGNORECASE)
             if pattern.search(query):
                 text = f"{entry.source_term}: {entry.target_term}"
                 if entry.note:
                     text += f" ({entry.note})"
                 hits.append(RetrievedDocument(
-                    f"glossary:{i}", entry.source_term, text, GLOSSARY, 1.0))
-            if len(hits) >= k:
-                break
+                    f"glossary:{ordinal + 1}", entry.source_term, text, GLOSSARY, 1.0))
+                if len(hits) >= k:
+                    break
         return hits
 
 
@@ -383,9 +424,9 @@ def retrieve_for_term(term: TermCandidate, source_text: str, sources: Sequence,
     return merged[:n2]
 
 
-def index_source_from_file(path: str | Path) -> LocalIndexSource:
-    return LocalIndexSource(load_index(path), f"local_index:{path}")
+def index_source_from_file(path: str | Path, label: str) -> LocalIndexSource:
+    return LocalIndexSource(load_index(path), label)
 
 
-def glossary_source_from_file(path: str | Path) -> GlossarySource:
-    return GlossarySource(load_glossary(path), f"glossary:{path}")
+def glossary_source_from_file(path: str | Path, label: str) -> GlossarySource:
+    return GlossarySource(load_glossary(path), label)

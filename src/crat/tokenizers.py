@@ -31,6 +31,9 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 def tokenize(text: str, tokenizer_id: str = SIMPLE) -> list[str]:
     """Split ``text`` into tokens according to ``tokenizer_id``."""
     if tokenizer_id == SIMPLE:
+        if text.isascii():
+            # Lowering ASCII changes no character's \w class and no length.
+            return _WORD_RE.findall(text.lower())
         # Lowered after matching: "İ".lower() adds U+0307, which is not \w.
         return [word.lower() for word in _WORD_RE.findall(text)]
     if tokenizer_id == CHAR:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from crat import fixtures
 from crat.cli import main
@@ -123,6 +124,24 @@ def test_cli_determinism(demo, tmp_path):
         for name in ("result.json", "graph.json", "transcript.json"):
             assert ((out1 / doc_id / name).read_bytes()
                     == (out2 / doc_id / name).read_bytes())
+
+
+def test_config_hash_does_not_depend_on_the_workspace_directory(tmp_path):
+    def run_hash(root, glossary="glossary.tsv"):
+        fixtures.write_demo_workspace(root)
+        (root / "glossary.tsv").rename(root / glossary)
+        config = yaml.safe_load((root / "config.yaml").read_text("utf-8"))
+        config["retrieval"]["sources"][0]["path"] = glossary
+        (root / "config.yaml").write_text(yaml.safe_dump(config), "utf-8")
+        out = root / "out"
+        assert translate(root, out, "--no-cache") == 0
+        header = json.loads((out / "manifest.jsonl").read_text("utf-8").splitlines()[0])
+        return header["config_hash"]
+
+    here = run_hash(tmp_path / "one" / "demo")
+    assert len(here) == 64
+    assert run_hash(tmp_path / "two" / "elsewhere") == here
+    assert run_hash(tmp_path / "three", glossary="terms.tsv") != here
 
 
 # --- build-index ---------------------------------------------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from crat.retrieval import (
     RetrievedDocument,
     SourceError,
     build_index,
+    fold,
     load_glossary,
     load_index,
     retrieve_for_term,
@@ -59,6 +62,11 @@ def test_simple_tokenizer_lowers_each_word_after_matching():
         assert tokenizers.tokenize(text) == expected
     # "İ".lower() appends U+0307, which is not \w: lowering first would split.
     assert tokenizers.tokenize("İstanbul") == ["i\u0307stanbul"]
+    ascii_alphabet = "aZq_09 -.,'\t\n"
+    for _ in range(500):
+        text = "".join(rng.choices(ascii_alphabet, k=rng.randint(0, 40)))
+        expected = [m.group(0).lower() for m in re.finditer(r"\w+", text)]
+        assert tokenizers.tokenize(text) == expected
 
 
 def test_char_tokenizer_for_chinese():
@@ -293,6 +301,106 @@ def test_glossary_search_matches_the_full_scan():
         got = [(d.id, d.title, d.text, d.source, d.score)
                for d in GlossarySource(entries).search(query, k)]
         assert got == glossary_lookup(entries, query, k), (terms, query, k)
+
+
+# Characters with several case forms, or case forms outside their own block:
+# final and medial sigma, micro and mu, ohm and omega, angstrom and A-ring,
+# the Greek symbol variants, Cyrillic and Cherokee letters whose case pair is
+# in another block, Georgian, the titlecase digraph, CJK, and a combining dot.
+SCRIPT_ALPHABET = ("\u03a3\u03c3\u03c2\u00b5\u03bc\u2126\u03a9\u212b\u00c5\u03b2\u03d0"
+                   "\u03b8\u03d1\u03f4\u0432\u1c80\u13e3\uab73\u10a0\u2d00\u01c5\u01c4\u01c6"
+                   "银行\u0307")
+CASE_VARIANTS = (str, str.upper, str.lower, str.swapcase, str.casefold)
+
+
+def test_glossary_search_matches_the_full_scan_across_scripts():
+    rng = random.Random(17)
+
+    def phrase(max_len):
+        chars = rng.choices(SCRIPT_ALPHABET + "a -", k=rng.randint(1, max_len))
+        return "".join(chars).strip() or rng.choice(SCRIPT_ALPHABET)
+
+    def variant(text):
+        return rng.choice(CASE_VARIANTS)(text)
+
+    for _ in range(2000):
+        terms = [phrase(4) for _ in range(rng.randint(1, 12))]
+        terms += [variant(rng.choice(terms)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(terms)
+        entries = [GlossaryEntry(t, f"t{n}") for n, t in enumerate(terms)]
+        words = [variant(rng.choice(terms + [phrase(6)])) for _ in range(rng.randint(1, 5))]
+        query = variant("".join(w + rng.choice([" ", "", "-", "\u0307"]) for w in words))
+        k = rng.choice([1, 2, 5, 50])
+        got = [(d.id, d.title, d.text, d.source, d.score)
+               for d in GlossarySource(entries).search(query, k)]
+        assert got == glossary_lookup(entries, query, k), (terms, query, k)
+
+
+def test_fold_keeps_together_every_pair_re_equates():
+    alphabet = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                       if c.lower() != c or c.upper() != c or c.casefold() != c)
+    pairs = {(a, b) for a in alphabet
+             for b in re.findall(re.escape(a), alphabet, re.IGNORECASE) if a != b}
+    assert len(pairs) > 2000
+    assert [(a, b) for a, b in pairs if fold(a) != fold(b)] == []
+    # Without its U+0130 case the fold splits six of those pairs.
+    split = {(a, b) for a, b in pairs if a.lower().upper() != b.lower().upper()}
+    assert len(split) == 6 and all("\u0130" in pair for pair in split)
+
+
+def test_glossary_compiles_only_candidate_patterns(monkeypatch):
+    compiled = []
+    real_compile = re.compile
+
+    def counting_compile(pattern, flags=0):
+        compiled.append(pattern)
+        return real_compile(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", counting_compile)
+    source = GlossarySource([GlossaryEntry(f"term{n:05d}", f"t{n}") for n in range(50_000)])
+    assert compiled == []
+    query = "see TERM00099, term00042x, term00077 and Term00042"
+    assert [d.id for d in source.search(query, 5)] == ["glossary:43", "glossary:78",
+                                                       "glossary:100"]
+    assert compiled == [rf"(?<!\w){term}(?!\w)" for term in ("term00042", "term00077",
+                                                              "term00099")]
+    source.search(query, 5)
+    assert len(compiled) == 3
+    # Candidates are tested in file order until k match; later ones stay uncompiled.
+    assert [d.id for d in source.search("term00009 term00003 term00001", 2)] == [
+        "glossary:2", "glossary:4"]
+    assert compiled[3:] == [rf"(?<!\w){term}(?!\w)" for term in ("term00001", "term00003")]
+
+
+def test_glossary_shared_across_threads_matches_the_full_scan():
+    rng = random.Random(23)
+    entries = [GlossaryEntry("".join(rng.choices("abcσΣς", k=rng.randint(1, 3))), f"t{n}")
+               for n in range(400)]
+    queries = [" ".join(rng.choice(entries).source_term.upper() for _ in range(6))
+               for _ in range(40)]
+    expected = [glossary_lookup(entries, query, 50) for query in queries]
+    source = GlossarySource(entries)
+    failures = []
+
+    def work(offset):
+        for n in range(len(queries)):
+            i = (n + offset) % len(queries)
+            got = [(d.id, d.title, d.text, d.source, d.score) for d in source.search(queries[i], 50)]
+            if got != expected[i]:
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # --- remote -------------------------------------------------------------------
