@@ -24,7 +24,6 @@ from .agents import (
     translate_with_knowledge,
 )
 from .evaluation import (
-    EvalConfig,
     MetricReport,
     ParallelExample,
     compare_reports,
@@ -86,7 +85,6 @@ __all__ = [
     "ChatRequest",
     "ConsisResult",
     "CorpusIndex",
-    "EvalConfig",
     "Gateway",
     "GatewayError",
     "GraphError",

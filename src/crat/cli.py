@@ -18,7 +18,6 @@ from pathlib import Path
 from . import canonical, retrieval
 from .config import (
     ConfigError,
-    build_eval_config,
     build_gateway,
     build_pipeline_config,
     build_sources,
@@ -150,24 +149,24 @@ def cmd_build_index(args) -> int:
 # --- evaluate ---------------------------------------------------------------
 
 
-def _evaluate_dir(directory: str, examples, eval_config):
+def _evaluate_dir(directory: str, examples, gateway, consis_backend):
     results = load_results(directory)
     if not results:
         raise EvaluationError(f"no results found under {directory}")
-    return evaluate_run(results, examples, eval_config)
+    return evaluate_run(results, examples, gateway, consis_backend)
 
 
 def cmd_evaluate(args) -> int:
     try:
         config = load_run_config(args.config)
         gateway = build_gateway(config, cache_enabled=not args.no_cache)
-        eval_config = build_eval_config(config, gateway)
+        consis_backend = config.eval_section().get("consis_backend")
         corpus_path = Path(args.corpus)
         if not corpus_path.is_file():
             return _fail(f"parallel corpus not found: {corpus_path}")
         examples = load_parallel_corpus(
             corpus_path.read_text("utf-8").splitlines(), str(corpus_path))
-        report = _evaluate_dir(args.results, examples, eval_config)
+        report = _evaluate_dir(args.results, examples, gateway, consis_backend)
         if args.external_scores:
             records = [_require(where, record, "id", "score")
                        for where, record in _read_jsonl(Path(args.external_scores))]
@@ -175,7 +174,7 @@ def cmd_evaluate(args) -> int:
             attach_external_scores(report, scores)
         payload: dict = {"candidate": report.to_dict()}
         if args.baseline:
-            baseline_report = _evaluate_dir(args.baseline, examples, eval_config)
+            baseline_report = _evaluate_dir(args.baseline, examples, gateway, consis_backend)
             comparison = compare_reports(baseline_report, report)
             payload["baseline"] = baseline_report.to_dict()
             payload["comparison"] = comparison.to_dict()

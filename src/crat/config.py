@@ -1,5 +1,5 @@
 """File-backed run configuration: validation and construction of
-the runtime objects (gateway, retrieval sources, pipeline and eval configs).
+the runtime objects (gateway, retrieval sources, pipeline config).
 
 The config is one YAML document with four sections -- backends, retrieval,
 pipeline, eval. Unknown keys are rejected so a typo cannot silently disable
@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping
 
 import yaml
 
-from .evaluation import EvalConfig
+from . import canonical
 from .gateway import Gateway, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
 from .retrieval import RemoteSource, glossary_source_from_file, index_source_from_file
@@ -172,14 +172,14 @@ def mock_script_from_dict(data: Mapping) -> tuple[list, Callable[..., str] | str
     return rules, fallback
 
 
-def load_mock_script(path: Path) -> tuple[list, Callable[..., str] | str | None]:
+def load_mock_script(path: Path) -> Mapping:
+    """The parsed script document, for ``mock_script_from_dict``."""
     try:
-        data = json.loads(path.read_text("utf-8"))
+        return json.loads(path.read_text("utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"mock script not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"mock script {path} is not valid JSON: {err}") from err
-    return mock_script_from_dict(data)
 
 
 # --- runtime construction ----------------------------------------------------
@@ -196,8 +196,11 @@ def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
     gateway = Gateway(cache_dir=config.resolve(cache_dir) if cache_dir else None)
     for reg in config.data.get("backends", {}).get("registrations", []):
         if reg["kind"] == "mock":
-            rules, fallback = load_mock_script(config.resolve(reg["script_path"]))
-            gateway.register_mock(reg["id"], rules, fallback)
+            # The script document's digest names the mock, so editing the
+            # script changes the run hash and misses old cache entries.
+            script = load_mock_script(config.resolve(reg["script_path"]))
+            gateway.register_mock(reg["id"], *mock_script_from_dict(script),
+                                  model={"script": canonical.digest(script)})
         else:
             gateway.register_http(
                 reg["id"], reg["endpoint"], reg["model"],
@@ -208,16 +211,19 @@ def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
 
 
 def build_sources(config: RunConfig) -> list:
-    """File sources are labelled by their path as the config writes it, so a
-    run's identity does not depend on where its workspace sits."""
+    """Each source is labelled by its kind and its path or endpoint as the
+    config writes it, so a run's identity names what it searched and does not
+    depend on where its workspace sits."""
     sources = []
     for spec in config.retrieval_section().get("sources", []):
         kind = spec["kind"]
+        label = f"{kind}:{spec['endpoint'] if kind == 'remote' else spec['path']}"
         if kind == "remote":
-            sources.append(RemoteSource(spec["endpoint"], **_given(spec, timeout_s=float)))
+            sources.append(RemoteSource(spec["endpoint"], label=label,
+                                        **_given(spec, timeout_s=float)))
             continue
         from_file = glossary_source_from_file if kind == "glossary" else index_source_from_file
-        sources.append(from_file(config.resolve(spec["path"]), f"{kind}:{spec['path']}"))
+        sources.append(from_file(config.resolve(spec["path"]), label))
     return sources
 
 
@@ -249,7 +255,3 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
         use_knowledge=(mode == "crat"),
         **knobs,
     )
-
-
-def build_eval_config(config: RunConfig, gateway: Gateway) -> EvalConfig:
-    return EvalConfig(gateway=gateway, consis_backend=config.eval_section().get("consis_backend"))

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from . import canonical, tokenizers
+from . import tokenizers
 from .agents import AgentError, consis_evaluate
 from .gateway import Gateway, GatewayError
 from .pipeline import TranslationResult
@@ -147,22 +147,6 @@ def term_consistency(result: TranslationResult) -> float | None:
 
 
 @dataclass
-class EvalConfig:
-    gateway: Gateway | None = None
-    consis_backend: str | None = None
-
-    def describe(self) -> dict:
-        return {
-            "bleu": True,
-            "consis_backend": self.consis_backend,
-            "term_consistency": True,
-        }
-
-    def config_hash(self) -> str:
-        return canonical.digest(self.describe())
-
-
-@dataclass
 class MetricReport:
     bleu: float
     consis: float | None
@@ -190,14 +174,17 @@ def _mean(values: Sequence[float]) -> float | None:
 
 
 def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[ParallelExample],
-                 config: EvalConfig | None = None) -> MetricReport:
+                 gateway: Gateway | None = None,
+                 consis_backend: str | None = None) -> MetricReport:
     """Score pipeline results against a parallel corpus.
 
     Results and examples align by id; a mismatch is an error. CONSIS runs
-    only when a backend is configured, and per-example CONSIS failures are
-    recorded in the breakdown without failing the run.
+    only when a gateway and a backend are given, and per-example CONSIS
+    failures are recorded in the breakdown without failing the run. The
+    report's ``config_hash`` names the CONSIS backend and its model.
     """
-    config = config or EvalConfig()
+    if gateway is None:
+        gateway, consis_backend = Gateway(), None
     by_id = {r.source_doc_id: r for r in results}
     example_ids = [e.id for e in examples]
     missing = [i for i in example_ids if i not in by_id]
@@ -224,13 +211,13 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
         row["term_consistency"] = term_consistency(result)
         if row["term_consistency"] is not None:
             consistency_scores.append(row["term_consistency"])
-        if config.consis_backend and config.gateway is not None:
+        if consis_backend:
             try:
                 scored = consis_evaluate(
                     example.source_text, result.target_text,
                     list(result.graph.nodes),
                     (example.source_lang, example.target_lang),
-                    config.consis_backend, config.gateway)
+                    consis_backend, gateway)
                 row["consis"] = scored.score
                 consis_scores.append(scored.score)
             except (AgentError, GatewayError) as err:
@@ -241,10 +228,11 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
 
     return MetricReport(
         bleu=bleu_from_stats([row["bleu_stats"] for row in per_example]),
-        consis=_mean(consis_scores) if (config.consis_backend and config.gateway) else None,
+        consis=_mean(consis_scores) if consis_backend else None,
         term_consistency=_mean(consistency_scores),
         per_example=per_example,
-        config_hash=config.config_hash(),
+        config_hash=gateway.identity({"consis_backend": consis_backend},
+                                     [consis_backend] if consis_backend else []),
     )
 
 

@@ -6,9 +6,9 @@ common chat wire shape (``model``/``messages``/``temperature``/``max_tokens``
 in, first choice's message content out). Every call decodes greedily, with
 at most ``MAX_NEW_TOKENS`` new tokens and no stop sequences, and is
 identified by a stable fingerprint of (backend, messages, ``PARAMS``), plus
-the model and endpoint of an HTTP backend, which also keys the optional
-on-disk response cache. At most ``MAX_INFLIGHT_PER_BACKEND`` calls wait on
-one backend at a time.
+the backend's ``model`` (an HTTP backend's model and endpoint, a file-scripted
+mock's script digest), which also keys the optional on-disk response cache.
+At most ``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
 
 HTTP goes through the standard library (``urllib.request``, with its
 process-wide opener), one connection per call. ``http_proxy`` and
@@ -123,11 +123,6 @@ class ChatRequest:
         return ""
 
 
-def simple_request(backend_id: str, prompt: str) -> ChatRequest:
-    """A single-user-message request, the shape every agent uses."""
-    return ChatRequest(backend_id, (ChatMessage("user", prompt),))
-
-
 def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
     payload = {
         "backend": request.backend_id,
@@ -226,14 +221,14 @@ class MockBackend:
     matching rule wins. A matcher may be a callable or a plain string, which
     matches as a substring of the joined message contents. A response may be
     a string or a callable taking the request. Immutable after construction.
+    ``model`` names what answers, as ``HttpBackend.model`` does: a mock read
+    from a script file names the file's digest, an in-code mock None.
     """
 
-    # Scripts are keyed on request content alone, so mock fingerprints are too.
-    model = None
-
     def __init__(self, backend_id: str, script: Sequence[tuple[Matcher | str, str | Responder]],
-                 fallback: str | Responder | None = None):
+                 fallback: str | Responder | None = None, model: dict | None = None):
         self.backend_id = backend_id
+        self.model = model
         self._rules = tuple(
             (match_substring(m) if isinstance(m, str) else m, r) for m, r in script
         )
@@ -255,7 +250,7 @@ class HttpBackend:
     """Generic chat-completion HTTP client for one provider endpoint."""
 
     def __init__(self, backend_id: str, endpoint_url: str, model_name: str,
-                 auth_token: str | None = None, timeout_s: float = 30.0):
+                 auth_token: str | None, timeout_s: float):
         self.backend_id = backend_id
         self.endpoint_url = endpoint_url
         self.model_name = model_name
@@ -317,11 +312,9 @@ class Gateway:
 
     # -- registration --------------------------------------------------
 
-    def _claim_id(self, backend_id: str) -> None:
-        if backend_id in self._backends:
-            raise DuplicateBackendError(f"backend id already registered: {backend_id!r}")
-
     def _add(self, backend: MockBackend | HttpBackend) -> str:
+        if backend.backend_id in self._backends:
+            raise DuplicateBackendError(f"backend id already registered: {backend.backend_id!r}")
         self._backends[backend.backend_id] = backend
         self._inflight[backend.backend_id] = threading.BoundedSemaphore(
             MAX_INFLIGHT_PER_BACKEND)
@@ -329,14 +322,13 @@ class Gateway:
 
     def register_mock(self, backend_id: str,
                       script: Sequence[tuple[Matcher | str, str | Responder]],
-                      fallback: str | Responder | None = None) -> str:
-        self._claim_id(backend_id)
-        return self._add(MockBackend(backend_id, script, fallback))
+                      fallback: str | Responder | None = None,
+                      model: dict | None = None) -> str:
+        return self._add(MockBackend(backend_id, script, fallback, model))
 
     def register_http(self, backend_id: str, endpoint_url: str, model_name: str,
                       auth_token_env_var: str | None = None,
                       timeout_s: float = 30.0) -> str:
-        self._claim_id(backend_id)
         parsed = urlparse(endpoint_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise BackendConfigError(f"malformed endpoint URL: {endpoint_url!r}")
@@ -351,10 +343,12 @@ class Gateway:
     def has_backend(self, backend_id: str) -> bool:
         return backend_id in self._backends
 
-    def model_of(self, backend_id: str) -> dict | None:
-        """The ``model`` of a registered backend: what answers its calls, or
-        None for a mock or an unregistered id."""
-        return getattr(self._backends.get(backend_id), "model", None)
+    def identity(self, settings: dict, backend_ids: Sequence[str]) -> str:
+        """The hash that names a run or a report: its ``settings`` and the
+        ``model`` behind each of ``backend_ids`` (None for an in-code mock or
+        an unregistered id)."""
+        models = {b: getattr(self._backends.get(b), "model", None) for b in backend_ids}
+        return canonical.digest({"settings": settings, "models": models})
 
     # -- completion ------------------------------------------------------
 

@@ -107,8 +107,7 @@ class PipelineConfig:
         model behind each backend the run needs."""
         settings = {f.name: getattr(self, f.name) for f in fields(self)}
         settings["sources"] = [getattr(s, "label", str(s)) for s in self.sources]
-        models = {b: gateway.model_of(b) for b in self.required_backends()}
-        return canonical.digest({"settings": settings, "models": models})
+        return gateway.identity(settings, self.required_backends())
 
 
 @dataclass

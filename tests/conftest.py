@@ -13,7 +13,7 @@ import pytest
 
 from crat import fixtures
 from crat.config import mock_script_from_dict
-from crat.gateway import Gateway, MockBackend
+from crat.gateway import ChatMessage, ChatRequest, Gateway, MockBackend
 from crat.pipeline import PipelineConfig, write_transcript
 from crat.retrieval import LocalIndexSource, build_index
 
@@ -25,6 +25,11 @@ DEMO_SCRIPTS = {
     "trn": fixtures.translator_script,
     "con": fixtures.consis_script,
 }
+
+
+def simple_request(backend_id: str, prompt: str) -> ChatRequest:
+    """A request of one user message."""
+    return ChatRequest(backend_id, (ChatMessage("user", prompt),))
 
 
 def demo_backend(backend_id: str) -> MockBackend:

@@ -11,11 +11,11 @@ import pytest
 
 import yaml
 
+from conftest import simple_request
 from crat import fixtures
 from crat.config import (
     ConfigError,
     RunConfig,
-    build_eval_config,
     build_gateway,
     build_pipeline_config,
     build_sources,
@@ -23,7 +23,7 @@ from crat.config import (
     load_run_config,
     mock_script_from_dict,
 )
-from crat.gateway import ChatExchange, Gateway, simple_request
+from crat.gateway import ChatExchange, Gateway
 from crat.pipeline import PipelineConfig
 from crat.transcript import AgentTranscript, TranscriptError
 
@@ -169,8 +169,7 @@ def test_build_runtime_from_demo_config(demo):
     pipeline_config = build_pipeline_config(config, sources, mode="crat")
     assert pipeline_config.translator_backend == "trn"
     assert pipeline_config.use_knowledge is True
-    eval_config = build_eval_config(config, gateway)
-    assert eval_config.consis_backend == "con"
+    assert config.eval_section()["consis_backend"] == "con"
 
 
 def test_direct_mode_needs_only_translator(tmp_path):

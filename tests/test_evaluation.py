@@ -9,7 +9,6 @@ import pytest
 
 from bleu_oracle import corpus_bleu_oracle
 from crat.evaluation import (
-    EvalConfig,
     EvaluationError,
     MetricReport,
     ParallelExample,
@@ -214,8 +213,7 @@ def test_evaluate_run_with_scripted_consis():
     results[0].source_doc_id = "a"
     results[1].source_doc_id = "b"
     gateway = consis_gateway({"marker-one": 80.0, "marker-two": 90.0})
-    report = evaluate_run(results, examples,
-                          EvalConfig(gateway=gateway, consis_backend="con"))
+    report = evaluate_run(results, examples, gateway, "con")
     assert report.consis == pytest.approx(85.0)
     assert [row["consis"] for row in report.per_example] == [80.0, 90.0]
 
@@ -238,11 +236,30 @@ def test_evaluate_run_records_partial_consis_failures():
             ("marker-one", fenced_payload({"score": 75.0, "term_findings": []})),
             ("marker-two", fault),
         ])
-        report = evaluate_run(results, examples,
-                              EvalConfig(gateway=gateway, consis_backend="con"))
+        report = evaluate_run(results, examples, gateway, "con")
         assert report.consis == pytest.approx(75.0)
         assert report.per_example[1]["consis"] is None
         assert "consis_error" in report.per_example[1]
+
+
+def test_report_hash_names_the_consis_model(stub_server):
+    stub_server.set_default(200, {"choices": [{"message": {"content": fenced_payload(
+        {"score": 80.0, "term_findings": []})}}]})
+    examples = [example("a", "marker-one text", "猫")]
+    results = [make_result("marker-one text", [], {})]
+    results[0].source_doc_id = "a"
+
+    def report_hash(model: str) -> str:
+        gateway = Gateway()
+        gateway.register_http("con", stub_server.url, model)
+        report = evaluate_run(results, examples, gateway, "con")
+        assert report.consis == pytest.approx(80.0)
+        return report.config_hash
+
+    first = report_hash("model-a")
+    assert len(first) == 64
+    assert report_hash("model-a") == first
+    assert report_hash("model-b") != first
 
 
 def test_evaluate_run_id_mismatch():

@@ -8,7 +8,8 @@ import json
 import pytest
 
 import crat
-from conftest import CUT_OFF, STALL, StubServer
+from conftest import CUT_OFF, STALL, StubServer, simple_request
+from crat.config import build_gateway, load_run_config
 from crat.gateway import (
     BackendConfigError,
     ChatMessage,
@@ -26,7 +27,6 @@ from crat.gateway import (
     match_fingerprint,
     match_substring,
     request_fingerprint,
-    simple_request,
 )
 
 # Fingerprint of the canonical "hello" request, frozen to pin cross-process
@@ -60,6 +60,8 @@ def test_mock_fingerprint_rule():
     exchange = gateway.complete(hello_request())
     assert exchange.response_text == "hello"
     assert exchange.cache_hit is False
+    # An in-code mock names no model, so its calls keep the bare fingerprint.
+    assert exchange.fingerprint == HELLO_FINGERPRINT
     assert exchange.attempts == 1
 
 
@@ -146,10 +148,24 @@ def chat_body(text: str) -> dict:
     return {"choices": [{"message": {"content": text}}]}
 
 
+def script_gateway(directory, answer, cache_dir) -> Gateway:
+    """A gateway built from a config file whose mock backend "mock" reads a
+    script file that answers "say hello" with ``answer``."""
+    directory.mkdir()
+    (directory / "script.json").write_text(json.dumps(
+        {"rules": [{"substring": "say hello", "response": answer}]}))
+    (directory / "config.yaml").write_text(json.dumps({
+        "backends": {"registrations": [
+            {"id": "mock", "kind": "mock", "script_path": "script.json"}]},
+        "pipeline": {"cache_dir": str(cache_dir)}}))
+    return build_gateway(load_run_config(directory / "config.yaml"))
+
+
 def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
     # Two gateways share one cache dir, and the backend id "live" is served
     # first by model A, then by model B: on another model name, then on
     # another endpoint. The second gateway must not get model A's answer.
+    # The same holds for two mocks read from two script files.
     other_server = StubServer()
     try:
         other_server.set_default(200, chat_body("answer from model B"))
@@ -171,6 +187,16 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
             assert again.complete(hello_request("live")).cache_hit is True, name
     finally:
         other_server.close()
+    cache_dir = tmp_path / "script"
+    first = script_gateway(tmp_path / "a", "answer from script A", cache_dir)
+    assert first.complete(hello_request()).response_text == "answer from script A"
+    exchange = script_gateway(tmp_path / "b", "answer from script B",
+                              cache_dir).complete(hello_request())
+    assert exchange.cache_hit is False
+    assert exchange.response_text == "answer from script B"
+    # The same script in another directory is the same model.
+    again = script_gateway(tmp_path / "c", "answer from script A", cache_dir)
+    assert again.complete(hello_request()).cache_hit is True
 
 
 def test_corrupt_cache_entry_is_ignored(tmp_path):

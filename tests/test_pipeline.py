@@ -18,6 +18,7 @@ from conftest import (
     register_demo_backends,
 )
 from crat import fixtures
+from crat.config import build_gateway, build_pipeline_config, build_sources, load_run_config
 from crat.fixtures import fenced_payload
 from crat.gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, HttpStatusError
 from crat.pipeline import (
@@ -406,9 +407,27 @@ def test_batch_empty_corpus(demo_gateway):
     assert manifest.config_hash
 
 
-def test_config_hash_names_each_roles_model(stub_server):
+def file_config_hash(directory, answer: str, endpoint: str) -> str:
+    """The direct-mode run identity of a config file whose translator is a
+    mock scripted to give ``answer``, with one remote source at ``endpoint``."""
+    directory.mkdir()
+    (directory / "script.json").write_text(json.dumps(
+        {"rules": [], "fallback": {"kind": "text", "text": answer}}))
+    (directory / "config.yaml").write_text(json.dumps({
+        "backends": {"registrations": [
+            {"id": "trn", "kind": "mock", "script_path": "script.json"}],
+            "roles": {"translator": "trn"}},
+        "retrieval": {"sources": [{"kind": "remote", "endpoint": endpoint}]}}))
+    config = load_run_config(directory / "config.yaml")
+    pipeline_config = build_pipeline_config(config, build_sources(config), mode="direct")
+    return pipeline_config.config_hash(build_gateway(config))
+
+
+def test_config_hash_names_each_roles_model(stub_server, tmp_path):
     """The manifest's run identity changes when a role's backend points at
-    another model or endpoint, and not between two runs of one config."""
+    another model or endpoint, when a mock role's script file changes, and
+    when a remote source points at another endpoint, and not between two
+    runs of one config."""
     stub_server.set_default(200, {"choices": [{"message": {"content": fenced_payload(
         {"translation": "translated", "term_renderings": {}})}}]})
     corpus = [{"id": "d1", "text": "hello"}]
@@ -427,6 +446,11 @@ def test_config_hash_names_each_roles_model(stub_server):
     assert len(first) == 64
     assert manifest_hash(endpoint, "model-b") != first
     assert manifest_hash(f"{stub_server.url}/other/chat", "model-a") != first
+
+    base = file_config_hash(tmp_path / "base", "answer A", "http://127.0.0.1:1/a")
+    assert file_config_hash(tmp_path / "same", "answer A", "http://127.0.0.1:1/a") == base
+    assert file_config_hash(tmp_path / "script", "answer B", "http://127.0.0.1:1/a") != base
+    assert file_config_hash(tmp_path / "endpoint", "answer A", "http://127.0.0.1:2/b") != base
 
 
 def test_batch_width_does_not_change_results(tmp_path, demo_gateway):
