@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
     try:
         config = load_run_config(args.config)
         gateway = build_gateway(config, cache_enabled=not args.no_cache)
-        consis_backend = config.eval_section().get("consis_backend")
+        consis_backend = config.role_backend("consis")
         corpus_path = Path(args.corpus)
         if not corpus_path.is_file():
             return _fail(f"parallel corpus not found: {corpus_path}")

@@ -1,10 +1,11 @@
 """File-backed run configuration: validation and construction of
 the runtime objects (gateway, retrieval sources, pipeline config).
 
-The config is one YAML document with four sections -- backends, retrieval,
-pipeline, eval. Unknown keys are rejected so a typo cannot silently disable
-anything. Secrets never appear in the file; HTTP backends name the
-environment variable that holds their token.
+The config is one YAML document with three sections -- backends, retrieval,
+pipeline. ``CONFIG_SHAPE`` declares every key it may hold and the YAML type of
+each value, so a typo cannot silently disable anything and a value of the
+wrong type is refused, not coerced. Secrets never appear in the file; HTTP
+backends name the environment variable that holds their token.
 """
 
 from __future__ import annotations
@@ -22,30 +23,88 @@ from .retrieval import RemoteSource, glossary_source_from_file, index_source_fro
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
-_TOP_KEYS = {"backends", "retrieval", "pipeline", "eval"}
-_BACKENDS_KEYS = {"registrations", "roles"}
-_MOCK_REG_KEYS = {"id", "kind", "script_path"}
-_HTTP_REG_KEYS = {"id", "kind", "endpoint", "model", "auth_env", "timeout_s"}
-_RETRIEVAL_KEYS = {"sources", "n2", "k_per_source"}
-_SOURCE_KEYS = {
-    "glossary": {"kind", "path"},
-    "local_index": {"kind", "path"},
-    "remote": {"kind", "endpoint", "timeout_s"},
-}
-_PIPELINE_KEYS = {"on_detector_error", "width", "cache_dir", "judge_enabled"}
-_EVAL_KEYS = {"consis_backend"}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(mapping: Mapping, allowed: set, where: str) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
+class Kinds(dict):
+    """The shapes of one mapping, told apart by its ``kind`` value."""
+
+
+# --- the table -----------------------------------------------------------------
+#
+# Every mapping of a config file and of a mock script file: each key's YAML
+# type and whether it is required. A type is a scalar type, a one-item list (a
+# list of that type), a nested mapping's shape or its ``Kinds``. Ranges and
+# enumerations are PipelineConfig's to check; an omitted optional value takes
+# the default of the function that receives it.
+
+REQUIRED, OPTIONAL = True, False
+NUMBER = (int, float)
+_KIND = {"kind": (str, REQUIRED)}
+_PATH_SOURCE = {**_KIND, "path": (str, REQUIRED)}
+
+CONFIG_SHAPE = {
+    "backends": ({
+        "registrations": ([Kinds(
+            mock={"id": (str, REQUIRED), **_KIND, "script_path": (str, REQUIRED)},
+            http={"id": (str, REQUIRED), **_KIND, "endpoint": (str, REQUIRED),
+                  "model": (str, REQUIRED), "auth_env": (str, OPTIONAL),
+                  "timeout_s": (NUMBER, OPTIONAL)},
+        )], OPTIONAL),
+        "roles": ({role: (str, OPTIONAL) for role in ROLE_NAMES}, OPTIONAL),
+    }, OPTIONAL),
+    "retrieval": ({
+        "sources": ([Kinds(
+            glossary=_PATH_SOURCE, local_index=_PATH_SOURCE,
+            remote={**_KIND, "endpoint": (str, REQUIRED), "timeout_s": (NUMBER, OPTIONAL)},
+        )], OPTIONAL),
+        "n2": (int, OPTIONAL), "k_per_source": (int, OPTIONAL),
+    }, OPTIONAL),
+    "pipeline": ({
+        "on_detector_error": (str, OPTIONAL), "width": (int, OPTIONAL),
+        "cache_dir": (str, OPTIONAL), "judge_enabled": (bool, OPTIONAL),
+    }, OPTIONAL),
+}
+
+SCRIPT_SHAPE = {
+    "rules": ([{"substring": (str, OPTIONAL), "substrings": ([str], OPTIONAL),
+                "fingerprint": (str, OPTIONAL), "response": (str, REQUIRED)}], OPTIONAL),
+    "fallback": (Kinds(text={**_KIND, "text": (str, OPTIONAL)}, echo_last_user=_KIND),
+                 OPTIONAL),
+}
+
+_TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false"}
+
+
+def _check(value: Any, shape: Any, where: str, path: str = "") -> None:
+    """Raise ConfigError unless ``value`` has ``shape``; ``where`` names the
+    file and ``path`` the value's place in it."""
+    at = f"{where}: {path}" if path else where
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{at} must be a list")
+        for i, item in enumerate(value):
+            _check(item, shape[0], where, f"{path}[{i}]")
+    elif isinstance(shape, dict):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{at} must be a mapping")
+        if isinstance(shape, Kinds):
+            kind = value.get("kind")
+            if not (isinstance(kind, str) and kind in shape):
+                raise ConfigError(f"{at}: 'kind' must be one of {', '.join(shape)}, not {kind!r}")
+            shape = shape[kind]
+        unknown = sorted(str(key) for key in value if key not in shape)
+        if unknown:
+            raise ConfigError(f"{at}: unknown key(s): {', '.join(unknown)}")
+        for key, (key_shape, required) in shape.items():
+            if key in value:
+                _check(value[key], key_shape, where, f"{path}.{key}" if path else key)
+            elif required:
+                raise ConfigError(f"{at}: needs {key!r}")
+    elif not isinstance(value, shape) or isinstance(value, bool) != (shape is bool):
+        raise ConfigError(f"{at} must be {_TYPE_NAMES[shape]}")
 
 
 class RunConfig:
@@ -58,48 +117,17 @@ class RunConfig:
         self._validate()
 
     def _validate(self) -> None:
-        _check_keys(self.data, _TOP_KEYS, "config")
+        _check(self.data, CONFIG_SHAPE, "config")
         backends = self.data.get("backends", {})
-        _check_keys(backends, _BACKENDS_KEYS, "backends")
         ids = set()
         for i, reg in enumerate(backends.get("registrations", [])):
-            where = f"backends.registrations[{i}]"
-            if not isinstance(reg, Mapping) or "id" not in reg or "kind" not in reg:
-                raise ConfigError(f"{where}: needs 'id' and 'kind'")
             if reg["id"] in ids:
-                raise ConfigError(f"{where}: duplicate backend id {reg['id']!r}")
+                raise ConfigError(
+                    f"config: backends.registrations[{i}]: duplicate id {reg['id']!r}")
             ids.add(reg["id"])
-            if reg["kind"] == "mock":
-                _check_keys(reg, _MOCK_REG_KEYS, where)
-                if "script_path" not in reg:
-                    raise ConfigError(f"{where}: mock backend needs 'script_path'")
-            elif reg["kind"] == "http":
-                _check_keys(reg, _HTTP_REG_KEYS, where)
-                for needed in ("endpoint", "model"):
-                    if needed not in reg:
-                        raise ConfigError(f"{where}: http backend needs {needed!r}")
-            else:
-                raise ConfigError(f"{where}: unknown backend kind {reg['kind']!r}")
-        roles = backends.get("roles", {})
-        _check_keys(roles, set(ROLE_NAMES), "backends.roles")
-        for role, backend_id in roles.items():
+        for role, backend_id in backends.get("roles", {}).items():
             if backend_id not in ids:
-                raise ConfigError(f"backends.roles.{role}: unregistered backend {backend_id!r}")
-        retrieval = self.data.get("retrieval", {})
-        _check_keys(retrieval, _RETRIEVAL_KEYS, "retrieval")
-        for i, source in enumerate(retrieval.get("sources", [])):
-            where = f"retrieval.sources[{i}]"
-            if not isinstance(source, Mapping) or "kind" not in source:
-                raise ConfigError(f"{where}: needs 'kind'")
-            allowed = _SOURCE_KEYS.get(source["kind"])
-            if allowed is None:
-                raise ConfigError(f"{where}: unknown source kind {source['kind']!r}")
-            _check_keys(source, allowed, where)
-        _check_keys(self.data.get("pipeline", {}), _PIPELINE_KEYS, "pipeline")
-        _check_keys(self.data.get("eval", {}), _EVAL_KEYS, "eval")
-        consis_backend = self.data.get("eval", {}).get("consis_backend")
-        if consis_backend is not None and consis_backend not in ids:
-            raise ConfigError(f"eval.consis_backend: unregistered backend {consis_backend!r}")
+                raise ConfigError(f"config: backends.roles.{role}: unregistered {backend_id!r}")
 
     def resolve(self, path: str) -> Path:
         candidate = Path(path)
@@ -116,9 +144,6 @@ class RunConfig:
     def retrieval_section(self) -> Mapping:
         return self.data.get("retrieval", {})
 
-    def eval_section(self) -> Mapping:
-        return self.data.get("eval", {})
-
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
@@ -128,15 +153,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as err:
         raise ConfigError(f"config file {path} is not valid YAML: {err}") from err
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"config file {path} must hold a mapping")
     return RunConfig(raw, path.parent)
 
 
 # --- mock script files ---------------------------------------------------------
 
 
-def mock_script_from_dict(data: Mapping) -> tuple[list, Callable[..., str] | str | None]:
+def mock_script_from_dict(data: Any, where: str = "mock script",
+                          ) -> tuple[list, Callable[..., str] | str | None]:
     """Turn a scripted-mock description into register_mock arguments.
 
     Rules match in order; each carries exactly one of ``substring``,
@@ -144,31 +168,20 @@ def mock_script_from_dict(data: Mapping) -> tuple[list, Callable[..., str] | str
     The optional fallback is ``{"kind": "text", "text": ...}`` or
     ``{"kind": "echo_last_user"}``.
     """
+    _check(data, SCRIPT_SHAPE, where)
     rules = []
     for i, rule in enumerate(data.get("rules", [])):
-        where = f"rules[{i}]"
-        if not isinstance(rule, Mapping) or "response" not in rule:
-            raise ConfigError(f"{where}: needs 'response'")
         keys = [k for k in ("substring", "substrings", "fingerprint") if k in rule]
         if len(keys) != 1:
-            raise ConfigError(f"{where}: needs exactly one of substring/substrings/fingerprint")
-        if keys[0] == "substring":
-            matcher: Any = str(rule["substring"])
-        elif keys[0] == "substrings":
-            matcher = match_all_substrings([str(s) for s in rule["substrings"]])
-        else:
-            matcher = match_fingerprint(str(rule["fingerprint"]))
-        rules.append((matcher, str(rule["response"])))
-    fallback_spec = data.get("fallback")
-    fallback: Callable[..., str] | str | None = None
-    if fallback_spec is not None:
-        kind = fallback_spec.get("kind") if isinstance(fallback_spec, Mapping) else None
-        if kind == "text":
-            fallback = str(fallback_spec.get("text", ""))
-        elif kind == "echo_last_user":
-            fallback = echo_last_user
-        else:
-            raise ConfigError(f"fallback: unknown kind {kind!r}")
+            raise ConfigError(f"{where}: rules[{i}]: needs exactly one of "
+                              "substring/substrings/fingerprint")
+        matcher = (rule["substring"] if keys[0] == "substring"
+                   else match_all_substrings(rule["substrings"]) if keys[0] == "substrings"
+                   else match_fingerprint(rule["fingerprint"]))
+        rules.append((matcher, rule["response"]))
+    fallback = data.get("fallback")
+    if fallback is not None:
+        fallback = fallback.get("text", "") if fallback["kind"] == "text" else echo_last_user
     return rules, fallback
 
 
@@ -185,28 +198,21 @@ def load_mock_script(path: Path) -> Mapping:
 # --- runtime construction ----------------------------------------------------
 
 
-def _given(section: Mapping, **casts: Callable) -> dict:
-    """Given keys, cast; absent ones are left to the callee's defaults."""
-    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
-
-
 def build_gateway(config: RunConfig, cache_enabled: bool = True) -> Gateway:
-    pipeline = config.pipeline_section()
-    cache_dir = pipeline.get("cache_dir") if cache_enabled else None
+    cache_dir = config.pipeline_section().get("cache_dir") if cache_enabled else None
     gateway = Gateway(cache_dir=config.resolve(cache_dir) if cache_dir else None)
     for reg in config.data.get("backends", {}).get("registrations", []):
         if reg["kind"] == "mock":
             # The script document's digest names the mock, so editing the
             # script changes the run hash and misses old cache entries.
-            script = load_mock_script(config.resolve(reg["script_path"]))
-            gateway.register_mock(reg["id"], *mock_script_from_dict(script),
+            path = config.resolve(reg["script_path"])
+            script = load_mock_script(path)
+            gateway.register_mock(reg["id"], *mock_script_from_dict(script, f"mock script {path}"),
                                   model={"script": canonical.digest(script)})
         else:
-            gateway.register_http(
-                reg["id"], reg["endpoint"], reg["model"],
-                auth_token_env_var=reg.get("auth_env"),
-                **_given(reg, timeout_s=float),
-            )
+            timeout = {"timeout_s": reg["timeout_s"]} if "timeout_s" in reg else {}
+            gateway.register_http(reg["id"], reg["endpoint"], reg["model"],
+                                  auth_token_env_var=reg.get("auth_env"), **timeout)
     return gateway
 
 
@@ -217,13 +223,13 @@ def build_sources(config: RunConfig) -> list:
     sources = []
     for spec in config.retrieval_section().get("sources", []):
         kind = spec["kind"]
-        label = f"{kind}:{spec['endpoint'] if kind == 'remote' else spec['path']}"
         if kind == "remote":
-            sources.append(RemoteSource(spec["endpoint"], label=label,
-                                        **_given(spec, timeout_s=float)))
+            timeout = {"timeout_s": spec["timeout_s"]} if "timeout_s" in spec else {}
+            sources.append(RemoteSource(spec["endpoint"], label=f"remote:{spec['endpoint']}",
+                                        **timeout))
             continue
         from_file = glossary_source_from_file if kind == "glossary" else index_source_from_file
-        sources.append(from_file(config.resolve(spec["path"]), label))
+        sources.append(from_file(config.resolve(spec["path"]), f"{kind}:{spec['path']}"))
     return sources
 
 
@@ -239,12 +245,13 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
         for role in ("detector", "extractor", "judge"):
             if not roles[role]:
                 raise ConfigError(f"backends.roles.{role} is required in crat mode")
-    pipeline = config.pipeline_section()
-    knobs = _given(config.retrieval_section(), n2=int, k_per_source=int)
-    knobs.update(_given(pipeline, on_detector_error=str, width=int))
-    if "judge_enabled" in pipeline:
-        knobs["use_judge"] = bool(pipeline["judge_enabled"])
-    if width_override:
+    # Every other retrieval and pipeline key is a PipelineConfig field.
+    knobs = {key: value
+             for section in (config.retrieval_section(), config.pipeline_section())
+             for key, value in section.items() if key not in ("sources", "cache_dir")}
+    if "judge_enabled" in knobs:
+        knobs["use_judge"] = knobs.pop("judge_enabled")
+    if width_override is not None:
         knobs["width"] = width_override
     return PipelineConfig(
         detector_backend=roles["detector"] or translator,

@@ -266,7 +266,6 @@ DEMO_CONFIG = {
         "k_per_source": 3,
     },
     "pipeline": {"on_detector_error": "translate_direct", "width": 1},
-    "eval": {"consis_backend": "con"},
 }
 
 

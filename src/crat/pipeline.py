@@ -38,7 +38,7 @@ from .agents import (
 )
 from .gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
-from .transcript import AgentTranscript, CallBuffer
+from .transcript import AgentTranscript, CallBuffer, warn
 from .transkg import (
     CORRECT,
     KnowledgeTriple,
@@ -165,7 +165,7 @@ def _verdict_triples(verdict: JudgeVerdict, doc: RetrievedDocument, term,
     triples = []
     for subject, relation, obj in verdict.facts:
         if not (subject.strip() and relation.strip() and obj.strip()):
-            transcript.warn(f"judge: skipped blank fact from document {doc.id!r}")
+            warn(transcript, log, f"judge: skipped blank fact from document {doc.id!r}")
             continue
         triples.append(KnowledgeTriple(subject, relation, obj,
                                        external_provenance(doc.id),
@@ -199,8 +199,8 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             except (AgentError, GatewayError) as err:
                 if config.on_detector_error == "translate_direct":
                     detector_fallback = True
-                    transcript.warn(
-                        f"detector failed ({err}); falling back to direct translation")
+                    warn(transcript, log,
+                         f"detector failed ({err}); falling back to direct translation")
                 else:
                     raise PipelineError(f"unknown-term detection failed: {err}") from err
 
@@ -214,7 +214,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             try:
                 internal = extract_internal_knowledge(
                     source_text, terms, config.extractor_backend, gateway, transcript)
-            except AgentError as err:
+            except (AgentError, GatewayError) as err:
                 raise PipelineError(f"knowledge extraction failed: {err}") from err
             graph = add_internal(graph, internal)
 
@@ -263,7 +263,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             output = translate_with_knowledge(
                 source_text, graph, lang_pair, config.translator_backend, gateway,
                 transcript, documents=documents)
-        except AgentError as err:
+        except (AgentError, GatewayError) as err:
             raise PipelineError(f"translation failed: {err}") from err
 
     return TranslationResult(

@@ -79,6 +79,68 @@ def test_translate_bad_config(tmp_path, capsys):
     assert "mystery_key" in capsys.readouterr().err
 
 
+# Each case sets one value of the demo config: (path into it, value, the error).
+MALFORMED_CONFIGS = {
+    "remote source without endpoint": (
+        ("retrieval", "sources", 0), {"kind": "remote"}, "retrieval.sources[0]: needs 'endpoint'"),
+    "glossary source without path": (
+        ("retrieval", "sources", 0), {"kind": "glossary"}, "retrieval.sources[0]: needs 'path'"),
+    "mock script holding a list": (
+        ("backends", "registrations", 3, "script_path"), "scripts/bad.json",
+        "bad.json must be a mapping"),
+    "list n2": (("retrieval", "n2"), [1], "retrieval.n2 must be an integer"),
+    "quoted judge_enabled": (
+        ("pipeline", "judge_enabled"), "no", "pipeline.judge_enabled must be true or false"),
+    "list id": (
+        ("backends", "registrations", 0, "id"), [1],
+        "backends.registrations[0].id must be a string"),
+    "registrations as a mapping": (
+        ("backends", "registrations"), {"det": {"kind": "mock"}},
+        "backends.registrations must be a list"),
+    "eval section": (("eval",), {"consis_backend": "con"}, "config: unknown key(s): eval"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_exits_with_one_error_line(demo, tmp_path, capsys, case):
+    path, value, error = MALFORMED_CONFIGS[case]
+    data = yaml.safe_load((demo / "config.yaml").read_text("utf-8"))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    (demo / "config.yaml").write_text(yaml.safe_dump(data), "utf-8")
+    (demo / "scripts" / "bad.json").write_text("[1]\n", "utf-8")
+    commands = {
+        "translate": ("--input", demo / "inputs.jsonl", "--output", tmp_path / "out",
+                      *EN_ZH_ARGS),
+        "evaluate": ("--results", tmp_path / "results", "--corpus", demo / "parallel.jsonl",
+                     "--report", tmp_path / "report.json"),
+    }
+    for command, args in commands.items():
+        code = run_cli(command, "--config", demo / "config.yaml", *args)
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error: ") and error in err, err
+
+
+def test_width_zero_is_refused(demo, tmp_path, capsys):
+    assert translate(demo, tmp_path / "out", "--width", "0") == 1
+    assert capsys.readouterr().err == "error: width must be >= 1\n"
+
+
+def test_evaluate_reads_the_consis_role(demo, tmp_path, capsys):
+    assert "eval" not in fixtures.DEMO_CONFIG
+    assert fixtures.DEMO_CONFIG["backends"]["roles"]["consis"] == "con"
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", tmp_path / "report.json")
+    assert code == 0
+    assert "consis: 85.000\n" in capsys.readouterr().out
+
+
 def test_translate_missing_index_file(demo, tmp_path, capsys):
     (demo / "index.json").unlink()
     code = run_cli("translate", "--config", demo / "config.yaml",

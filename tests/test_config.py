@@ -14,7 +14,9 @@ import yaml
 from conftest import simple_request
 from crat import fixtures
 from crat.config import (
+    CONFIG_SHAPE,
     ConfigError,
+    Kinds,
     RunConfig,
     build_gateway,
     build_pipeline_config,
@@ -67,7 +69,7 @@ def test_unknown_nested_keys_rejected(tmp_path):
         "max_triples": {"pipeline": {"max_triples": 20}},
         "max_doc_excerpts": {"pipeline": {"max_doc_excerpts": 3}},
         "excerpt_chars": {"pipeline": {"excerpt_chars": 500}},
-        "term_consistency": {"eval": {"term_consistency": True}},
+        "eval": {"eval": {"consis_backend": "con"}},
     }
     for key, data in removed.items():
         with pytest.raises(ConfigError, match=f"unknown key\\(s\\): {key}"):
@@ -94,9 +96,9 @@ def test_role_must_reference_registered_backend(tmp_path):
 
 
 def test_consis_backend_must_be_registered(tmp_path):
-    with pytest.raises(ConfigError, match="consis_backend"):
+    with pytest.raises(ConfigError, match="roles.consis.*ghost"):
         load_run_config(write_config(
-            tmp_path, {"eval": {"consis_backend": "ghost"}}))
+            tmp_path, {"backends": {"registrations": [], "roles": {"consis": "ghost"}}}))
 
 
 def test_missing_config_file(tmp_path):
@@ -117,6 +119,26 @@ def test_readme_configuration_example_loads(tmp_path):
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     config = RunConfig(yaml.safe_load(block), tmp_path)
     assert config.role_backend("translator") == "live"
+
+    # Every key the table declares, a kind's keys as "kind.key", is in the example.
+    def declared(shape) -> set:
+        if isinstance(shape, list):
+            return declared(shape[0])
+        if isinstance(shape, Kinds):
+            return {f"{kind}.{key}" for kind, each in shape.items() for key in declared(each)}
+        if isinstance(shape, dict):
+            return set(shape).union(*(declared(value) for value, _ in shape.values()))
+        return set()
+
+    def named(value) -> set:
+        if isinstance(value, list):
+            return set().union(*map(named, value))
+        if isinstance(value, dict):
+            keys = set(value).union(*map(named, value.values()))
+            return {f"{value['kind']}.{key}" for key in keys} if "kind" in value else keys
+        return set()
+
+    assert declared(CONFIG_SHAPE) - named(config.data) == set()
 
 
 # --- mock scripts ----------------------------------------------------------------
@@ -169,7 +191,7 @@ def test_build_runtime_from_demo_config(demo):
     pipeline_config = build_pipeline_config(config, sources, mode="crat")
     assert pipeline_config.translator_backend == "trn"
     assert pipeline_config.use_knowledge is True
-    assert config.eval_section()["consis_backend"] == "con"
+    assert config.role_backend("consis") == "con"
 
 
 def test_direct_mode_needs_only_translator(tmp_path):

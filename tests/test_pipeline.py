@@ -4,6 +4,7 @@ policy, batching, and transcript files."""
 from __future__ import annotations
 
 import json
+import logging
 import random
 import re
 import threading
@@ -230,6 +231,39 @@ def test_translator_failure_is_fatal():
     gateway.register_mock("trn", [], fallback="no payload at all")
     with pytest.raises(PipelineError, match="translation failed"):
         run_pipeline("text", EN_ZH, controlled_config({}), gateway)
+
+
+def http_503(request):
+    raise HttpStatusError(503, "service unavailable")
+
+
+def test_gateway_error_names_the_failed_stage():
+    # HTTP 503 is not retried, so the first call to the faulty backend fails
+    # its stage, and the manifest's error says which stage that was.
+    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    for backend_id, stage in (("ext", "knowledge extraction"), ("trn", "translation")):
+        gateway = Gateway()
+        register_demo_backends(gateway, **{backend_id: http_503})
+        _, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
+        assert manifest.records == [{
+            "doc_id": "geo-1", "status": "error",
+            "error": f"{stage} failed: provider returned HTTP 503: 'service unavailable'"}]
+
+
+def test_pipeline_warnings_reach_the_log(caplog):
+    caplog.set_level(logging.WARNING, logger="crat.pipeline")
+    config = controlled_config({}, on_detector_error="translate_direct")
+    fallback = run_pipeline("some text", EN_ZH, config, broken_detector_gateway(http_500))
+    facts = [["alpha", "is", "fact"], ["alpha", " ", "blank"]]
+    gateway = controlled_gateway({}, ["alpha"], judge=judge_reply(CORRECT, "a", facts))
+    blank = run_pipeline("alpha text", EN_ZH, controlled_config({"alpha": [doc("dx1")]}), gateway)
+    warnings = fallback.transcript.warnings() + blank.transcript.warnings()
+    assert warnings == [
+        "detector failed (provider returned HTTP 500: 'internal error'); "
+        "falling back to direct translation",
+        "judge: skipped blank fact from document 'dx1'",
+    ]
+    assert [r.getMessage() for r in caplog.records if r.name == "crat.pipeline"] == warnings
 
 
 def test_empty_source_text_rejected(demo_gateway):
