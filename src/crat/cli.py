@@ -103,12 +103,15 @@ def cmd_translate(args) -> int:
                                                 width_override=args.width)
     except (ConfigError, GatewayError, retrieval.RetrievalError, ValueError) as err:
         return _fail(str(err))
+    out_dir = Path(args.output)
+    try:  # before any provider call, so a bad --output costs none
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(f"cannot create output directory {out_dir}: {err}")
 
     lang_pair = (args.source_lang, args.target_lang)
     results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
 
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         write_transcript(result, out_dir)
     (out_dir / "manifest.jsonl").write_text(manifest.to_jsonl(), "utf-8")
@@ -141,7 +144,7 @@ def cmd_build_index(args) -> int:
         retrieval.save_index(index, args.output)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    print(f"indexed {index.doc_count} document(s), {len(index.postings)} term(s) "
+    print(f"indexed {index.doc_count} document(s), {len(index.terms)} term(s) "
           f"-> {args.output}")
     return EXIT_OK
 

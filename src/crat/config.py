@@ -23,6 +23,10 @@ from .retrieval import RemoteSource, glossary_source_from_file, index_source_fro
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both build the same values through the same safe constructor.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(Exception):
     pass
@@ -148,7 +152,7 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text("utf-8"))
+        raw = yaml.load(path.read_text("utf-8"), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as err:

@@ -10,11 +10,13 @@ one connection per query.
 
 The index numbers documents by ordinal, their position in ascending id
 order, and keeps their ids, titles, texts and token counts as parallel
-columns. Each term's postings are one flat int list ``[ordinal, tf, ...]``
-in ascending ordinal order. The index file (format 2) stores these lists as
-they are, so saving and loading create no object per posting. Ranking
-breaks score ties by ordinal, that is by ascending id, and keeps the top *k*
-in a heap rather than sorting every scored document.
+columns. Its terms are a sorted list; term *i*'s postings are
+``ordinals[offsets[i]:offsets[i + 1]]`` and the matching ``tfs``, three
+uint32 arrays, in ascending ordinal order. The index file (format 3) stores
+each array as base64 of its little-endian bytes, so saving and loading
+create no object per posting, and loading checks the arrays with C-level
+passes. Ranking breaks score ties by ordinal, that is by ascending id, and
+keeps the top *k* in a heap rather than sorting every scored document.
 
 A glossary keys each record on a case fold of its source term when it is
 built, and compiles nothing then. A query folds each of its windows that
@@ -27,14 +29,18 @@ time the record is a candidate.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
 import logging
 import math
+import operator
 import re
+import sys
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -56,7 +62,7 @@ SOURCE_KINDS = (LOCAL_INDEX, GLOSSARY, REMOTE)
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 DEFAULT_N2 = 5
 CONTEXT_WINDOW_TOKENS = 10
@@ -87,19 +93,23 @@ class RetrievedDocument:
 
 @dataclass
 class CorpusIndex:
-    """Inverted index over a document corpus, in the layout of index format 2.
+    """Inverted index over a document corpus, in the layout of index format 3.
 
     Documents are numbered by ordinal, in ascending id order; ``doc_ids``,
     ``titles``, ``texts`` and ``doc_lengths`` are columns indexed by it.
-    ``postings`` maps each term to one flat list ``[ordinal, tf, ordinal,
-    tf, ...]`` in ascending ordinal order.
+    ``terms`` is sorted, and term *i*'s postings are
+    ``ordinals[offsets[i]:offsets[i + 1]]`` with the matching ``tfs``, in
+    ascending ordinal order; the three are ``array("I")`` columns.
     """
 
     doc_ids: list[str]
     titles: list[str]
     texts: list[str]
     doc_lengths: list[int]
-    postings: dict[str, list[int]]
+    terms: list[str]
+    offsets: array
+    ordinals: array
+    tfs: array
     tokenizer_id: str
 
     @property
@@ -116,6 +126,11 @@ class CorpusIndex:
         avg = self.avg_doc_length or 1.0  # 0.0 only when every length is 0
         return [BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg) for length in self.doc_lengths]
 
+    @cached_property
+    def term_ids(self) -> dict[str, int]:
+        """Each term's position in ``terms``."""
+        return {term: i for i, term in enumerate(self.terms)}
+
 
 def build_index(corpus: Iterable[Mapping], tokenizer_id: str = tokenizers.SIMPLE) -> CorpusIndex:
     """Index ``corpus`` records ({id, title, text}); ids must be unique."""
@@ -128,15 +143,24 @@ def build_index(corpus: Iterable[Mapping], tokenizer_id: str = tokenizers.SIMPLE
         if previous == doc_id:
             raise ValueError(f"duplicate document id: {doc_id!r}")
     doc_lengths = []
-    postings: defaultdict[str, list[int]] = defaultdict(list)
+    term_ordinals: defaultdict[str, array] = defaultdict(partial(array, "I"))
+    term_tfs: defaultdict[str, array] = defaultdict(partial(array, "I"))
     for ordinal, (_, _, text) in enumerate(records):
         tokens = tokenizers.tokenize(text, tokenizer_id)
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings[term] += (ordinal, tf)
+            term_ordinals[term].append(ordinal)
+            term_tfs[term].append(tf)
+    terms = sorted(term_ordinals)
+    offsets, ordinals, tfs = array("I", [0]), array("I"), array("I")
+    for term in terms:
+        ordinals += term_ordinals.pop(term)
+        tfs += term_tfs.pop(term)
+        offsets.append(len(ordinals))
     return CorpusIndex(doc_ids=doc_ids, titles=[title for _, title, _ in records],
                        texts=[text for _, _, text in records], doc_lengths=doc_lengths,
-                       postings=dict(postings), tokenizer_id=tokenizer_id)
+                       terms=terms, offsets=offsets, ordinals=ordinals, tfs=tfs,
+                       tokenizer_id=tokenizer_id)
 
 
 def bm25_idf(doc_count: int, doc_freq: int) -> float:
@@ -151,46 +175,82 @@ def search(index: CorpusIndex, query: str, k: int) -> list[RetrievedDocument]:
     if not terms:
         return []
     norms = index.length_norms
-    scores: dict[int, float] = {}
+    # Scores by ordinal: a document's weights are added in query term order,
+    # starting from 0.0, which fixes its score to the bit.
+    scores = [0.0] * index.doc_count
+    scored: set[int] = set()
     for term in terms:
-        posting = index.postings.get(term)
-        if not posting:
+        i = index.term_ids.get(term)
+        if i is None:
             continue
-        idf = bm25_idf(index.doc_count, len(posting) // 2)
-        for ordinal, tf in zip(posting[::2], posting[1::2]):
-            scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + norms[ordinal])
-    ranked = heapq.nsmallest(k, scores.items(), key=lambda item: (-item[1], item[0]))
+        start, end = index.offsets[i], index.offsets[i + 1]
+        idf = bm25_idf(index.doc_count, end - start)
+        ordinals = index.ordinals[start:end].tolist()
+        scored.update(ordinals)
+        for ordinal, tf in zip(ordinals, index.tfs[start:end]):
+            scores[ordinal] += idf * tf * (BM25_K1 + 1.0) / (tf + norms[ordinal])
+    ranked = heapq.nsmallest(k, scored, key=lambda ordinal: (-scores[ordinal], ordinal))
     return [RetrievedDocument(index.doc_ids[ordinal], index.titles[ordinal], index.texts[ordinal],
-                              LOCAL_INDEX, score)
-            for ordinal, score in ranked]
+                              LOCAL_INDEX, scores[ordinal])
+            for ordinal in ranked]
 
 
 _COLUMNS = ("doc_ids", "titles", "texts", "doc_lengths")
+_PACKED = ("offsets", "ordinals", "tfs")
+
+
+def _pack(column: array) -> str:
+    """Base64 of ``column``'s bytes as little-endian uint32."""
+    if sys.byteorder == "big":
+        column = array("I", column)
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _unpack(name: str, text) -> array:
+    try:
+        column = array("I")
+        column.frombytes(base64.b64decode(text, validate=True))
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{name} must be base64 of little-endian uint32 values") from None
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     payload = {"version": INDEX_FORMAT_VERSION, "tokenizer_id": index.tokenizer_id,
-               "postings": index.postings,
+               "terms": index.terms,
+               **{column: _pack(getattr(index, column)) for column in _PACKED},
                **{column: getattr(index, column) for column in _COLUMNS}}
-    Path(path).write_text(canonical.compact(payload) + "\n", encoding="utf-8")
+    # The bytes of canonical.compact(payload), written one top-level value at
+    # a time so that the text of the whole file is never held at once.
+    with open(path, "w", encoding="utf-8") as file:
+        separator = "{"
+        for key in sorted(payload):
+            file.write(f"{separator}{canonical.compact(key)}:{canonical.compact(payload.pop(key))}")
+            separator = ","
+        file.write("}\n")
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     try:
-        # Format 2 holds no floats: one reads as null, which _check_index rejects.
-        payload = json.loads(Path(path).read_text("utf-8"), parse_float=lambda _: None,
+        # Format 3 holds no floats: one reads as null, which _check_index rejects.
+        payload = json.loads(Path(path).read_bytes(), parse_float=lambda _: None,
                              parse_constant=lambda _: None)
     except FileNotFoundError:
         raise RetrievalError(f"index file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise RetrievalError(f"malformed index file {path}: {err}") from err
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != INDEX_FORMAT_VERSION:
         raise RetrievalError(f"unsupported index file version {version!r} in {path}; "
                              f"rebuild it with `crat build-index`")
     try:
-        index = CorpusIndex(postings=payload["postings"], tokenizer_id=payload["tokenizer_id"],
-                            **{column: payload[column] for column in _COLUMNS})
+        # Each base64 text is dropped from the payload as soon as it is decoded.
+        packed = {column: _unpack(column, payload.pop(column)) for column in _PACKED}
+        index = CorpusIndex(terms=payload["terms"], tokenizer_id=payload["tokenizer_id"],
+                            **packed, **{column: payload[column] for column in _COLUMNS})
         _check_index(index)
     except KeyError as err:
         raise RetrievalError(f"malformed index file {path}: missing key {err}") from None
@@ -199,12 +259,16 @@ def load_index(path: str | Path) -> CorpusIndex:
     return index
 
 
+def _rising(values) -> bool:
+    """Whether each value is greater than the one before it."""
+    return not any(map(operator.ge, values, values[1:]))
+
+
 def _check_index(index: CorpusIndex) -> None:
     """Raise ValueError unless ``index`` has the shape ``search`` relies on.
 
-    A posting that is not an int (``load_index`` reads a float as null) fails
-    a comparison below with TypeError. Each postings list is scanned by ``min``
-    and ``max`` alone, with no Python step per posting.
+    Every check is a C-level pass (``map``, ``set``, ``min``, ``max``) with
+    no Python step per posting.
     """
     if index.tokenizer_id not in tokenizers.TOKENIZER_IDS:
         raise ValueError(f"unknown tokenizer {index.tokenizer_id!r}")
@@ -213,21 +277,24 @@ def _check_index(index: CorpusIndex) -> None:
         values = getattr(index, column)
         if type(values) is not list or len(values) != n or not set(map(type, values)) <= {kind}:
             raise ValueError(f"{column} must be a list of {n} {kind.__name__} values")
-    if any(a >= b for a, b in zip(index.doc_ids, index.doc_ids[1:])):
+    if not _rising(index.doc_ids):
         raise ValueError("doc_ids must be unique and in ascending order")
     if min(index.doc_lengths, default=0) < 0:
         raise ValueError("doc_lengths must not be negative")
-    if type(index.postings) is not dict:
-        raise ValueError("postings must be an object")
-    for term, posting in index.postings.items():
-        try:
-            valid = (type(posting) is list and posting and len(posting) % 2 == 0
-                     and min(posting) >= 0 and max(posting[::2]) < n)
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"postings of {term!r} must be [ordinal, tf, ...] "
-                             f"of non-negative ints with ordinal < {n}")
+    terms = index.terms
+    if type(terms) is not list or not set(map(type, terms)) <= {str} or not _rising(terms):
+        raise ValueError("terms must be a list of unique strings in ascending order")
+    offsets, postings = index.offsets, len(index.ordinals)
+    if len(index.tfs) != postings:
+        raise ValueError("ordinals and tfs must be of equal length")
+    if (len(offsets) != len(terms) + 1 or offsets[0] != 0 or not _rising(offsets)
+            or offsets[-1] != postings):
+        raise ValueError(f"offsets must rise from 0 to the {postings} postings, "
+                         f"one step per term")
+    if max(index.ordinals, default=-1) >= n:
+        raise ValueError(f"ordinals must be below the document count {n}")
+    if min(index.tfs, default=1) < 1:
+        raise ValueError("tfs must be at least 1")
 
 
 # --- sources ----------------------------------------------------------------

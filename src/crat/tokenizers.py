@@ -27,13 +27,17 @@ LANG_REGISTRY = frozenset({
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
+# For ASCII text: A-Z to a-z, the other \w characters ([a-z0-9_]) kept, and
+# every other code point to a space, so ``split`` yields the \w+ runs.
+_ASCII_WORDS = str.maketrans({chr(code): chr(code).lower() if _WORD_RE.match(chr(code)) else " "
+                              for code in range(128)})
+
 
 def tokenize(text: str, tokenizer_id: str = SIMPLE) -> list[str]:
     """Split ``text`` into tokens according to ``tokenizer_id``."""
     if tokenizer_id == SIMPLE:
         if text.isascii():
-            # Lowering ASCII changes no character's \w class and no length.
-            return _WORD_RE.findall(text.lower())
+            return text.translate(_ASCII_WORDS).split()
         # Lowered after matching: "İ".lower() adds U+0307, which is not \w.
         return [word.lower() for word in _WORD_RE.findall(text)]
     if tokenizer_id == CHAR:

@@ -13,6 +13,7 @@ import yaml
 
 from crat import fixtures
 from crat.cli import main
+from crat.gateway import MockBackend
 
 EN_ZH_ARGS = ["--source-lang", "en", "--target-lang", "zh"]
 
@@ -77,6 +78,22 @@ def test_translate_bad_config(tmp_path, capsys):
                    "--output", tmp_path / "out", *EN_ZH_ARGS)
     assert code == 1
     assert "mystery_key" in capsys.readouterr().err
+
+
+def test_translate_output_that_is_a_file_fails_before_any_call(demo, tmp_path, capsys,
+                                                               monkeypatch):
+    calls = []
+    generate = MockBackend.generate
+    monkeypatch.setattr(MockBackend, "generate",
+                        lambda self, request: calls.append(request) or generate(self, request))
+    out = tmp_path / "out"
+    out.write_text("not a directory", "utf-8")
+    assert translate(demo, out) == 1
+    err = capsys.readouterr().err
+    assert calls == []
+    assert err.startswith("error: cannot create output directory")
+    assert "Traceback" not in err
+    assert out.read_text("utf-8") == "not a directory"
 
 
 # Each case sets one value of the demo config: (path into it, value, the error).

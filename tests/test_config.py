@@ -15,6 +15,7 @@ from conftest import simple_request
 from crat import fixtures
 from crat.config import (
     CONFIG_SHAPE,
+    YAML_LOADER,
     ConfigError,
     Kinds,
     RunConfig,
@@ -113,11 +114,29 @@ def test_non_mapping_config_rejected(tmp_path):
         load_run_config(path)
 
 
-def test_readme_configuration_example_loads(tmp_path):
+def readme_configuration_example() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-    config = RunConfig(yaml.safe_load(block), tmp_path)
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_yaml_loader_reads_what_the_pure_python_loader_reads():
+    for text in (readme_configuration_example(), yaml.safe_dump(fixtures.DEMO_CONFIG)):
+        parsed = yaml.load(text, Loader=YAML_LOADER)
+        assert parsed == yaml.load(text, Loader=yaml.SafeLoader)
+        assert parsed
+    assert yaml.load(yaml.safe_dump(fixtures.DEMO_CONFIG), Loader=YAML_LOADER) == fixtures.DEMO_CONFIG
+
+
+def test_invalid_yaml_is_a_config_error(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("backends: [unclosed\n", "utf-8")
+    with pytest.raises(ConfigError, match="is not valid YAML"):
+        load_run_config(path)
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    config = RunConfig(yaml.safe_load(readme_configuration_example()), tmp_path)
     assert config.role_backend("translator") == "live"
 
     # Every key the table declares, a kind's keys as "kind.key", is in the example.

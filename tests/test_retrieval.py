@@ -3,9 +3,11 @@ oracle, glossary and remote sources, and per-term merged retrieval."""
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 import re
+import struct
 import sys
 import threading
 
@@ -62,8 +64,10 @@ def test_simple_tokenizer_lowers_each_word_after_matching():
         assert tokenizers.tokenize(text) == expected
     # "İ".lower() appends U+0307, which is not \w: lowering first would split.
     assert tokenizers.tokenize("İstanbul") == ["i\u0307stanbul"]
-    ascii_alphabet = "aZq_09 -.,'\t\n"
-    for _ in range(500):
+    # Every ASCII code point: the table-driven path must split exactly where
+    # \w does, including on \x0b, \x0c, \x1c-\x1f and \x7f.
+    ascii_alphabet = "".join(map(chr, range(128)))
+    for _ in range(2000):
         text = "".join(rng.choices(ascii_alphabet, k=rng.randint(0, 40)))
         expected = [m.group(0).lower() for m in re.finditer(r"\w+", text)]
         assert tokenizers.tokenize(text) == expected
@@ -92,14 +96,23 @@ def test_build_index_empty_corpus():
     assert search(index, "anything", 5) == []
 
 
+def postings(index, term):
+    """``term``'s (ordinals, tfs) as lists."""
+    i = index.terms.index(term)
+    start, end = index.offsets[i], index.offsets[i + 1]
+    return index.ordinals[start:end].tolist(), index.tfs[start:end].tolist()
+
+
 def test_build_index_hand_counted_postings():
     index = build_index(THREE_DOCS)
     assert index.doc_count == 3
     assert index.doc_ids == ["dA", "dB", "dC"]
-    assert index.postings["scotia"] == [0, 1, 1, 1]
-    assert index.postings["bank"] == [0, 1]
-    assert index.postings["banks"] == [1, 1]
-    assert index.postings["a"] == [0, 1, 2, 1]
+    assert postings(index, "scotia") == ([0, 1], [1, 1])
+    assert postings(index, "bank") == ([0], [1])
+    assert postings(index, "banks") == ([1], [1])
+    assert postings(index, "a") == ([0, 2], [1, 1])
+    assert index.terms == sorted(set(index.terms))
+    assert len(index.offsets) == len(index.terms) + 1
     assert index.doc_lengths == [8, 9, 8]
     assert index.avg_doc_length == pytest.approx(25 / 3)
 
@@ -198,35 +211,77 @@ def test_index_load_rejects_bad_version(tmp_path):
         load_index(path)
 
 
-def test_index_load_rejects_format_1_with_rebuild_hint(tmp_path):
+def test_index_load_rejects_formats_1_and_2_with_rebuild_hint(tmp_path):
     path = tmp_path / "index.json"
-    path.write_text(json.dumps({
+    format_1 = {
         "version": 1, "doc_count": 1, "postings": {"scotia": [["dA", 1]]},
         "doc_lengths": {"dA": 1}, "avg_doc_length": 1.0, "tokenizer_id": "simple",
-        "docs": {"dA": ["retail", "Scotia"]}}))
-    with pytest.raises(RetrievalError, match="rebuild it with `crat build-index`"):
-        load_index(path)
+        "docs": {"dA": ["retail", "Scotia"]}}
+    format_2 = {
+        "version": 2, "tokenizer_id": "simple", "doc_ids": ["dA"], "titles": ["retail"],
+        "texts": ["Scotia"], "doc_lengths": [1], "postings": {"scotia": [0, 1]}}
+    for payload in (format_1, format_2):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RetrievalError, match="rebuild it with `crat build-index`"):
+            load_index(path)
+
+
+def packed(*values: int) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}I", *values)).decode("ascii")
+
+
+def unpacked(text: str) -> list[int]:
+    data = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(data) // 4}I", data))
 
 
 def test_index_load_rejects_malformed_payload(tmp_path):
     path = tmp_path / "index.json"
     save_index(build_index(THREE_DOCS), path)
     good = json.loads(path.read_text("utf-8"))
-    postings = good["postings"]
-    for bad in ({"version": 2}, {**good, "postings": {"scotia": [["d"]]}},
-                {**good, "postings": []}, {**good, "titles": "no title"},
-                {**good, "postings": {**postings, "scotia": [0, 1, 1]}},
-                {**good, "postings": {**postings, "scotia": [-1, 1]}},
-                {**good, "postings": {**postings, "scotia": [0, 1, 3, 1]}},
-                {**good, "postings": {**postings, "scotia": ["0", 1]}},
-                {**good, "postings": {**postings, "scotia": [0, 1.5]}},
-                {**good, "postings": {**postings, "scotia": [0, None]}},
+    terms, offsets = good["terms"], unpacked(good["offsets"])
+    ordinals, tfs = unpacked(good["ordinals"]), unpacked(good["tfs"])
+    assert len(offsets) == len(terms) + 1 and offsets[-1] == len(ordinals) == len(tfs)
+    for bad in ({"version": 3}, {**good, "titles": "no title"},
                 {**good, "doc_lengths": [8, 9]},
                 {**good, "texts": good["texts"] + ["extra"]},
-                {**good, "doc_ids": ["dB", "dA", "dC"]}):
+                {**good, "doc_ids": ["dB", "dA", "dC"]},
+                {**good, "doc_lengths": [8, -1, 8]}, {**good, "doc_lengths": [8, 9.0, 8]},
+                {**good, "tokenizer_id": "stemmer"},
+                # packed columns: not base64, not text, not whole uint32s
+                {**good, "ordinals": "not base64!"}, {**good, "tfs": None},
+                {**good, "ordinals": "b3JkaW5hbHM=é"},
+                {**good, "ordinals": base64.b64encode(b"\0" * 6).decode("ascii")},
+                # offsets: short, long, not from 0, falling, not ending at the postings
+                {**good, "offsets": packed(*offsets[:-1])},
+                {**good, "offsets": packed(*offsets, offsets[-1] + 1)},
+                {**good, "offsets": packed(1, *offsets[1:])},
+                {**good, "offsets": packed(0, offsets[2], offsets[1], *offsets[3:])},
+                {**good, "offsets": packed(*offsets[:-1], offsets[-1] - 1)},
+                {**good, "tfs": packed(*tfs, 1)},
+                # an ordinal equal to the document count, a tf of 0
+                {**good, "ordinals": packed(*ordinals[:-1], 3)},
+                {**good, "tfs": packed(0, *tfs[1:])},
+                # terms: unsorted, duplicated, not text
+                {**good, "terms": [terms[1], terms[0], *terms[2:]]},
+                {**good, "terms": [terms[0], terms[0], *terms[2:]]},
+                {**good, "terms": [1, *terms[1:]]}, {**good, "terms": "abc"}):
         path.write_text(json.dumps(bad))
         with pytest.raises(RetrievalError, match="malformed index file"):
             load_index(path)
+
+
+def test_index_file_packs_postings_as_little_endian_uint32(tmp_path):
+    path = tmp_path / "index.json"
+    save_index(build_index([{"id": "d1", "text": "B"}, {"id": "d0", "text": "b a b"}]), path)
+    payload = json.loads(path.read_text("utf-8"))
+    assert payload["version"] == 3
+    assert payload["terms"] == ["a", "b"]
+    # a: d0 once; b: d0 twice, d1 once
+    assert base64.b64decode(payload["offsets"]) == struct.pack("<3I", 0, 1, 3)
+    assert base64.b64decode(payload["ordinals"]) == struct.pack("<3I", 0, 0, 1)
+    assert base64.b64decode(payload["tfs"]) == struct.pack("<3I", 1, 2, 1)
+    assert payload["tfs"] == packed(1, 2, 1) == "AQAAAAIAAAABAAAA"
 
 
 def test_index_file_is_compact_and_indented_files_still_load(tmp_path):
