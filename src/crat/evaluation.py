@@ -181,7 +181,8 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
     Results and examples align by id; a mismatch is an error. CONSIS runs
     only when a gateway and a backend are given, and per-example CONSIS
     failures are recorded in the breakdown without failing the run. The
-    report's ``config_hash`` names the CONSIS backend and its model.
+    report's ``config_hash`` names the CONSIS backend and its model. Every
+    reply the grader cached is on disk when it returns.
     """
     if gateway is None:
         gateway, consis_backend = Gateway(), None
@@ -225,6 +226,7 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
                 row["consis"] = None
                 row["consis_error"] = str(err)
         per_example.append(row)
+    gateway.flush()
 
     return MetricReport(
         bleu=bleu_from_stats([row["bleu_stats"] for row in per_example]),

@@ -10,6 +10,13 @@ the backend's ``model`` (an HTTP backend's model and endpoint, a file-scripted
 mock's script digest), which also keys the optional on-disk response cache.
 At most ``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
 
+The cache is written behind the call: a new reply waits in memory, where an
+identical request already finds it, while one background writer puts it on
+disk (temp file + rename). ``Gateway.flush`` returns once every reply is on
+disk; ``run_batch`` flushes before it returns, and ``with Gateway(...)``
+flushes and stops the gateway's threads on exit. The gateway also owns the
+worker threads that the judge fan-out runs on. Both start on first use.
+
 HTTP goes through the standard library (``urllib.request``, with its
 process-wide opener), one connection per call. ``http_proxy`` and
 ``https_proxy`` are read once per process, at the first call, and ``no_proxy``
@@ -24,13 +31,16 @@ import http.client
 import json
 import logging
 import os
+import random
 import tempfile
 import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from email.message import Message
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 from urllib.error import HTTPError
 from urllib.parse import urlparse
 
@@ -49,6 +59,14 @@ PARAMS = {"temperature": 0.0, "max_new_tokens": MAX_NEW_TOKENS, "stop": None}
 # Calls one backend may have in flight at once, over every thread of a process
 # that shares the gateway: batch width times the judge fan-out stays under it.
 MAX_INFLIGHT_PER_BACKEND = 16
+
+# Replies that ask to be retried: rate limiting, and a provider or a proxy in
+# front of it briefly unavailable.
+RETRY_STATUSES = (429, 502, 503, 504)
+
+# The longest sleep between two attempts, whether backoff or the provider's
+# ``Retry-After`` asks for more.
+RETRY_CAP_S = 30.0
 
 
 class GatewayError(Exception):
@@ -75,15 +93,17 @@ class TransportError(GatewayError):
     """Timeout or connection failure; retried with backoff."""
 
 
-class RateLimitError(GatewayError):
-    """Provider signalled rate limiting; retried with backoff."""
-
-
 class HttpStatusError(GatewayError):
-    def __init__(self, status: int, body_excerpt: str):
+    def __init__(self, status: int, body_excerpt: str, retry_after_s: float | None = None):
         super().__init__(f"provider returned HTTP {status}: {body_excerpt!r}")
         self.status = status
         self.body_excerpt = body_excerpt
+        self.retry_after_s = retry_after_s
+
+
+class RetryLaterError(HttpStatusError):
+    """A status in ``RETRY_STATUSES``; retried with backoff, or after the
+    reply's ``Retry-After`` (``retry_after_s``) when it gives one."""
 
 
 class ProtocolError(GatewayError):
@@ -163,20 +183,20 @@ class ChatExchange:
 
 
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
-                  timeout_s: float) -> tuple[int, bytes]:
+                  timeout_s: float) -> tuple[int, bytes, Message]:
     """One HTTP request, a POST when ``body`` is given and a GET otherwise:
-    the reply's status and whole body, whatever the status. A failure to
-    connect, a timeout or a reply cut off before its end raises
+    the reply's status, whole body and headers, whatever the status. A
+    failure to connect, a timeout or a reply cut off before its end raises
     ``TransportError``."""
     request = urllib.request.Request(
         url, data=body, headers={**headers, "User-Agent": f"crat/{__version__}"})
     try:
         try:
             with urllib.request.urlopen(request, timeout=timeout_s) as reply:
-                return reply.status, reply.read()
+                return reply.status, reply.read(), reply.headers
         except HTTPError as err:
             with err:
-                return err.code, err.read()
+                return err.code, err.read(), err.headers
     except (OSError, http.client.HTTPException) as err:
         raise TransportError(f"transport failure calling {url}: {err!r}") from err
 
@@ -184,6 +204,16 @@ def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
 def body_excerpt(body: bytes) -> str:
     """The start of a reply body, as error messages quote it."""
     return body.decode("utf-8", "replace")[:200]
+
+
+def retry_after_s(value: str | None) -> float | None:
+    """A ``Retry-After`` header's delay in seconds; None when the header is
+    absent, negative or an HTTP date."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if seconds >= 0 else None
 
 
 # --- matchers and mock backends ---------------------------------------------
@@ -273,11 +303,12 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
-        status, body = http_exchange(self.endpoint_url,
-                                     json.dumps(payload, allow_nan=False).encode("utf-8"),
-                                     headers, self.timeout_s)
-        if status == 429:
-            raise RateLimitError(f"rate limited by {self.endpoint_url}")
+        status, body, reply_headers = http_exchange(
+            self.endpoint_url, json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers, self.timeout_s)
+        if status in RETRY_STATUSES:
+            raise RetryLaterError(status, body_excerpt(body),
+                                  retry_after_s(reply_headers.get("Retry-After")))
         if not 200 <= status < 300:
             raise HttpStatusError(status, body_excerpt(body))
         try:
@@ -293,13 +324,20 @@ class HttpBackend:
         return text
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
 class Gateway:
-    """Backend registry, retry policy, and content-addressed response cache.
+    """Backend registry, retry policy, content-addressed response cache, and
+    the threads that calls fan out on.
 
     Cache entries live at ``<cache_dir>/<fp[:2]>/<fp>.json`` and are written
-    atomically (temp file + rename), so concurrent runs may share a cache
-    directory. Each backend admits ``MAX_INFLIGHT_PER_BACKEND`` calls at
-    once; cache reads and retry sleeps do not hold a slot.
+    atomically (temp file + rename) behind the call, so concurrent runs may
+    share a cache directory. A cache file that cannot be read is a miss, and
+    one that cannot be written is logged. Each backend admits
+    ``MAX_INFLIGHT_PER_BACKEND`` calls at once; cache reads and retry sleeps
+    do not hold a slot.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -309,6 +347,49 @@ class Gateway:
         self.retry_base_delay_s = retry_base_delay_s
         self._backends: dict[str, MockBackend | HttpBackend] = {}
         self._inflight: dict[str, threading.BoundedSemaphore] = {}
+        self._lock = threading.Lock()
+        self._pending: dict[str, str] = {}  # fingerprint -> reply not yet on disk
+        self._pools: dict[str, ThreadPoolExecutor] = {}  # started on first use
+
+    def __enter__(self) -> "Gateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Flush the cache and stop the gateway's threads. A later call
+        starts them again."""
+        self.flush()
+        with self._lock:
+            pools, self._pools = self._pools, {}
+        for pool in pools.values():
+            pool.shutdown()
+
+    def flush(self) -> None:
+        """Return once every reply pending so far is in the cache directory,
+        or has failed to get there and been logged."""
+        with self._lock:
+            writer = self._pools.get("cache-writer")
+        if writer is not None:
+            writer.submit(lambda: None).result()  # one thread: runs after every earlier write
+
+    def _pool(self, name: str, workers: int) -> ThreadPoolExecutor:
+        with self._lock:
+            pool = self._pools.get(name)
+            if pool is None:
+                pool = self._pools[name] = ThreadPoolExecutor(
+                    workers, thread_name_prefix=f"crat-{name}")
+            return pool
+
+    def fan_out(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """``fn`` of each item, run on the gateway's ``MAX_INFLIGHT_PER_BACKEND``
+        worker threads; the results in item order, or the first item's
+        exception once every item is done. ``fn`` must not fan out itself."""
+        pool = self._pool("fan-out", MAX_INFLIGHT_PER_BACKEND)
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures)
+        return [future.result() for future in futures]
 
     # -- registration --------------------------------------------------
 
@@ -373,10 +454,10 @@ class Gateway:
                 with self._inflight[request.backend_id]:
                     text = backend.generate(request)
                 break
-            except (TransportError, RateLimitError) as err:
+            except (TransportError, RetryLaterError) as err:
                 if attempt >= self.max_attempts:
                     raise
-                delay = self.retry_base_delay_s * (2 ** (attempt - 1))
+                delay = self._retry_delay_s(attempt, getattr(err, "retry_after_s", None))
                 log.warning("retrying %s after %s (attempt %d/%d, sleeping %.2fs)",
                             request.backend_id, err, attempt, self.max_attempts, delay)
                 time.sleep(delay)
@@ -385,9 +466,20 @@ class Gateway:
                 f"backend {request.backend_id!r} returned an empty completion")
 
         if self.cache_dir is not None:
-            self._cache_write(fingerprint, _canonical_payload(request, backend.model), text)
+            payload = _canonical_payload(request, backend.model)
+            with self._lock:
+                self._pending[fingerprint] = text
+            self._pool("cache-writer", 1).submit(self._write_behind, fingerprint, payload, text)
         return ChatExchange(request, text, _elapsed_ms(started),
                             cache_hit=False, fingerprint=fingerprint, attempts=attempts)
+
+    def _retry_delay_s(self, attempt: int, retry_after: float | None) -> float:
+        """The provider's ``Retry-After`` when it gave one, else full-jitter
+        exponential backoff (uniform up to base * 2^(attempt-1)); at most
+        ``RETRY_CAP_S`` either way."""
+        if retry_after is None:
+            retry_after = random.uniform(0, self.retry_base_delay_s * 2 ** (attempt - 1))
+        return min(retry_after, RETRY_CAP_S)
 
     # -- cache ----------------------------------------------------------
 
@@ -395,16 +487,30 @@ class Gateway:
         return self.cache_dir / fingerprint[:2] / f"{fingerprint}.json"
 
     def _cache_read(self, fingerprint: str) -> str | None:
+        pending = self._pending.get(fingerprint)
+        if pending is not None:
+            return pending
         path = self._cache_path(fingerprint)
         try:
             entry = json.loads(path.read_text("utf-8"))
             text = entry["response_text"]
-        except FileNotFoundError:
+        except OSError:
             return None
         except (ValueError, KeyError, TypeError):
             log.warning("ignoring corrupt cache entry %s", path)
             return None
         return text if isinstance(text, str) else None
+
+    def _write_behind(self, fingerprint: str, payload: dict, text: str) -> None:
+        """The writer thread's task: put one reply on disk, then drop it from
+        the pending replies."""
+        try:
+            self._cache_write(fingerprint, payload, text)
+        except OSError as err:
+            log.warning("could not write cache entry %s: %s", self._cache_path(fingerprint), err)
+        finally:
+            with self._lock:
+                self._pending.pop(fingerprint, None)
 
     def _cache_write(self, fingerprint: str, payload: dict, text: str) -> None:
         path = self._cache_path(fingerprint)

@@ -7,9 +7,10 @@ knowledge stages are skipped entirely and the translator runs on an empty
 graph.
 
 Every judge call reads only the internal knowledge fixed before the judge
-stage, so all (term, document) pairs are judged at once, on up to
-``MAX_INFLIGHT_PER_BACKEND`` threads; the gateway bounds the calls in flight
-per backend over the whole process. Each call records into its own buffer.
+stage, so all (term, document) pairs are judged at once, on the gateway's
+``MAX_INFLIGHT_PER_BACKEND`` worker threads (``Gateway.fan_out``), which
+every document of the process shares; the gateway also bounds the calls in
+flight per backend. Each call records into its own buffer.
 Verdicts are integrated and buffers replayed into the transcript in the fixed
 (term, document) order, so the graph, the transcript and the result are the
 same bytes as if the pairs had been judged one after another.
@@ -36,7 +37,7 @@ from .agents import (
     judge_document,
     translate_with_knowledge,
 )
-from .gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, GatewayError
+from .gateway import Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
 from .transcript import AgentTranscript, CallBuffer, warn
 from .transkg import (
@@ -240,9 +241,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                                                  config.judge_backend, gateway, buffer)
                         return verdict, buffer
 
-                    workers = min(len(pairs), MAX_INFLIGHT_PER_BACKEND)
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        rulings = list(pool.map(judge, pairs))
+                    rulings = gateway.fan_out(judge, pairs)
                     for (term, doc), (verdict, buffer) in zip(pairs, rulings):
                         buffer.replay(transcript)
                         judged_count += 1
@@ -309,7 +308,7 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
 
     Results come back in input order regardless of the concurrency width;
     per-document failures are recorded in the manifest and the batch
-    continues.
+    continues. Every reply the batch cached is on disk when it returns.
     """
     started = time.perf_counter()
     docs = [_doc_fields(record, i) for i, record in enumerate(corpus)]
@@ -319,7 +318,7 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
         return run_pipeline(text, lang_pair, config, gateway, source_doc_id=doc_id)
 
     outcomes: list[TranslationResult | Exception] = [None] * len(docs)  # type: ignore[list-item]
-    if docs:
+    try:
         with ThreadPoolExecutor(max_workers=config.width) as pool:
             futures = [pool.submit(run_one, entry) for entry in docs]
             for i, future in enumerate(futures):
@@ -327,6 +326,8 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
                     outcomes[i] = future.result()
                 except Exception as err:  # per-doc isolation
                     outcomes[i] = err
+    finally:
+        gateway.flush()
 
     results = []
     records = []

@@ -425,7 +425,7 @@ class RemoteSource:
         params = urlencode({"q": query, "k": k})
         url = parts._replace(query=f"{parts.query}&{params}" if parts.query else params).geturl()
         try:
-            status, body = http_exchange(url, None, {}, self.timeout_s)
+            status, body, _ = http_exchange(url, None, {}, self.timeout_s)
         except TransportError as err:
             raise SourceError(f"remote search: {err}") from err
         if not 200 <= status < 300:

@@ -100,11 +100,14 @@ class StubHandler(BaseHTTPRequestHandler):
         with server.lock:
             response = server.responses.pop(0) if server.responses else server.default_response
             server.requests.append(StubRequest(self.command, self.path, self.headers, received))
-        status, body = (200, server.default_response[1]) if response in (CUT_OFF, STALL) else response
+        reply = (200, server.default_response[1]) if response in (CUT_OFF, STALL) else response
+        status, body, *headers = reply
         payload = body if isinstance(body, (bytes, str)) else json.dumps(body)
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload) + (64 if response == CUT_OFF else 0)))
         self.end_headers()
@@ -123,7 +126,8 @@ class StubHandler(BaseHTTPRequestHandler):
 
 class StubServer:
     """Local HTTP server that replays a scripted sequence of (status, body)
-    replies, ``CUT_OFF`` or ``STALL``, and records every request."""
+    or (status, body, {header: value}) replies, ``CUT_OFF`` or ``STALL``, and
+    records every request."""
 
     def __init__(self):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
@@ -140,7 +144,7 @@ class StubServer:
         host, port = self.httpd.server_address
         return f"http://{host}:{port}"
 
-    def script(self, *responses: tuple[int, object] | str) -> None:
+    def script(self, *responses: tuple | str) -> None:
         with self.httpd.lock:
             self.httpd.responses = list(responses)
 

@@ -4,10 +4,13 @@ backend's wire handling and retry policy."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 import crat
+from crat import gateway as gateway_module
 from conftest import CUT_OFF, STALL, StubServer, simple_request
 from crat.config import build_gateway, load_run_config
 from crat.gateway import (
@@ -20,6 +23,7 @@ from crat.gateway import (
     GatewayError,
     HttpStatusError,
     ProtocolError,
+    RetryLaterError,
     ScriptedMissError,
     TransportError,
     UnknownBackendError,
@@ -27,6 +31,7 @@ from crat.gateway import (
     match_fingerprint,
     match_substring,
     request_fingerprint,
+    request_text,
 )
 
 # Fingerprint of the canonical "hello" request, frozen to pin cross-process
@@ -135,6 +140,7 @@ def test_cache_layout_and_contents(tmp_path):
     gateway = Gateway(cache_dir=tmp_path / "cache")
     gateway.register_mock("mock", [], fallback="entry")
     exchange = gateway.complete(hello_request())
+    gateway.flush()
     fp = exchange.fingerprint
     path = tmp_path / "cache" / fp[:2] / f"{fp}.json"
     assert path.is_file()
@@ -142,6 +148,70 @@ def test_cache_layout_and_contents(tmp_path):
     assert entry["response_text"] == "entry"
     assert entry["fingerprint"] == fp
     assert "timestamp" in entry and "request" in entry
+
+
+def test_pending_entry_is_a_hit_before_it_is_on_disk(tmp_path, monkeypatch):
+    # The writer is held until the second call is done: the reply is then
+    # only in memory, and the backend must still be called once.
+    calls = []
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    gateway.register_mock("mock", [], fallback=lambda request: calls.append(1) or "pending")
+    release = threading.Event()
+    write = gateway._cache_write
+
+    def held_write(*args):
+        assert release.wait(5), "the test never released the writer"
+        write(*args)
+
+    monkeypatch.setattr(gateway, "_cache_write", held_write)
+    first = gateway.complete(hello_request())
+    path = tmp_path / "cache" / first.fingerprint[:2] / f"{first.fingerprint}.json"
+    second = gateway.complete(hello_request())
+    assert not path.exists()
+    assert (first.cache_hit, second.cache_hit) == (False, True)
+    assert second.response_text == "pending" and second.attempts == 0
+    assert len(calls) == 1
+    release.set()
+    gateway.flush()
+    entry = json.loads(path.read_text())
+    assert sorted(entry) == ["fingerprint", "request", "response_text", "timestamp"]
+    assert entry["fingerprint"] == first.fingerprint
+    assert entry["response_text"] == "pending"
+    assert entry["request"]["messages"] == [["user", "say hello"]]
+
+
+def test_gateway_context_flushes_and_stops_its_threads(tmp_path):
+    before = set(threading.enumerate())
+    with Gateway(cache_dir=tmp_path / "cache") as gateway:
+        gateway.register_mock("mock", [], fallback="entry")
+        exchange = gateway.complete(hello_request())
+        assert gateway.fan_out(len, ["a", "bb"]) == [1, 2]
+    fp = exchange.fingerprint
+    assert json.loads((tmp_path / "cache" / fp[:2] / f"{fp}.json").read_text())[
+        "response_text"] == "entry"
+    assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+def test_concurrent_calls_leave_every_reply_on_disk(tmp_path):
+    # Many threads repeat a few requests while the writer drains; after
+    # flush, a second gateway on the directory finds every reply on disk.
+    prompts = [f"prompt {n}" for n in range(8)]
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    gateway.register_mock("mock", [], fallback=lambda request: "re: " + request_text(request))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        texts = gateway.fan_out(lambda n: gateway.complete(
+            simple_request("mock", prompts[n % len(prompts)])).response_text, range(200))
+    finally:
+        sys.setswitchinterval(switch)
+    gateway.flush()
+    assert texts == [f"re: {prompts[n % len(prompts)]}" for n in range(200)]
+    reader = Gateway(cache_dir=tmp_path / "cache")
+    reader.register_mock("mock", [])
+    for prompt in prompts:
+        exchange = reader.complete(simple_request("mock", prompt))
+        assert exchange.cache_hit and exchange.response_text == f"re: {prompt}"
 
 
 def chat_body(text: str) -> dict:
@@ -177,6 +247,7 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
             first = Gateway(cache_dir=cache_dir)
             first.register_http("live", stub_server.url, "model-a")
             assert first.complete(hello_request("live")).response_text == "answer from model A"
+            first.flush()
             second = Gateway(cache_dir=cache_dir)
             second.register_http("live", url_b, model_b)
             exchange = second.complete(hello_request("live"))
@@ -190,6 +261,7 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
     cache_dir = tmp_path / "script"
     first = script_gateway(tmp_path / "a", "answer from script A", cache_dir)
     assert first.complete(hello_request()).response_text == "answer from script A"
+    first.flush()
     exchange = script_gateway(tmp_path / "b", "answer from script B",
                               cache_dir).complete(hello_request())
     assert exchange.cache_hit is False
@@ -203,6 +275,7 @@ def test_corrupt_cache_entry_is_ignored(tmp_path):
     gateway = Gateway(cache_dir=tmp_path / "cache")
     gateway.register_mock("mock", [], fallback="fresh")
     exchange = gateway.complete(hello_request())
+    gateway.flush()
     path = tmp_path / "cache" / exchange.fingerprint[:2] / f"{exchange.fingerprint}.json"
     path.write_text("not json")
     again = gateway.complete(hello_request())
@@ -243,6 +316,77 @@ def test_http_rate_limit_exhausts_after_three_attempts(stub_server):
     with pytest.raises(GatewayError):
         gateway.complete(hello_request("live"))
     assert len(stub_server.requests) == 3
+
+
+@pytest.mark.parametrize("status", [502, 503, 504])
+def test_http_retries_on_unavailable(stub_server, status):
+    stub_server.script((status, {"error": "busy"}), (status, {"error": "busy"}),
+                       (200, chat_body("after two retries")))
+    gateway = http_gateway(stub_server.url)
+    exchange = gateway.complete(hello_request("live"))
+    assert exchange.response_text == "after two retries"
+    assert exchange.attempts == 3
+
+
+def test_http_unavailable_exhausts_after_three_attempts(stub_server):
+    stub_server.script(*[(503, {"error": "busy"})] * 3, (200, chat_body("too late")))
+    gateway = http_gateway(stub_server.url)
+    with pytest.raises(RetryLaterError, match="503") as info:
+        gateway.complete(hello_request("live"))
+    assert info.value.status == 503 and "busy" in info.value.body_excerpt
+    assert len(stub_server.requests) == 3
+
+
+def record_sleeps(monkeypatch) -> list[float]:
+    sleeps = []
+    monkeypatch.setattr(gateway_module.time, "sleep", sleeps.append)
+    return sleeps
+
+
+def test_http_retry_honours_retry_after_up_to_a_cap(stub_server, monkeypatch):
+    sleeps = record_sleeps(monkeypatch)
+    stub_server.script((503, {}, {"Retry-After": "7"}), (429, {}, {"Retry-After": "86400"}),
+                       (200, chat_body("done")))
+    gateway = http_gateway(stub_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "done"
+    assert sleeps == [7.0, gateway_module.RETRY_CAP_S]
+
+
+def test_http_retry_backoff_is_full_jitter(stub_server, monkeypatch):
+    # Without Retry-After (or with a date, which is not read), attempt n
+    # sleeps a uniform draw from [0, base * 2^(n-1)].
+    sleeps = record_sleeps(monkeypatch)
+    draws = []
+    monkeypatch.setattr(gateway_module.random, "uniform",
+                        lambda low, high: draws.append((low, high)) or high / 2)
+    stub_server.script((503, {}), (503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                       (200, chat_body("done")))
+    gateway = Gateway(retry_base_delay_s=0.5)
+    gateway.register_http("live", stub_server.url, "test-model")
+    assert gateway.complete(hello_request("live")).response_text == "done"
+    assert draws == [(0, 0.5), (0, 1.0)]
+    assert sleeps == [0.25, 0.5]
+
+
+def test_http_retry_sleep_holds_no_inflight_slot(stub_server, monkeypatch):
+    # With one slot per backend, a second call must go through while the
+    # first sleeps before its retry.
+    monkeypatch.setattr(gateway_module, "MAX_INFLIGHT_PER_BACKEND", 1)
+    gateway = http_gateway(stub_server.url)
+    stub_server.script((503, {"error": "busy"}), (200, chat_body("meanwhile")),
+                       (200, chat_body("retried")))
+    during_sleep = []
+
+    def sleep(seconds):
+        other = threading.Thread(target=lambda: during_sleep.append(
+            gateway.complete(simple_request("live", "other")).response_text))
+        other.start()
+        other.join(5)
+        assert not other.is_alive()
+
+    monkeypatch.setattr(gateway_module.time, "sleep", sleep)
+    assert gateway.complete(hello_request("live")).response_text == "retried"
+    assert during_sleep == ["meanwhile"]
 
 
 def test_http_500_surfaces_status_and_body(stub_server):

@@ -238,8 +238,9 @@ def http_503(request):
 
 
 def test_gateway_error_names_the_failed_stage():
-    # HTTP 503 is not retried, so the first call to the faulty backend fails
-    # its stage, and the manifest's error says which stage that was.
+    # A mock's HttpStatusError is not retried (an HTTP backend's 503 is a
+    # RetryLaterError), so the first call to the faulty backend fails its
+    # stage, and the manifest's error says which stage that was.
     corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
     for backend_id, stage in (("ext", "knowledge extraction"), ("trn", "translation")):
         gateway = Gateway()
@@ -510,6 +511,63 @@ def test_batch_concurrent_runs_share_cache(tmp_path):
     assert (artifact_bytes(first, tmp_path / "first")
             == artifact_bytes(second, tmp_path / "second"))
     assert all(e.cache_hit for r in second for e in r.transcript.exchanges())
+
+
+def test_batch_starts_a_bounded_number_of_threads(tmp_path, monkeypatch):
+    # The judge fan-out runs on the gateway's workers, not on a pool per
+    # document: the batch's own pool, those workers and the cache writer.
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    register_demo_backends(gateway)
+    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE if i % 2
+               else fixtures.FINANCIAL_SOURCE + f" Note {i}."} for i in range(20)]
+    results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(width=2), gateway)
+    assert manifest.aggregate["failed"] == 0
+    assert sum(r.judged_count for r in results) >= 20
+    assert len(started) <= MAX_INFLIGHT_PER_BACKEND + 2 + 1, started
+
+
+def test_batch_returns_with_every_reply_on_disk(tmp_path, monkeypatch):
+    # Writes lag behind the calls; run_batch still returns only once each
+    # reply it made is in the cache directory.
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    register_demo_backends(gateway)
+    write = gateway._cache_write
+
+    def slow_write(*args):
+        time.sleep(0.01)
+        write(*args)
+
+    monkeypatch.setattr(gateway, "_cache_write", slow_write)
+    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE + f" Note {i}."}
+              for i in range(3)]
+    results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=2), gateway)
+    fingerprints = {e.fingerprint for r in results for e in r.transcript.exchanges()}
+    assert len(fingerprints) > 10
+    assert {p.stem for p in (tmp_path / "cache").glob("*/*.json")} == fingerprints
+
+
+def test_batch_survives_an_unusable_cache_dir(tmp_path, caplog):
+    # The cache directory sits under a regular file: reads miss, writes are
+    # logged with the entry's path, and the document still succeeds.
+    (tmp_path / "file").write_text("not a directory")
+    gateway = Gateway(cache_dir=tmp_path / "file" / "cache")
+    register_demo_backends(gateway)
+    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
+    assert [r["status"] for r in manifest.records] == ["ok"]
+    assert fixtures.RIVERBANK in results[0].target_text
+    warnings = [r.getMessage() for r in caplog.records if r.name == "crat.gateway"]
+    assert len(warnings) == len(results[0].transcript.exchanges())
+    assert all(w.startswith(f"could not write cache entry {tmp_path / 'file' / 'cache'}/")
+               for w in warnings)
 
 
 def test_batch_isolates_failures(demo_gateway):
