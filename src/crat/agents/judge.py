@@ -28,7 +28,9 @@ JUDGE_DOC_CHARS = 2000
 
 @dataclass(frozen=True)
 class JudgeVerdict:
-    """Ruling for one judged document, with the back-translation evidence."""
+    """Ruling for one judged document, with the back-translation evidence.
+    ``fail_closed`` marks an INCORRECT ruled because the judge's reply was
+    unusable or its call failed."""
 
     doc_id: str
     verdict: str
@@ -36,6 +38,7 @@ class JudgeVerdict:
     back_translation: str
     alignment_rationale: str
     facts: tuple[tuple[str, str, str], ...] = ()
+    fail_closed: bool = False
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -97,11 +100,11 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
     except AgentParseError as err:
         warn(transcript, log,
              f"judge: unparsable reply for document {doc.id!r}, ruling INCORRECT", err)
-        return JudgeVerdict(doc.id, INCORRECT, "", "", "unparsable")
+        return JudgeVerdict(doc.id, INCORRECT, "", "", "unparsable", fail_closed=True)
     except GatewayError as err:
         warn(transcript, log, f"judge: call failed for document {doc.id!r} "
                               f"({type(err).__name__}), ruling INCORRECT", err)
-        return JudgeVerdict(doc.id, INCORRECT, "", "", "call failed")
+        return JudgeVerdict(doc.id, INCORRECT, "", "", "call failed", fail_closed=True)
     return JudgeVerdict(
         doc_id=doc.id,
         verdict=parsed["verdict"],

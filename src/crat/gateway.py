@@ -17,32 +17,45 @@ disk; ``run_batch`` flushes before it returns, and ``with Gateway(...)``
 flushes and stops the gateway's threads on exit. The gateway also owns the
 worker threads that the judge fan-out runs on. Both start on first use.
 
-HTTP goes through the standard library (``urllib.request``, with its
-process-wide opener), one connection per call. ``http_proxy`` and
-``https_proxy`` are read once per process, at the first call, and ``no_proxy``
-on each call that a proxy would carry. TLS is verified against the system
-store (``SSL_CERT_FILE`` overrides it). ``REQUESTS_CA_BUNDLE`` and
-``~/.netrc`` are not read.
+HTTP goes through the standard library. Each call takes an idle connection
+to its (scheme, host, port) from a process-wide pool of ``http.client``
+connections, or opens one, and puts it back once the whole reply is read,
+unless the reply closes it or the exchange failed. A reused connection that
+the server has closed fails before any byte of the reply arrives; the
+request then goes once more on a new connection, within the same call.
+Once the reply headers are in, the client acknowledges them at once
+(``TCP_QUICKACK``), so that a server that sends the body as a second small
+write, with Nagle's algorithm on, does not wait out the delayed ACK. Where
+the platform has no ``TCP_QUICKACK`` every connection is closed after its
+call. A request that a proxy carries goes through ``urllib.request``, one
+connection per call: ``http_proxy`` and ``https_proxy`` are read once per
+process, at the first call, and ``no_proxy`` on each call. TLS is verified
+against the system store (``SSL_CERT_FILE`` overrides it).
+``REQUESTS_CA_BUNDLE`` and ``~/.netrc`` are not read.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import logging
 import os
 import random
+import socket
 import tempfile
 import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from email.message import Message
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 from urllib.error import HTTPError
-from urllib.parse import urlparse
+from urllib.parse import urlparse, urlsplit, urlunsplit
 
 from . import __version__, canonical
 
@@ -182,17 +195,109 @@ class ChatExchange:
         }
 
 
+_CONNECTION_CLASSES = {"http": http.client.HTTPConnection,
+                       "https": http.client.HTTPSConnection}
+
+# Connections are kept only where the reply headers can be acknowledged at
+# once; elsewhere a kept-alive call could wait out the delayed ACK.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+class _ConnectionPool:
+    """Idle kept-alive connections by (scheme, host, port), shared by every
+    thread of the process; the most recently used one is taken first."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+
+    def take(self, key: tuple) -> http.client.HTTPConnection | None:
+        with self._lock:
+            idle = self._idle.get(key)
+            return idle.pop() if idle else None
+
+    def put(self, key: tuple, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            self._idle.setdefault(key, []).append(connection)
+
+
+_POOL = _ConnectionPool()
+
+
+@functools.cache
+def _urllib() -> tuple[urllib.request.OpenerDirector, dict[str, str]]:
+    """The environment's proxy table, read at the first call, and a default
+    urllib opener that proxies by it."""
+    proxies = urllib.request.getproxies()
+    return urllib.request.build_opener(urllib.request.ProxyHandler(proxies)), proxies
+
+
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
                   timeout_s: float) -> tuple[int, bytes, Message]:
     """One HTTP request, a POST when ``body`` is given and a GET otherwise:
     the reply's status, whole body and headers, whatever the status. A
     failure to connect, a timeout or a reply cut off before its end raises
     ``TransportError``."""
-    request = urllib.request.Request(
-        url, data=body, headers={**headers, "User-Agent": f"crat/{__version__}"})
+    headers = {**headers, "User-Agent": f"crat/{__version__}"}
+    parts = urlsplit(url)
+    connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+    opener, proxies = _urllib()
+    if connection_class is None or (
+            parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc)):
+        return _urllib_exchange(opener, url, body, headers, timeout_s)
+    method = "GET" if body is None else "POST"
+    target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    connection = None
+    try:
+        host, port = parts.hostname, parts.port or connection_class.default_port
+        key = (parts.scheme, host, port)
+        connection = _POOL.take(key)
+        if connection is not None:
+            try:
+                reply = _send(connection, method, target, body, headers, timeout_s)
+            except (ConnectionResetError, BrokenPipeError):
+                # Closed by the server while idle: no byte of a reply came
+                # (``RemoteDisconnected`` is a ``ConnectionResetError``).
+                connection.close()
+                connection = None
+        if connection is None:
+            connection = connection_class(host, port, timeout=timeout_s)
+            reply = _send(connection, method, target, body, headers, timeout_s)
+        keep = _QUICKACK is not None and not reply.will_close
+        if keep:
+            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        data = reply.read()
+    except (OSError, http.client.HTTPException, ValueError) as err:  # ValueError: a bad port
+        if connection is not None:
+            connection.close()
+        raise TransportError(f"transport failure calling {url}: {err!r}") from err
+    if keep:
+        _POOL.put(key, connection)
+    else:
+        connection.close()
+    return reply.status, data, reply.headers
+
+
+def _send(connection: http.client.HTTPConnection, method: str, target: str,
+          body: bytes | None, headers: Mapping[str, str],
+          timeout_s: float) -> http.client.HTTPResponse:
+    """Send one request on ``connection`` under ``timeout_s``; the reply with
+    its status line and headers read."""
+    connection.timeout = timeout_s
+    if connection.sock is not None:
+        connection.sock.settimeout(timeout_s)
+    connection.request(method, target, body, headers)
+    return connection.getresponse()
+
+
+def _urllib_exchange(opener: urllib.request.OpenerDirector, url: str, body: bytes | None,
+                     headers: Mapping[str, str], timeout_s: float) -> tuple[int, bytes, Message]:
+    """``http_exchange`` through urllib, one connection per call: for a
+    request that a proxy carries, or whose scheme is not http or https."""
+    request = urllib.request.Request(url, data=body, headers=dict(headers))
     try:
         try:
-            with urllib.request.urlopen(request, timeout=timeout_s) as reply:
+            with opener.open(request, timeout=timeout_s) as reply:
                 return reply.status, reply.read(), reply.headers
         except HTTPError as err:
             with err:
@@ -207,12 +312,21 @@ def body_excerpt(body: bytes) -> str:
 
 
 def retry_after_s(value: str | None) -> float | None:
-    """A ``Retry-After`` header's delay in seconds; None when the header is
-    absent, negative or an HTTP date."""
+    """A ``Retry-After`` header's delay in seconds, given as seconds or as an
+    HTTP date (a date already past gives 0); None when the header is
+    absent, negative or malformed."""
+    if value is None:
+        return None
     try:
         seconds = float(value)
-    except (TypeError, ValueError):
-        return None
+    except ValueError:
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": a UTC time from an unknown zone
+            when = when.replace(tzinfo=timezone.utc)
+        return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
     return seconds if seconds >= 0 else None
 
 

@@ -126,6 +126,7 @@ class TranslationResult:
     accepted_count: int = 0
     term_renderings: dict[str, list[str]] = field(default_factory=dict)
     detector_fallback: bool = False
+    fail_closed_count: int = 0  # judge verdicts failed closed; the manifest's, not result.json's
 
 
 def result_to_dict(result: TranslationResult) -> dict:
@@ -207,7 +208,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
 
     graph = new_graph(source_doc_id, terms)
     documents: dict[str, RetrievedDocument] = {}
-    judged_count = 0
+    judged_count = fail_closed_count = 0
 
     if terms:
         with _timed(timings, "extract"):
@@ -245,6 +246,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                     for (term, doc), (verdict, buffer) in zip(pairs, rulings):
                         buffer.replay(transcript)
                         judged_count += 1
+                        fail_closed_count += verdict.fail_closed
                         triples = _verdict_triples(verdict, doc, term, transcript)
                         graph = integrate_external(graph, doc, verdict, triples)
                         if verdict.verdict == CORRECT:
@@ -277,6 +279,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
         accepted_count=len(graph.accepted_docs),
         term_renderings=output.term_renderings,
         detector_fallback=detector_fallback,
+        fail_closed_count=fail_closed_count,
     )
 
 
@@ -346,17 +349,18 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
             "detector_fallback": outcome.detector_fallback,
             "timings_ms": outcome.timings_ms,
         })
-    manifest = BatchManifest(
-        config_hash=config.config_hash(gateway),
-        records=records,
-        aggregate={
-            "documents": len(docs),
-            "ok": len(results),
-            "failed": len(docs) - len(results),
-            "total_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        },
-    )
-    return results, manifest
+        if outcome.fail_closed_count:
+            records[-1]["judge_fail_closed"] = outcome.fail_closed_count
+    aggregate = {
+        "documents": len(docs),
+        "ok": len(results),
+        "failed": len(docs) - len(results),
+        "total_ms": round((time.perf_counter() - started) * 1000.0, 3),
+    }
+    fail_closed = sum(result.fail_closed_count for result in results)
+    if fail_closed:
+        aggregate["judge_fail_closed"] = fail_closed
+    return results, BatchManifest(config.config_hash(gateway), records, aggregate)
 
 
 # --- transcript directories ---------------------------------------------------

@@ -6,7 +6,7 @@ remote search endpoint. ``retrieve_for_term`` queries configured sources in
 order, deduplicates, and caps the merged list. ``RemoteSource.search`` sends
 one GET per query, ``{q, k}`` appended to the endpoint's query string, over
 the gateway's standard-library HTTP transport (``gateway.http_exchange``),
-one connection per query.
+whose kept-alive connections it shares with the chat backends.
 
 The index numbers documents by ordinal, their position in ascending id
 order, and keeps their ids, titles, texts and token counts as parallel

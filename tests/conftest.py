@@ -4,6 +4,7 @@ scriptable local HTTP stub server."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,8 +83,11 @@ def demo_gateway() -> Gateway:
 # Scripted replies that break the exchange instead of answering: CUT_OFF
 # declares a longer Content-Length than it sends and hangs up; STALL sends
 # the headers and half the body, then waits until the server closes.
+# HANG_UP answers in full, without saying that the connection closes, and
+# then closes it, as a server does with a connection that stays idle.
 CUT_OFF = "cut off"
 STALL = "stall"
+HANG_UP = "hang up"
 
 
 class StubRequest(NamedTuple):
@@ -94,13 +98,28 @@ class StubRequest(NamedTuple):
 
 
 class StubHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections.add(self.connection)
+            self.server.connection_count += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.connections.discard(self.connection)
+
     def _respond(self):
         server = self.server
         received = self.rfile.read(int(self.headers.get("Content-Length") or 0))
         with server.lock:
             response = server.responses.pop(0) if server.responses else server.default_response
             server.requests.append(StubRequest(self.command, self.path, self.headers, received))
-        reply = (200, server.default_response[1]) if response in (CUT_OFF, STALL) else response
+        if isinstance(response, str):  # a fault; the connection ends with it
+            reply = (200, server.default_response[1])
+            self.close_connection = True
+        else:
+            reply = response
         status, body, *headers = reply
         payload = body if isinstance(body, (bytes, str)) else json.dumps(body)
         if isinstance(payload, str):
@@ -124,14 +143,24 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveHandler(StubHandler):
+    protocol_version = "HTTP/1.1"
+
+
 class StubServer:
     """Local HTTP server that replays a scripted sequence of (status, body)
-    or (status, body, {header: value}) replies, ``CUT_OFF`` or ``STALL``, and
-    records every request."""
+    or (status, body, {header: value}) replies, ``CUT_OFF``, ``STALL`` or
+    ``HANG_UP``, and records every request and counts the TCP connections.
+    It answers HTTP/1.0, closing every connection after one reply, or with
+    ``keep_alive`` HTTP/1.1, keeping them open. Either way it sends the
+    headers and the body in two writes with Nagle's algorithm on."""
 
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    def __init__(self, keep_alive: bool = False):
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0),
+                                         KeepAliveHandler if keep_alive else StubHandler)
         self.httpd.lock = threading.Lock()
+        self.httpd.connections = set()
+        self.httpd.connection_count = 0
         self.httpd.closing = threading.Event()
         self.httpd.responses = []
         self.httpd.requests = []
@@ -156,14 +185,34 @@ class StubServer:
         with self.httpd.lock:
             return list(self.httpd.requests)
 
+    @property
+    def connection_count(self) -> int:
+        """TCP connections accepted so far."""
+        with self.httpd.lock:
+            return self.httpd.connection_count
+
     def close(self) -> None:
         self.httpd.closing.set()
         self.httpd.shutdown()
         self.httpd.server_close()
+        with self.httpd.lock:
+            open_connections = list(self.httpd.connections)
+        for connection in open_connections:  # ends the threads waiting on kept-alive ones
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 @pytest.fixture
 def stub_server():
     server = StubServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = StubServer(keep_alive=True)
     yield server
     server.close()

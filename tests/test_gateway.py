@@ -4,14 +4,19 @@ backend's wire handling and retry policy."""
 from __future__ import annotations
 
 import json
+import socket
+import statistics
 import sys
 import threading
+import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
 import crat
 from crat import gateway as gateway_module
-from conftest import CUT_OFF, STALL, StubServer, simple_request
+from conftest import CUT_OFF, HANG_UP, STALL, StubServer, simple_request
 from crat.config import build_gateway, load_run_config
 from crat.gateway import (
     BackendConfigError,
@@ -32,6 +37,7 @@ from crat.gateway import (
     match_substring,
     request_fingerprint,
     request_text,
+    retry_after_s,
 )
 
 # Fingerprint of the canonical "hello" request, frozen to pin cross-process
@@ -343,23 +349,39 @@ def record_sleeps(monkeypatch) -> list[float]:
     return sleeps
 
 
+def http_date(offset_s: float) -> str:
+    return format_datetime(datetime.now(timezone.utc) + timedelta(seconds=offset_s), usegmt=True)
+
+
 def test_http_retry_honours_retry_after_up_to_a_cap(stub_server, monkeypatch):
+    # In seconds or as an HTTP date; a date already past means now.
     sleeps = record_sleeps(monkeypatch)
     stub_server.script((503, {}, {"Retry-After": "7"}), (429, {}, {"Retry-After": "86400"}),
+                       (503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                       (429, {}, {"Retry-After": http_date(86400)}),
                        (200, chat_body("done")))
-    gateway = http_gateway(stub_server.url)
+    gateway = http_gateway(stub_server.url, max_attempts=5)
     assert gateway.complete(hello_request("live")).response_text == "done"
-    assert sleeps == [7.0, gateway_module.RETRY_CAP_S]
+    assert sleeps == [7.0, gateway_module.RETRY_CAP_S, 0.0, gateway_module.RETRY_CAP_S]
+
+
+def test_retry_after_reads_seconds_and_http_dates():
+    assert retry_after_s("7") == 7.0
+    assert 15 < retry_after_s(http_date(20)) <= 20
+    assert retry_after_s("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
+    assert retry_after_s("Wed, 21 Oct 2015 07:28:00 -0000") == 0.0
+    for unusable in (None, "-1", "soon", "Wed, 32 Oct 2015 07:28:00 GMT", ""):
+        assert retry_after_s(unusable) is None
 
 
 def test_http_retry_backoff_is_full_jitter(stub_server, monkeypatch):
-    # Without Retry-After (or with a date, which is not read), attempt n
-    # sleeps a uniform draw from [0, base * 2^(n-1)].
+    # Without a usable Retry-After, attempt n sleeps a uniform draw from
+    # [0, base * 2^(n-1)].
     sleeps = record_sleeps(monkeypatch)
     draws = []
     monkeypatch.setattr(gateway_module.random, "uniform",
                         lambda low, high: draws.append((low, high)) or high / 2)
-    stub_server.script((503, {}), (503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+    stub_server.script((503, {}), (503, {}, {"Retry-After": "after lunch"}),
                        (200, chat_body("done")))
     gateway = Gateway(retry_base_delay_s=0.5)
     gateway.register_http("live", stub_server.url, "test-model")
@@ -457,3 +479,138 @@ def test_http_sends_auth_and_wire_shape(stub_server, monkeypatch):
     assert sent.headers["Authorization"] == "Bearer sekret"
     assert sent.headers["Content-Type"] == "application/json"
     assert sent.headers["User-Agent"] == f"crat/{crat.__version__}"
+
+
+# --- kept-alive connections -------------------------------------------------------
+
+
+def test_http_calls_share_one_connection(keep_alive_server):
+    gateway = http_gateway(keep_alive_server.url)
+    for prompt in ("one", "two", "three"):
+        assert gateway.complete(simple_request("live", prompt)).attempts == 1
+    assert len(keep_alive_server.requests) == 3
+    assert keep_alive_server.connection_count == 1
+
+
+def test_http_threads_never_share_a_connection_at_once(keep_alive_server):
+    # Two threads on one connection would break an exchange, and the retry
+    # would show as a second attempt; the pool never holds more connections
+    # than there were calls in flight.
+    gateway = http_gateway(keep_alive_server.url)
+    attempts, threads = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in range(8):
+            prompts = [f"thread {t} call {n}" for n in range(10)]
+            threads.append(threading.Thread(target=lambda prompts=prompts: attempts.extend(
+                gateway.complete(simple_request("live", p)).attempts for p in prompts)))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert attempts == [1] * 80
+    assert len(keep_alive_server.requests) == 80
+    assert keep_alive_server.connection_count <= 8
+
+
+def test_http_connection_closed_while_idle_costs_no_attempt(keep_alive_server, monkeypatch):
+    # The server drops the connection after the first reply; the second call
+    # finds it dead and sends again on a new one, within its first attempt.
+    sleeps = record_sleeps(monkeypatch)
+    keep_alive_server.script(HANG_UP, (200, chat_body("second")))
+    gateway = http_gateway(keep_alive_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "ok"
+    exchange = gateway.complete(simple_request("live", "again"))
+    assert (exchange.response_text, exchange.attempts) == ("second", 1)
+    assert sleeps == []
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connection_count == 2
+
+
+@pytest.mark.parametrize("keep_alive", [False, True])
+def test_http_reply_that_closes_is_not_reused(keep_alive, monkeypatch):
+    # An HTTP/1.0 reply, or an HTTP/1.1 one saying "Connection: close".
+    sleeps = record_sleeps(monkeypatch)
+    server = StubServer(keep_alive=keep_alive)
+    try:
+        server.script(*[(200, chat_body("bye"), {"Connection": "close"})] * 3)
+        gateway = http_gateway(server.url)
+        for prompt in ("one", "two", "three"):
+            assert gateway.complete(simple_request("live", prompt)).attempts == 1
+        assert sleeps == []
+        assert len(server.requests) == 3
+        assert server.connection_count == 3
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("fault", [CUT_OFF, STALL])
+def test_http_broken_reply_on_reused_connection(keep_alive_server, fault):
+    # Cut off or stalled on a kept-alive connection: a TransportError, not a
+    # second send, and the next call goes out on a new connection.
+    keep_alive_server.script((200, chat_body("first")), fault, (200, chat_body("third")))
+    gateway = Gateway(max_attempts=1)
+    gateway.register_http("live", keep_alive_server.url, "test-model", timeout_s=0.2)
+    assert gateway.complete(hello_request("live")).response_text == "first"
+    with pytest.raises(TransportError):
+        gateway.complete(simple_request("live", "broken"))
+    assert gateway.complete(simple_request("live", "third")).response_text == "third"
+    assert len(keep_alive_server.requests) == 3
+    assert keep_alive_server.connection_count == 2
+
+
+def test_http_reused_connection_takes_each_calls_timeout(keep_alive_server):
+    # The patient backend opens the connection; the hasty one reuses it, and
+    # its own 0.2 s, not the 10 s the connection was opened with, ends the
+    # stalled reply.
+    keep_alive_server.script((200, chat_body("first")), STALL)
+    gateway = Gateway(max_attempts=1)
+    gateway.register_http("patient", keep_alive_server.url, "test-model", timeout_s=10)
+    gateway.register_http("hasty", keep_alive_server.url, "test-model", timeout_s=0.2)
+    gateway.complete(hello_request("patient"))
+    started = time.monotonic()
+    with pytest.raises(TransportError):
+        gateway.complete(hello_request("hasty"))
+    assert time.monotonic() - started < 5
+    assert keep_alive_server.connection_count == 1
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
+def test_http_reused_connection_does_not_wait_for_delayed_ack(keep_alive_server):
+    # The server writes the headers and then the body with Nagle's algorithm
+    # on, as the benchmark's stub provider does: on a kept-alive connection the
+    # body waits until the client acknowledges the headers, which a delayed
+    # ACK puts off by 40 ms or more.
+    gateway = http_gateway(keep_alive_server.url)
+    gateway.complete(hello_request("live"))
+    seconds = []
+    for n in range(5):
+        started = time.perf_counter()
+        gateway.complete(simple_request("live", f"call {n}"))
+        seconds.append(time.perf_counter() - started)
+    assert keep_alive_server.connection_count == 1
+    assert statistics.median(seconds) < 0.02
+
+
+def test_http_proxied_request_goes_through_urllib(stub_server, keep_alive_server, monkeypatch):
+    # The proxy table is read once per process, no_proxy on every call.
+    for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", stub_server.url)
+    gateway_module._urllib.cache_clear()
+    try:
+        gateway = http_gateway(f"{keep_alive_server.url}/v1/chat")
+        assert gateway.complete(hello_request("live")).response_text == "ok"
+        (proxied,) = stub_server.requests
+        assert proxied.path == f"{keep_alive_server.url}/v1/chat"
+        assert proxied.headers["Connection"] == "close"
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert gateway.complete(simple_request("live", "direct")).response_text == "ok"
+        (direct,) = keep_alive_server.requests
+        assert direct.path == "/v1/chat"
+    finally:
+        gateway_module._urllib.cache_clear()

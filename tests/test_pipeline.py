@@ -28,6 +28,7 @@ from crat.pipeline import (
     load_results,
     run_batch,
     run_pipeline,
+    serialize_result,
     write_transcript,
 )
 from crat.retrieval import RetrievedDocument
@@ -200,7 +201,7 @@ def test_detector_failure_fails_when_configured():
             run_pipeline("some text", EN_ZH, config, broken_detector_gateway(fault))
 
 
-def test_judge_gateway_error_rules_incorrect():
+def test_judge_gateway_error_rules_incorrect(demo_gateway):
     # The fault is keyed on the judged document, not on call order, which
     # the judge fan-out leaves open.
     demo_judge = demo_backend("jdg")
@@ -221,6 +222,14 @@ def test_judge_gateway_error_rules_incorrect():
     assert result.graph.accepted_docs == ("d-scotiasea",)
     assert (f"judge: call failed for document {failed_doc!r} (HttpStatusError), "
             "ruling INCORRECT" in result.transcript.warnings())
+    # The manifest counts the verdicts that failed closed (the document is
+    # judged for two terms); a clean run's manifest names none, and
+    # result.json names them in neither run.
+    assert manifest.records[0]["judge_fail_closed"] == 2
+    assert manifest.aggregate["judge_fail_closed"] == 2
+    assert b"fail_closed" not in serialize_result(result)
+    _, clean = run_batch(corpus, EN_ZH, demo_pipeline_config(), demo_gateway)
+    assert "fail_closed" not in clean.to_jsonl()
 
 
 def test_translator_failure_is_fatal():

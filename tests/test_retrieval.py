@@ -14,9 +14,10 @@ import threading
 import pytest
 
 from bm25_oracle import bm25_rank
-from conftest import CUT_OFF, STALL
+from conftest import CUT_OFF, STALL, simple_request
 from glossary_oracle import glossary_lookup
 from crat import canonical, tokenizers
+from crat.gateway import Gateway
 from crat.retrieval import (
     GlossaryEntry,
     GlossarySource,
@@ -499,6 +500,21 @@ def test_remote_search_malformed_payload(stub_server):
     stub_server.script((200, {"not": "a list"}))
     with pytest.raises(SourceError):
         RemoteSource(stub_server.url).search("query", 5)
+
+
+def test_remote_search_shares_connections_with_chat_calls(keep_alive_server):
+    # One pool of kept-alive connections per (scheme, host, port), whichever
+    # caller opened them.
+    keep_alive_server.script((200, [{"id": "r1", "text": "hit"}]), (200, []))
+    source = RemoteSource(f"{keep_alive_server.url}/search")
+    assert [d.id for d in source.search("one", 3)] == ["r1"]
+    assert source.search("two", 3) == []
+    gateway = Gateway()
+    gateway.register_http("live", f"{keep_alive_server.url}/v1/chat", "test-model")
+    assert gateway.complete(simple_request("live", "three")).response_text == "ok"
+    assert [r.path.split("?")[0] for r in keep_alive_server.requests] == [
+        "/search", "/search", "/v1/chat"]
+    assert keep_alive_server.connection_count == 1
 
 
 def test_remote_search_k_zero_makes_no_call():

@@ -1,8 +1,11 @@
 """Gateway benchmark: time per chat call and per judge fan-out, cache on and off.
 
 A loopback chat server (this script with ``--serve``, in its own process)
-answers every request after a fixed service time, 0 ms or 30 ms, one
-connection per call. For each source tree given it times:
+answers every request after a fixed service time, 0 ms or 30 ms. It speaks
+HTTP/1.1 and keeps connections alive unless the client asks to close them,
+and it sends the headers and the body in two writes with Nagle's algorithm
+on, as ``perfbench/stub.py`` does. It counts the TCP connections that carried
+a chat request. For each source tree given it times:
 
 - ``Gateway.complete`` over ``CALLS`` distinct prompts, with the response
   cache off and on (a new cache directory each time, so every call misses and
@@ -14,6 +17,9 @@ connection per call. For each source tree given it times:
   retrieved documents, 12 judge calls each, against the 30 ms server with
   the cache on: the median stage time over ``FANOUTS`` documents. The
   detector, extractor and translator are in-process mocks.
+
+Each case also reports ``connections_per_call``: the TCP connections the
+server saw it open, warm-up included, over the chat calls it made.
 
 Each tree is measured in its own process, ``REPEATS`` times with the trees
 alternating, and each figure is the median over the repeats. Standard
@@ -34,7 +40,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -55,19 +63,37 @@ JUDGE_REPLY = "```json\n" + json.dumps({
 
 
 def serve(latency_ms: int) -> None:
-    """Answer every POST with one judge reply after ``latency_ms``; print the
-    port, then serve until killed."""
+    """Answer every POST with one judge reply after ``latency_ms``, and
+    ``GET /connections`` with the number of connections that carried a POST;
+    print the port, then serve until killed."""
     reply = json.dumps({"choices": [{"message": {"content": JUDGE_REPLY}}]}).encode()
+    lock = threading.Lock()
+    connections = [0]
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        counted = False
+
+        def _send(self, body: bytes) -> None:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_GET(self):
+            with lock:
+                count = connections[0]
+            self._send(json.dumps({"connections": count}).encode())
+
         def do_POST(self):
             self.rfile.read(int(self.headers.get("Content-Length") or 0))
             time.sleep(latency_ms / 1000)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(reply)))
-            self.end_headers()
-            self.wfile.write(reply)
+            if not self.counted:
+                self.counted = True
+                with lock:
+                    connections[0] += 1
+            self._send(reply)
 
         def log_message(self, *args):
             pass
@@ -81,9 +107,17 @@ def serve(latency_ms: int) -> None:
 # --- measurement, in a process importing one tree's crat ---------------------------
 
 
+def server_connections(url: str) -> int:
+    """The connections that have carried a chat request to the server at ``url``."""
+    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+    with opener.open(url.rsplit("/v1/", 1)[0] + "/connections", timeout=10) as reply:
+        return json.loads(reply.read())["connections"]
+
+
 def time_calls(url: str, cache_dir: str | None) -> dict:
     from crat.gateway import ChatMessage, ChatRequest, Gateway
 
+    connections = server_connections(url)
     gateway = Gateway(cache_dir=cache_dir)
     gateway.register_http("bench", url, "bench-model")
     gateway.complete(ChatRequest("bench", (ChatMessage("user", "warm-up"),)))
@@ -102,6 +136,7 @@ def time_calls(url: str, cache_dir: str | None) -> dict:
         "thread_cpu_ms_p50": statistics.median(thread_cpus) * 1000,
         "process_cpu_ms_per_call": (time.process_time() - cpu_started) * 1000 / CALLS,
         "loop_wall_ms_per_call": (time.perf_counter() - wall_started) * 1000 / CALLS,
+        "connections_per_call": (server_connections(url) - connections) / (CALLS + 1),
     }
 
 
@@ -137,6 +172,7 @@ def time_fanout(url: str, cache_dir: str) -> dict:
                             sources=[FanOutSource()], k_per_source=DOCS_PER_TERM,
                             n2=DOCS_PER_TERM)
     judge_ms = []
+    connections = server_connections(url)
     for n in range(FANOUTS + 1):  # the first document warms the threads up
         surfaces = " ".join(f"term{n}x{t}" for t in range(TERMS))
         result = run_pipeline(f"{surfaces} are new terms.", ("en", "zh"), config, gateway)
@@ -146,7 +182,9 @@ def time_fanout(url: str, cache_dir: str) -> dict:
             judge_ms.append(result.timings_ms["judge"])
     if hasattr(gateway, "flush"):
         gateway.flush()
-    return {"judge_ms_p50": statistics.median(judge_ms)}
+    return {"judge_ms_p50": statistics.median(judge_ms),
+            "connections_per_call": (server_connections(url) - connections)
+            / ((FANOUTS + 1) * TERMS * DOCS_PER_TERM)}
 
 
 def measure(urls: dict[str, str]) -> dict:
