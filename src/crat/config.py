@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from . import canonical
-from .gateway import Gateway, echo_last_user, match_all_substrings, match_fingerprint
+from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
 from .retrieval import RemoteSource, glossary_source_from_file, index_source_from_file
 
@@ -132,6 +132,9 @@ class RunConfig:
         for role, backend_id in backends.get("roles", {}).items():
             if backend_id not in ids:
                 raise ConfigError(f"config: backends.roles.{role}: unregistered {backend_id!r}")
+        for source in self.retrieval_section().get("sources", []):
+            if source["kind"] == "remote":
+                check_endpoint(source["endpoint"])
 
     def resolve(self, path: str) -> Path:
         candidate = Path(path)

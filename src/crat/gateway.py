@@ -1,37 +1,15 @@
 """Uniform access to chat-completion backends.
 
-Two backend kinds sit behind one ``Gateway.complete`` call: deterministic
-scripted mocks for tests and demos, and a generic HTTP client speaking the
-common chat wire shape (``model``/``messages``/``temperature``/``max_tokens``
-in, first choice's message content out). Every call decodes greedily, with
-at most ``MAX_NEW_TOKENS`` new tokens and no stop sequences, and is
-identified by a stable fingerprint of (backend, messages, ``PARAMS``), plus
-the backend's ``model`` (an HTTP backend's model and endpoint, a file-scripted
-mock's script digest), which also keys the optional on-disk response cache.
-At most ``MAX_INFLIGHT_PER_BACKEND`` calls wait on one backend at a time.
-
-The cache is written behind the call: a new reply waits in memory, where an
-identical request already finds it, while one background writer puts it on
-disk (temp file + rename). ``Gateway.flush`` returns once every reply is on
-disk; ``run_batch`` flushes before it returns, and ``with Gateway(...)``
-flushes and stops the gateway's threads on exit. The gateway also owns the
-worker threads that the judge fan-out runs on. Both start on first use.
-
-HTTP goes through the standard library. Each call takes an idle connection
-to its (scheme, host, port) from a process-wide pool of ``http.client``
-connections, or opens one, and puts it back once the whole reply is read,
-unless the reply closes it or the exchange failed. A reused connection that
-the server has closed fails before any byte of the reply arrives; the
-request then goes once more on a new connection, within the same call.
-Once the reply headers are in, the client acknowledges them at once
-(``TCP_QUICKACK``), so that a server that sends the body as a second small
-write, with Nagle's algorithm on, does not wait out the delayed ACK. Where
-the platform has no ``TCP_QUICKACK`` every connection is closed after its
-call. A request that a proxy carries goes through ``urllib.request``, one
-connection per call: ``http_proxy`` and ``https_proxy`` are read once per
-process, at the first call, and ``no_proxy`` on each call. TLS is verified
-against the system store (``SSL_CERT_FILE`` overrides it).
-``REQUESTS_CA_BUNDLE`` and ``~/.netrc`` are not read.
+Deterministic scripted mocks and a generic HTTP chat client sit behind one
+``Gateway.complete`` call, which fingerprints the request, reads and writes
+the optional response cache, bounds the calls in flight on each backend and
+retries what may pass. ``http_exchange`` is the one HTTP transport, for chat
+backends and remote search sources alike: kept-alive ``http.client``
+connections from one process-wide pool, direct or through the environment's
+proxy, which gets the proxy URL's user and password as
+``Proxy-Authorization``. It follows no redirect. ``check_endpoint`` admits
+only http and https endpoints. The README's introduction and its
+Configuration section describe the cache, the retry policy and the transport.
 """
 
 from __future__ import annotations
@@ -47,6 +25,7 @@ import tempfile
 import threading
 import time
 import urllib.request
+from base64 import b64encode
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -54,8 +33,7 @@ from email.message import Message
 from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
-from urllib.error import HTTPError
-from urllib.parse import urlparse, urlsplit, urlunsplit
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__, canonical
 
@@ -203,66 +181,75 @@ _CONNECTION_CLASSES = {"http": http.client.HTTPConnection,
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
-class _ConnectionPool:
-    """Idle kept-alive connections by (scheme, host, port), shared by every
-    thread of the process; the most recently used one is taken first."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
-
-    def take(self, key: tuple) -> http.client.HTTPConnection | None:
-        with self._lock:
-            idle = self._idle.get(key)
-            return idle.pop() if idle else None
-
-    def put(self, key: tuple, connection: http.client.HTTPConnection) -> None:
-        with self._lock:
-            self._idle.setdefault(key, []).append(connection)
-
-
-_POOL = _ConnectionPool()
+# Idle kept-alive connections by (scheme, host, port, proxy), shared by every
+# thread of the process; the most recently used one is taken first.
+_IDLE: dict[tuple, list[http.client.HTTPConnection]] = {}
+_IDLE_LOCK = threading.Lock()
 
 
 @functools.cache
-def _urllib() -> tuple[urllib.request.OpenerDirector, dict[str, str]]:
-    """The environment's proxy table, read at the first call, and a default
-    urllib opener that proxies by it."""
-    proxies = urllib.request.getproxies()
-    return urllib.request.build_opener(urllib.request.ProxyHandler(proxies)), proxies
+def _proxies() -> dict[str, tuple]:
+    """Each scheme's proxy in the environment, read at the first call: its host,
+    its port, and the ``Proxy-Authorization`` header of its URL's user and
+    password, percent-decoded, as a tuple of (name, value) items."""
+    proxies = {}
+    environment = urllib.request.getproxies()  # no_proxy is left to proxy_bypass
+    for scheme in _CONNECTION_CLASSES.keys() & environment.keys():
+        url = environment[scheme]
+        proxy = urlsplit(url if "//" in url else f"//{url}")
+        authorization = ()
+        if proxy.username and proxy.password:  # both, as urllib's ProxyHandler asks
+            credentials = f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode()
+            authorization = (("Proxy-Authorization", f"Basic {b64encode(credentials).decode()}"),)
+        proxies[scheme] = (proxy.hostname, proxy.port, authorization)
+    return proxies
+
+
+def check_endpoint(url: str) -> str:
+    """``url``, unless it is not an http or https URL with a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in _CONNECTION_CLASSES or not parts.netloc:
+        raise BackendConfigError(f"malformed endpoint URL: {url!r}")
+    return url
 
 
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
                   timeout_s: float) -> tuple[int, bytes, Message]:
-    """One HTTP request, a POST when ``body`` is given and a GET otherwise:
-    the reply's status, whole body and headers, whatever the status. A
-    failure to connect, a timeout or a reply cut off before its end raises
-    ``TransportError``."""
+    """One HTTP request, a POST when ``body`` is given and a GET otherwise, on
+    a kept-alive connection, direct or to the environment's proxy: the reply's
+    status, whole body and headers, whatever the status. A failure to connect,
+    a timeout or a reply cut off before its end raises ``TransportError``."""
     headers = {**headers, "User-Agent": f"crat/{__version__}"}
     parts = urlsplit(url)
-    connection_class = _CONNECTION_CLASSES.get(parts.scheme)
-    opener, proxies = _urllib()
-    if connection_class is None or (
-            parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc)):
-        return _urllib_exchange(opener, url, body, headers, timeout_s)
-    method = "GET" if body is None else "POST"
     target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
     connection = None
     try:
+        connection_class = _CONNECTION_CLASSES[parts.scheme]
         host, port = parts.hostname, parts.port or connection_class.default_port
-        key = (parts.scheme, host, port)
-        connection = _POOL.take(key)
+        proxy = _proxies().get(parts.scheme)
+        if proxy and urllib.request.proxy_bypass(parts.netloc):
+            proxy = None
+        elif proxy and parts.scheme == "http":
+            target = f"http://{parts.netloc}{target}"  # the absolute form, RFC 9112 3.2.2
+            headers.update(proxy[2])
+        key = (parts.scheme, host, port, proxy)
+        with _IDLE_LOCK:
+            idle = _IDLE.get(key)
+            connection = idle.pop() if idle else None
         if connection is not None:
             try:
-                reply = _send(connection, method, target, body, headers, timeout_s)
+                reply = _send(connection, target, body, headers, timeout_s)
             except (ConnectionResetError, BrokenPipeError):
                 # Closed by the server while idle: no byte of a reply came
                 # (``RemoteDisconnected`` is a ``ConnectionResetError``).
                 connection.close()
                 connection = None
         if connection is None:
-            connection = connection_class(host, port, timeout=timeout_s)
-            reply = _send(connection, method, target, body, headers, timeout_s)
+            address = proxy[:2] if proxy else (host, port)
+            connection = connection_class(*address, timeout=timeout_s)
+            if proxy and parts.scheme == "https":  # a CONNECT tunnel, RFC 9110 9.3.6
+                connection.set_tunnel(host, port, dict(proxy[2]))
+            reply = _send(connection, target, body, headers, timeout_s)
         keep = _QUICKACK is not None and not reply.will_close
         if keep:
             connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
@@ -272,38 +259,22 @@ def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
             connection.close()
         raise TransportError(f"transport failure calling {url}: {err!r}") from err
     if keep:
-        _POOL.put(key, connection)
+        with _IDLE_LOCK:
+            _IDLE.setdefault(key, []).append(connection)
     else:
         connection.close()
     return reply.status, data, reply.headers
 
 
-def _send(connection: http.client.HTTPConnection, method: str, target: str,
-          body: bytes | None, headers: Mapping[str, str],
-          timeout_s: float) -> http.client.HTTPResponse:
+def _send(connection: http.client.HTTPConnection, target: str, body: bytes | None,
+          headers: Mapping[str, str], timeout_s: float) -> http.client.HTTPResponse:
     """Send one request on ``connection`` under ``timeout_s``; the reply with
     its status line and headers read."""
     connection.timeout = timeout_s
     if connection.sock is not None:
         connection.sock.settimeout(timeout_s)
-    connection.request(method, target, body, headers)
+    connection.request("GET" if body is None else "POST", target, body, headers)
     return connection.getresponse()
-
-
-def _urllib_exchange(opener: urllib.request.OpenerDirector, url: str, body: bytes | None,
-                     headers: Mapping[str, str], timeout_s: float) -> tuple[int, bytes, Message]:
-    """``http_exchange`` through urllib, one connection per call: for a
-    request that a proxy carries, or whose scheme is not http or https."""
-    request = urllib.request.Request(url, data=body, headers=dict(headers))
-    try:
-        try:
-            with opener.open(request, timeout=timeout_s) as reply:
-                return reply.status, reply.read(), reply.headers
-        except HTTPError as err:
-            with err:
-                return err.code, err.read(), err.headers
-    except (OSError, http.client.HTTPException) as err:
-        raise TransportError(f"transport failure calling {url}: {err!r}") from err
 
 
 def body_excerpt(body: bytes) -> str:
@@ -524,9 +495,7 @@ class Gateway:
     def register_http(self, backend_id: str, endpoint_url: str, model_name: str,
                       auth_token_env_var: str | None = None,
                       timeout_s: float = 30.0) -> str:
-        parsed = urlparse(endpoint_url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
-            raise BackendConfigError(f"malformed endpoint URL: {endpoint_url!r}")
+        check_endpoint(endpoint_url)
         token = None
         if auth_token_env_var:
             token = os.environ.get(auth_token_env_var)

@@ -1,30 +1,11 @@
 """External evidence sources behind one interface.
 
-Three source kinds produce ranked ``RetrievedDocument`` lists: a local
-BM25 inverted index, a bilingual glossary (one TSV record per line), and a
-remote search endpoint. ``retrieve_for_term`` queries configured sources in
-order, deduplicates, and caps the merged list. ``RemoteSource.search`` sends
-one GET per query, ``{q, k}`` appended to the endpoint's query string, over
-the gateway's standard-library HTTP transport (``gateway.http_exchange``),
-whose kept-alive connections it shares with the chat backends.
-
-The index numbers documents by ordinal, their position in ascending id
-order, and keeps their ids, titles, texts and token counts as parallel
-columns. Its terms are a sorted list; term *i*'s postings are
-``ordinals[offsets[i]:offsets[i + 1]]`` and the matching ``tfs``, three
-uint32 arrays, in ascending ordinal order. The index file (format 3) stores
-each array as base64 of its little-endian bytes, so saving and loading
-create no object per posting, and loading checks the arrays with C-level
-passes. Ranking breaks score ties by ordinal, that is by ascending id, and
-keeps the top *k* in a heap rather than sorting every scored document.
-
-A glossary keys each record on a case fold of its source term when it is
-built, and compiles nothing then. A query folds each of its windows that
-has a term's length and could hold a whole-word match, and looks it up, so
-its cost grows with the query's length times the number of distinct term
-lengths, not with the number of records. Each record found that way is
-confirmed by its whole-word, case-insensitive pattern, compiled the first
-time the record is a candidate.
+Three source kinds produce ranked ``RetrievedDocument`` lists: a local BM25
+inverted index, a bilingual glossary and a remote search endpoint, which
+``RemoteSource`` reaches over the gateway's HTTP transport.
+``retrieve_for_term`` queries configured sources in order, deduplicates, and
+caps the merged list. The README's File formats section describes the index
+file and how a glossary matches a query.
 """
 
 from __future__ import annotations
@@ -47,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from urllib.parse import urlencode, urlsplit
 
 from . import canonical, tokenizers
-from .gateway import TransportError, body_excerpt, http_exchange
+from .gateway import TransportError, body_excerpt, check_endpoint, http_exchange
 from .transcript import warn
 from .transkg import TermCandidate
 
@@ -412,7 +393,7 @@ class RemoteSource:
     kind = REMOTE
 
     def __init__(self, endpoint_url: str, timeout_s: float = 10.0, label: str = "remote"):
-        self.endpoint_url = endpoint_url
+        self.endpoint_url = check_endpoint(endpoint_url)
         self.timeout_s = timeout_s
         self.label = label
 

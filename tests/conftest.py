@@ -139,6 +139,15 @@ class StubHandler(BaseHTTPRequestHandler):
     do_GET = _respond
     do_POST = _respond
 
+    def do_CONNECT(self):
+        # Recorded and refused: the stub opens no tunnel.
+        with self.server.lock:
+            self.server.requests.append(StubRequest(self.command, self.path, self.headers, b""))
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
     def log_message(self, *args):  # keep test output quiet
         pass
 

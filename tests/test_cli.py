@@ -100,6 +100,9 @@ def test_translate_output_that_is_a_file_fails_before_any_call(demo, tmp_path, c
 MALFORMED_CONFIGS = {
     "remote source without endpoint": (
         ("retrieval", "sources", 0), {"kind": "remote"}, "retrieval.sources[0]: needs 'endpoint'"),
+    "remote source with a data: endpoint": (
+        ("retrieval", "sources", 0), {"kind": "remote", "endpoint": "data:,[]"},
+        "malformed endpoint URL: 'data:,[]'"),
     "glossary source without path": (
         ("retrieval", "sources", 0), {"kind": "glossary"}, "retrieval.sources[0]: needs 'path'"),
     "mock script holding a list": (

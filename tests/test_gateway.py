@@ -3,6 +3,7 @@ backend's wire handling and retry policy."""
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
 import statistics
@@ -596,21 +597,82 @@ def test_http_reused_connection_does_not_wait_for_delayed_ack(keep_alive_server)
     assert statistics.median(seconds) < 0.02
 
 
-def test_http_proxied_request_goes_through_urllib(stub_server, keep_alive_server, monkeypatch):
-    # The proxy table is read once per process, no_proxy on every call.
-    for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+PROXY_USERINFO = "us%40er:p%3Ass"  # percent-encoded, as a proxy URL carries it
+PROXY_AUTHORIZATION = "Basic " + base64.b64encode(b"us@er:p:ss").decode("ascii")
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Sets one proxy variable to a server's URL with ``PROXY_USERINFO``, with no
+    other proxy settings, and makes the gateway read the proxy table again,
+    then once more after the test."""
+    for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY"):
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("http_proxy", stub_server.url)
-    gateway_module._urllib.cache_clear()
-    try:
-        gateway = http_gateway(f"{keep_alive_server.url}/v1/chat")
-        assert gateway.complete(hello_request("live")).response_text == "ok"
-        (proxied,) = stub_server.requests
-        assert proxied.path == f"{keep_alive_server.url}/v1/chat"
-        assert proxied.headers["Connection"] == "close"
-        monkeypatch.setenv("no_proxy", "127.0.0.1")
-        assert gateway.complete(simple_request("live", "direct")).response_text == "ok"
-        (direct,) = keep_alive_server.requests
-        assert direct.path == "/v1/chat"
-    finally:
-        gateway_module._urllib.cache_clear()
+
+    def use(name, server, scheme="http://"):
+        monkeypatch.setenv(name, server.url.replace("http://", f"{scheme}{PROXY_USERINFO}@"))
+        gateway_module._proxies.cache_clear()
+
+    yield use
+    gateway_module._proxies.cache_clear()
+
+
+def test_http_proxied_request_reuses_a_proxy_connection(stub_server, keep_alive_server,
+                                                        monkeypatch, proxy_env):
+    # The proxy table is read once per process, no_proxy on every call.
+    proxy_env("http_proxy", keep_alive_server)
+    gateway = http_gateway(f"{stub_server.url}/v1/chat")
+    assert gateway.complete(hello_request("live")).response_text == "ok"
+    assert gateway.complete(simple_request("live", "again")).response_text == "ok"
+    assert keep_alive_server.connection_count == 1
+    for proxied in keep_alive_server.requests:
+        assert proxied.path == f"{stub_server.url}/v1/chat"
+        assert proxied.headers["Host"] == stub_server.url.removeprefix("http://")
+        assert proxied.headers["Proxy-Authorization"] == PROXY_AUTHORIZATION
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert gateway.complete(simple_request("live", "direct")).response_text == "ok"
+    (direct,) = stub_server.requests
+    assert direct.path == "/v1/chat"
+    assert "Proxy-Authorization" not in direct.headers
+    assert len(keep_alive_server.requests) == 2
+
+
+@pytest.mark.parametrize("no_proxy", ["localhost,127.0.0.1,::1", "localhost,127.0.0.1,[::1]"])
+def test_http_no_proxy_list_with_ipv6_entries(stub_server, keep_alive_server,
+                                              monkeypatch, proxy_env, no_proxy):
+    # no_proxy is not a URL: entries such as ::1 or [::1] must not stop a call,
+    # with or without a proxy, when the table is read after it is set.
+    monkeypatch.setenv("no_proxy", no_proxy)
+    gateway_module._proxies.cache_clear()
+    gateway = http_gateway(f"{stub_server.url}/v1/chat")
+    assert gateway.complete(hello_request("live")).response_text == "ok"
+    proxy_env("http_proxy", keep_alive_server)
+    assert gateway.complete(simple_request("live", "bypassed")).response_text == "ok"
+    assert [r.path for r in stub_server.requests] == ["/v1/chat", "/v1/chat"]
+    assert keep_alive_server.requests == []
+    gateway.register_http("elsewhere", "http://chat.test/v1/chat", "test-model")
+    assert gateway.complete(hello_request("elsewhere")).response_text == "ok"
+    (proxied,) = keep_alive_server.requests
+    assert proxied.path == "http://chat.test/v1/chat"
+
+
+def test_https_proxied_request_opens_a_connect_tunnel(stub_server, proxy_env):
+    # The stub refuses the tunnel, so no TLS is spoken; the CONNECT alone
+    # carries the proxy's credentials. The proxy URL may leave out its scheme.
+    proxy_env("https_proxy", stub_server, scheme="")
+    gateway = Gateway(max_attempts=1)
+    gateway.register_http("live", "https://secure.test/v1/chat", "test-model")
+    with pytest.raises(TransportError, match="403"):
+        gateway.complete(hello_request("live"))
+    (tunnel,) = stub_server.requests
+    assert (tunnel.method, tunnel.path) == ("CONNECT", "secure.test:443")
+    assert tunnel.headers["Proxy-Authorization"] == PROXY_AUTHORIZATION
+
+
+def test_http_redirect_is_not_followed(stub_server):
+    stub_server.script((307, {}, {"Location": "/elsewhere"}))
+    gateway = http_gateway(f"{stub_server.url}/v1/chat")
+    with pytest.raises(HttpStatusError, match="307") as info:
+        gateway.complete(hello_request("live"))
+    assert info.value.status == 307
+    assert len(stub_server.requests) == 1

@@ -17,7 +17,7 @@ from bm25_oracle import bm25_rank
 from conftest import CUT_OFF, STALL, simple_request
 from glossary_oracle import glossary_lookup
 from crat import canonical, tokenizers
-from crat.gateway import Gateway
+from crat.gateway import BackendConfigError, Gateway
 from crat.retrieval import (
     GlossaryEntry,
     GlossarySource,
@@ -487,6 +487,21 @@ def test_remote_search_500_is_source_error(stub_server):
     stub_server.script((500, {"error": "boom"}))
     with pytest.raises(SourceError, match="500"):
         RemoteSource(stub_server.url).search("query", 5)
+
+
+def test_remote_search_redirect_is_source_error(stub_server):
+    # Not followed: a 3xx fails the source like any other non-2xx status.
+    stub_server.script((301, {}, {"Location": "/moved"}))
+    with pytest.raises(SourceError, match="301"):
+        RemoteSource(stub_server.url).search("query", 5)
+    assert len(stub_server.requests) == 1
+
+
+@pytest.mark.parametrize("endpoint",
+                         ["data:,[]", "file:///etc/hosts", "ftp://x.test/q", "http:/q"])
+def test_remote_source_refuses_endpoints_that_are_not_http(endpoint):
+    with pytest.raises(BackendConfigError, match="malformed endpoint URL"):
+        RemoteSource(endpoint)
 
 
 @pytest.mark.parametrize("fault", [CUT_OFF, STALL])

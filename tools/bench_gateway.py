@@ -17,11 +17,15 @@ a chat request. For each source tree given it times:
   retrieved documents, 12 judge calls each, against the 30 ms server with
   the cache on: the median stage time over ``FANOUTS`` documents. The
   detector, extractor and translator are in-process mocks.
+- ``Gateway.complete`` as above, cache off, to ``PROXIED_URL``, a name that
+  is never resolved, with ``http_proxy`` naming the 30 ms server, which
+  answers as the proxy. This case runs in a process of its own, as the
+  proxy table is read once per process.
 
 Each case also reports ``connections_per_call``: the TCP connections the
 server saw it open, warm-up included, over the chat calls it made.
 
-Each tree is measured in its own process, ``REPEATS`` times with the trees
+Each tree is measured in its own processes, ``REPEATS`` times with the trees
 alternating, and each figure is the median over the repeats. Standard
 library only.
 
@@ -45,6 +49,7 @@ import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 LATENCIES_MS = (0, 30)
 CALLS = 200
@@ -52,6 +57,8 @@ FANOUTS = 30
 TERMS = 3
 DOCS_PER_TERM = 4
 REPEATS = 3
+# Never resolved: the proxy carries every request to it.
+PROXIED_URL = "http://chat.bench.invalid/v1/chat"
 TERM_RE = re.compile(r"term\d+x\d+")
 
 JUDGE_REPLY = "```json\n" + json.dumps({
@@ -114,10 +121,13 @@ def server_connections(url: str) -> int:
         return json.loads(reply.read())["connections"]
 
 
-def time_calls(url: str, cache_dir: str | None) -> dict:
+def time_calls(url: str, cache_dir: str | None, server: str | None = None) -> dict:
+    """Time calls to ``url``, counting the connections of the loopback server
+    at ``server`` (by default ``url`` itself)."""
     from crat.gateway import ChatMessage, ChatRequest, Gateway
 
-    connections = server_connections(url)
+    server = server or url
+    connections = server_connections(server)
     gateway = Gateway(cache_dir=cache_dir)
     gateway.register_http("bench", url, "bench-model")
     gateway.complete(ChatRequest("bench", (ChatMessage("user", "warm-up"),)))
@@ -136,7 +146,7 @@ def time_calls(url: str, cache_dir: str | None) -> dict:
         "thread_cpu_ms_p50": statistics.median(thread_cpus) * 1000,
         "process_cpu_ms_per_call": (time.process_time() - cpu_started) * 1000 / CALLS,
         "loop_wall_ms_per_call": (time.perf_counter() - wall_started) * 1000 / CALLS,
-        "connections_per_call": (server_connections(url) - connections) / (CALLS + 1),
+        "connections_per_call": (server_connections(server) - connections) / (CALLS + 1),
     }
 
 
@@ -200,11 +210,26 @@ def measure(urls: dict[str, str]) -> dict:
     return results
 
 
+def measure_proxied(server: str) -> dict:
+    """Time calls to ``PROXIED_URL`` through the proxy that ``http_proxy``
+    names, the loopback server at ``server``."""
+    proxy = urllib.request.getproxies().get("http")
+    if proxy is None or urllib.request.proxy_bypass(urlsplit(PROXIED_URL).netloc):
+        raise SystemExit(f"http_proxy must carry {PROXIED_URL}")  # else it would be resolved
+    return {"complete_30ms_proxied": time_calls(PROXIED_URL, None, server)}
+
+
 def run_side(src: Path, urls: dict[str, str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    done = subprocess.run([sys.executable, __file__, "--measure", json.dumps(urls)], env=env,
-                          check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
+    proxied_env = {name: value for name, value in env.items() if name.lower() != "no_proxy"}
+    proxied_env["http_proxy"] = urls["30"].rsplit("/v1/", 1)[0]
+    results = {}
+    for side_env, args in ((env, ["--measure", json.dumps(urls)]),
+                           (proxied_env, ["--measure-proxied", urls["30"]])):
+        done = subprocess.run([sys.executable, __file__, *args], env=side_env,
+                              check=True, capture_output=True, text=True)
+        results.update(json.loads(done.stdout))
+    return results
 
 
 def median_of(runs: list[dict]) -> dict:
@@ -219,12 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="write the results as JSON here")
     parser.add_argument("--serve", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--measure", help=argparse.SUPPRESS)
+    parser.add_argument("--measure-proxied", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve is not None:
         serve(args.serve)
         return 0
     if args.measure:
         print(json.dumps(measure(json.loads(args.measure))))
+        return 0
+    if args.measure_proxied:
+        print(json.dumps(measure_proxied(args.measure_proxied)))
         return 0
     sides = dict(side.split("=", 1) for side in args.side) or {"change": "src"}
     servers = [subprocess.Popen([sys.executable, __file__, "--serve", str(latency)],
