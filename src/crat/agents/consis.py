@@ -33,8 +33,11 @@ def _validate(payload: dict) -> tuple[float, tuple[ConsisFinding, ...]]:
     score = payload.get("score")
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise ValueError("field 'score' must be a number")
+    items = payload.get("term_findings", [])
+    if not isinstance(items, list):
+        raise ValueError("field 'term_findings' must be an array")
     findings = []
-    for item in payload.get("term_findings", []):
+    for item in items:
         if not isinstance(item, dict):
             raise ValueError("each term_findings entry must be an object")
         surface = require_str(item, "surface")

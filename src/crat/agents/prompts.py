@@ -11,20 +11,14 @@ from functools import lru_cache
 from importlib import resources
 from string import Template
 
-TEMPLATE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
+from .. import tokenizers
 
-# Display names used inside prompts; unknown codes fall back to the code.
-LANG_NAMES = {
-    "ar": "Arabic", "de": "German", "en": "English", "es": "Spanish",
-    "fr": "French", "hi": "Hindi", "it": "Italian", "ja": "Japanese",
-    "ko": "Korean", "nl": "Dutch", "pl": "Polish", "pt": "Portuguese",
-    "ru": "Russian", "sv": "Swedish", "th": "Thai", "tr": "Turkish",
-    "vi": "Vietnamese", "zh": "Chinese",
-}
+TEMPLATE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
 
 def lang_name(code: str) -> str:
-    return LANG_NAMES.get(code, code)
+    """The display name prompts use; an unknown code stands for itself."""
+    return tokenizers.LANG_NAMES.get(code, code)
 
 
 @lru_cache(maxsize=None)

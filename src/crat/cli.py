@@ -110,7 +110,10 @@ def cmd_translate(args) -> int:
         return _fail(f"cannot create output directory {out_dir}: {err}")
 
     lang_pair = (args.source_lang, args.target_lang)
-    results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
+    try:
+        results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
+    except PipelineError as err:  # a corpus refused before any call
+        return _fail(str(err))
 
     for result in results:
         write_transcript(result, out_dir)
@@ -160,6 +163,11 @@ def _evaluate_dir(directory: str, examples, gateway, consis_backend):
 
 
 def cmd_evaluate(args) -> int:
+    report_path = Path(args.report)
+    try:  # before any grading call, so a bad --report costs none
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(f"cannot create report directory {report_path.parent}: {err}")
     try:
         config = load_run_config(args.config)
         gateway = build_gateway(config, cache_enabled=not args.no_cache)
@@ -191,9 +199,10 @@ def cmd_evaluate(args) -> int:
     except (ConfigError, GatewayError, PipelineError, EvaluationError, OSError,
             ValueError) as err:
         return _fail(str(err))
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(canonical.pretty(payload), "utf-8")
+    try:
+        report_path.write_text(canonical.pretty(payload), "utf-8")
+    except OSError as err:
+        return _fail(f"cannot write report {report_path}: {err}")
     print(f"report -> {report_path}")
     return EXIT_OK
 

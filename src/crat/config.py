@@ -16,10 +16,9 @@ from typing import Any, Callable, Mapping
 
 import yaml
 
-from . import canonical
+from . import canonical, retrieval
 from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
-from .retrieval import RemoteSource, glossary_source_from_file, index_source_from_file
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
@@ -232,11 +231,14 @@ def build_sources(config: RunConfig) -> list:
         kind = spec["kind"]
         if kind == "remote":
             timeout = {"timeout_s": spec["timeout_s"]} if "timeout_s" in spec else {}
-            sources.append(RemoteSource(spec["endpoint"], label=f"remote:{spec['endpoint']}",
-                                        **timeout))
+            sources.append(retrieval.RemoteSource(spec["endpoint"],
+                                                  label=f"remote:{spec['endpoint']}", **timeout))
             continue
-        from_file = glossary_source_from_file if kind == "glossary" else index_source_from_file
-        sources.append(from_file(config.resolve(spec["path"]), f"{kind}:{spec['path']}"))
+        path, label = config.resolve(spec["path"]), f"{kind}:{spec['path']}"
+        if kind == "glossary":
+            sources.append(retrieval.GlossarySource(retrieval.load_glossary(path), label))
+        else:
+            sources.append(retrieval.LocalIndexSource(retrieval.load_index(path), label))
     return sources
 
 

@@ -47,7 +47,7 @@ class ParallelExample:
             if not isinstance(text, str) or not text:
                 raise ValueError(f"example {self.id!r}: {name} must be a non-empty string")
         for code in (self.source_lang, self.target_lang):
-            if code not in tokenizers.LANG_REGISTRY:
+            if code not in tokenizers.LANG_NAMES:
                 raise ValueError(f"example {self.id!r}: unknown language code {code!r}")
 
 

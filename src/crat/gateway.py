@@ -434,7 +434,10 @@ class Gateway:
         self._inflight: dict[str, threading.BoundedSemaphore] = {}
         self._lock = threading.Lock()
         self._pending: dict[str, str] = {}  # fingerprint -> reply not yet on disk
-        self._pools: dict[str, ThreadPoolExecutor] = {}  # started on first use
+        # Each starts its threads on first submit.
+        self._fan_out = ThreadPoolExecutor(MAX_INFLIGHT_PER_BACKEND,
+                                           thread_name_prefix="crat-fan-out")
+        self._writer = ThreadPoolExecutor(1, thread_name_prefix="crat-cache-writer")
 
     def __enter__(self) -> "Gateway":
         return self
@@ -443,36 +446,22 @@ class Gateway:
         self.close()
 
     def close(self) -> None:
-        """Flush the cache and stop the gateway's threads. A later call
-        starts them again."""
-        self.flush()
-        with self._lock:
-            pools, self._pools = self._pools, {}
-        for pool in pools.values():
-            pool.shutdown()
+        """Flush the cache and stop the gateway's threads. A closed gateway
+        takes no more work: its executors raise ``RuntimeError``."""
+        self._writer.shutdown()  # runs every write queued so far first
+        self._fan_out.shutdown()
 
     def flush(self) -> None:
         """Return once every reply pending so far is in the cache directory,
         or has failed to get there and been logged."""
-        with self._lock:
-            writer = self._pools.get("cache-writer")
-        if writer is not None:
-            writer.submit(lambda: None).result()  # one thread: runs after every earlier write
-
-    def _pool(self, name: str, workers: int) -> ThreadPoolExecutor:
-        with self._lock:
-            pool = self._pools.get(name)
-            if pool is None:
-                pool = self._pools[name] = ThreadPoolExecutor(
-                    workers, thread_name_prefix=f"crat-{name}")
-            return pool
+        if self.cache_dir is not None:
+            self._writer.submit(lambda: None).result()  # one thread: runs after every earlier write
 
     def fan_out(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``fn`` of each item, run on the gateway's ``MAX_INFLIGHT_PER_BACKEND``
         worker threads; the results in item order, or the first item's
         exception once every item is done. ``fn`` must not fan out itself."""
-        pool = self._pool("fan-out", MAX_INFLIGHT_PER_BACKEND)
-        futures = [pool.submit(fn, item) for item in items]
+        futures = [self._fan_out.submit(fn, item) for item in items]
         wait(futures)
         return [future.result() for future in futures]
 
@@ -552,7 +541,7 @@ class Gateway:
             payload = _canonical_payload(request, backend.model)
             with self._lock:
                 self._pending[fingerprint] = text
-            self._pool("cache-writer", 1).submit(self._write_behind, fingerprint, payload, text)
+            self._writer.submit(self._write_behind, fingerprint, payload, text)
         return ChatExchange(request, text, _elapsed_ms(started),
                             cache_hit=False, fingerprint=fingerprint, attempts=attempts)
 

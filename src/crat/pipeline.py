@@ -10,8 +10,8 @@ Every judge call reads only the internal knowledge fixed before the judge
 stage, so all (term, document) pairs are judged at once, on the gateway's
 ``MAX_INFLIGHT_PER_BACKEND`` worker threads (``Gateway.fan_out``), which
 every document of the process shares; the gateway also bounds the calls in
-flight per backend. Each call records into its own buffer.
-Verdicts are integrated and buffers replayed into the transcript in the fixed
+flight per backend. Each call records into its own ``transcript.branch()``.
+Verdicts are integrated and branches joined into the transcript in the fixed
 (term, document) order, so the graph, the transcript and the result are the
 same bytes as if the pairs had been judged one after another.
 """
@@ -39,7 +39,7 @@ from .agents import (
 )
 from .gateway import Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
-from .transcript import AgentTranscript, CallBuffer, warn
+from .transcript import AgentTranscript, warn
 from .transkg import (
     CORRECT,
     KnowledgeTriple,
@@ -149,13 +149,24 @@ def serialize_result(result: TranslationResult) -> bytes:
     return canonical.pretty(result_to_dict(result)).encode("utf-8")
 
 
+# What failed, as a stage's ``PipelineError`` names it.
+_STAGE_WORK = {"detect": "unknown-term detection", "extract": "knowledge extraction",
+               "retrieve": "retrieval", "judge": "judging", "translate": "translation"}
+
+
 @contextmanager
-def _timed(timings: dict, stage: str):
+def _stage(name: str, transcript: AgentTranscript, timings: dict):
+    """Open stage ``name`` in ``transcript`` and time it into ``timings``; an
+    ``AgentError`` or ``GatewayError`` raised inside becomes the stage's
+    ``PipelineError``."""
     started = time.perf_counter()
+    transcript.begin_stage(name)
     try:
         yield
+    except (AgentError, GatewayError) as err:
+        raise PipelineError(f"{_STAGE_WORK[name]} failed: {err}") from err
     finally:
-        timings[stage] = round((time.perf_counter() - started) * 1000.0, 3)
+        timings[name] = round((time.perf_counter() - started) * 1000.0, 3)
 
 
 def _verdict_triples(verdict: JudgeVerdict, doc: RetrievedDocument, term,
@@ -193,35 +204,28 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
     detector_fallback = False
 
     if config.use_knowledge:
-        with _timed(timings, "detect"):
-            transcript.begin_stage("detect")
+        with _stage("detect", transcript, timings):
             try:
                 terms = detect_unknown_terms(source_text, lang_pair,
                                              config.detector_backend, gateway, transcript)
             except (AgentError, GatewayError) as err:
-                if config.on_detector_error == "translate_direct":
-                    detector_fallback = True
-                    warn(transcript, log,
-                         f"detector failed ({err}); falling back to direct translation")
-                else:
-                    raise PipelineError(f"unknown-term detection failed: {err}") from err
+                if config.on_detector_error != "translate_direct":
+                    raise
+                detector_fallback = True
+                warn(transcript, log,
+                     f"detector failed ({err}); falling back to direct translation")
 
     graph = new_graph(source_doc_id, terms)
     documents: dict[str, RetrievedDocument] = {}
     judged_count = fail_closed_count = 0
 
     if terms:
-        with _timed(timings, "extract"):
-            transcript.begin_stage("extract")
-            try:
-                internal = extract_internal_knowledge(
-                    source_text, terms, config.extractor_backend, gateway, transcript)
-            except (AgentError, GatewayError) as err:
-                raise PipelineError(f"knowledge extraction failed: {err}") from err
+        with _stage("extract", transcript, timings):
+            internal = extract_internal_knowledge(
+                source_text, terms, config.extractor_backend, gateway, transcript)
             graph = add_internal(graph, internal)
 
-        with _timed(timings, "retrieve"):
-            transcript.begin_stage("retrieve")
+        with _stage("retrieve", transcript, timings):
             per_term_docs = []
             for term in terms:
                 docs = retrieve_for_term(term, source_text, config.sources,
@@ -230,21 +234,19 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
 
         if any(docs for _, docs in per_term_docs):
             if config.use_judge:
-                with _timed(timings, "judge"):
-                    transcript.begin_stage("judge")
+                with _stage("judge", transcript, timings):
                     internal = list(graph.internal_triples)
                     pairs = [(term, doc) for term, docs in per_term_docs for doc in docs]
 
-                    def judge(pair) -> tuple[JudgeVerdict, CallBuffer]:
+                    def judge(pair) -> tuple[JudgeVerdict, AgentTranscript]:
                         term, doc = pair
-                        buffer = CallBuffer()
-                        verdict = judge_document(internal, doc, source_text, term, lang_pair,
-                                                 config.judge_backend, gateway, buffer)
-                        return verdict, buffer
+                        branch = transcript.branch()
+                        return judge_document(internal, doc, source_text, term, lang_pair,
+                                              config.judge_backend, gateway, branch), branch
 
                     rulings = gateway.fan_out(judge, pairs)
-                    for (term, doc), (verdict, buffer) in zip(pairs, rulings):
-                        buffer.replay(transcript)
+                    for (term, doc), (verdict, branch) in zip(pairs, rulings):
+                        transcript.join(branch)
                         judged_count += 1
                         fail_closed_count += verdict.fail_closed
                         triples = _verdict_triples(verdict, doc, term, transcript)
@@ -258,14 +260,10 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                         graph = admit_external(graph, doc.id)
                         documents[doc.id] = doc
 
-    with _timed(timings, "translate"):
-        transcript.begin_stage("translate")
-        try:
-            output = translate_with_knowledge(
-                source_text, graph, lang_pair, config.translator_backend, gateway,
-                transcript, documents=documents)
-        except (AgentError, GatewayError) as err:
-            raise PipelineError(f"translation failed: {err}") from err
+    with _stage("translate", transcript, timings):
+        output = translate_with_knowledge(
+            source_text, graph, lang_pair, config.translator_backend, gateway,
+            transcript, documents=documents)
 
     return TranslationResult(
         source_doc_id=source_doc_id,
@@ -311,46 +309,47 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
 
     Results come back in input order regardless of the concurrency width;
     per-document failures are recorded in the manifest and the batch
-    continues. Every reply the batch cached is on disk when it returns.
+    continues. Every reply the batch cached is on disk when it returns. A
+    corpus in which two documents' ids name one directory is refused before
+    any call.
     """
     started = time.perf_counter()
     docs = [_doc_fields(record, i) for i, record in enumerate(corpus)]
-
-    def run_one(entry: tuple[str, str]) -> TranslationResult:
-        doc_id, text = entry
-        return run_pipeline(text, lang_pair, config, gateway, source_doc_id=doc_id)
-
-    outcomes: list[TranslationResult | Exception] = [None] * len(docs)  # type: ignore[list-item]
-    try:
-        with ThreadPoolExecutor(max_workers=config.width) as pool:
-            futures = [pool.submit(run_one, entry) for entry in docs]
-            for i, future in enumerate(futures):
-                try:
-                    outcomes[i] = future.result()
-                except Exception as err:  # per-doc isolation
-                    outcomes[i] = err
-    finally:
-        gateway.flush()
+    claimed: dict[str, str] = {}
+    for doc_id, _ in docs:
+        name = _safe_name(doc_id)
+        if name in claimed:
+            raise PipelineError(f"documents {claimed[name]!r} and {doc_id!r} would share "
+                                f"the output directory {name!r}")
+        claimed[name] = doc_id
 
     results = []
     records = []
-    for (doc_id, _), outcome in zip(docs, outcomes):
-        if isinstance(outcome, Exception):
-            log.warning("document %s failed: %s", doc_id, outcome)
-            records.append({"doc_id": doc_id, "status": "error", "error": str(outcome)})
-            continue
-        results.append(outcome)
-        records.append({
-            "doc_id": doc_id,
-            "status": "ok",
-            "term_count": outcome.term_count,
-            "judged_count": outcome.judged_count,
-            "accepted_count": outcome.accepted_count,
-            "detector_fallback": outcome.detector_fallback,
-            "timings_ms": outcome.timings_ms,
-        })
-        if outcome.fail_closed_count:
-            records[-1]["judge_fail_closed"] = outcome.fail_closed_count
+    try:
+        with ThreadPoolExecutor(max_workers=config.width) as pool:
+            futures = [pool.submit(run_pipeline, text, lang_pair, config, gateway, doc_id)
+                       for doc_id, text in docs]
+            for (doc_id, _), future in zip(docs, futures):
+                try:
+                    result = future.result()
+                except Exception as err:  # per-doc isolation
+                    log.warning("document %s failed: %s", doc_id, err)
+                    records.append({"doc_id": doc_id, "status": "error", "error": str(err)})
+                    continue
+                results.append(result)
+                records.append({
+                    "doc_id": doc_id,
+                    "status": "ok",
+                    "term_count": result.term_count,
+                    "judged_count": result.judged_count,
+                    "accepted_count": result.accepted_count,
+                    "detector_fallback": result.detector_fallback,
+                    "timings_ms": result.timings_ms,
+                })
+                if result.fail_closed_count:
+                    records[-1]["judge_fail_closed"] = result.fail_closed_count
+    finally:
+        gateway.flush()
     aggregate = {
         "documents": len(docs),
         "ok": len(results),
@@ -369,7 +368,10 @@ _SAFE_NAME_RE = re.compile(r"[^\w.-]")
 
 
 def _safe_name(doc_id: str) -> str:
-    return _SAFE_NAME_RE.sub("_", doc_id) or "doc"
+    """The directory name of a document id; one made only of dots (``.``,
+    ``..``) becomes as many underscores, so it stays under the output."""
+    name = _SAFE_NAME_RE.sub("_", doc_id) or "doc"
+    return name if name.strip(".") else "_" * len(name)
 
 
 def write_transcript(result: TranslationResult, directory: str | Path) -> list[Path]:

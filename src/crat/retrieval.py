@@ -470,11 +470,3 @@ def retrieve_for_term(term: TermCandidate, source_text: str, sources: Sequence,
             seen.add(key)
             merged.append(doc)
     return merged[:n2]
-
-
-def index_source_from_file(path: str | Path, label: str) -> LocalIndexSource:
-    return LocalIndexSource(load_index(path), label)
-
-
-def glossary_source_from_file(path: str | Path, label: str) -> GlossarySource:
-    return GlossarySource(load_glossary(path), label)

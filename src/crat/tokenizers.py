@@ -16,14 +16,17 @@ SIMPLE = "simple"
 CHAR = "char"
 TOKENIZER_IDS = (SIMPLE, CHAR)
 
-# Languages tokenized per character; everything else in the registry is
-# treated as space-delimited.
-CHAR_LANGS = frozenset({"zh"})
+# The language codes crat knows, with the names prompts give them.
+LANG_NAMES = {
+    "ar": "Arabic", "de": "German", "en": "English", "es": "Spanish",
+    "fr": "French", "hi": "Hindi", "it": "Italian", "ja": "Japanese",
+    "ko": "Korean", "nl": "Dutch", "pl": "Polish", "pt": "Portuguese",
+    "ru": "Russian", "sv": "Swedish", "th": "Thai", "tr": "Turkish",
+    "vi": "Vietnamese", "zh": "Chinese",
+}
 
-LANG_REGISTRY = frozenset({
-    "ar", "de", "en", "es", "fr", "hi", "it", "ja", "ko", "nl",
-    "pl", "pt", "ru", "sv", "th", "tr", "vi", "zh",
-})
+# Languages tokenized per character; every other one is space-delimited.
+CHAR_LANGS = frozenset({"zh"})
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 

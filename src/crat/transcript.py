@@ -54,6 +54,16 @@ class AgentTranscript:
         self.events.append(TranscriptEvent(
             kind="warning", stage=self.current_stage, message=message))
 
+    def branch(self) -> AgentTranscript:
+        """An empty transcript at this one's stage, for one call that runs
+        beside others; ``join`` appends what it recorded."""
+        branch = AgentTranscript()
+        branch._stage_index = self._stage_index
+        return branch
+
+    def join(self, branch: AgentTranscript) -> None:
+        self.events += branch.events
+
     def stages(self) -> list[str]:
         return [e.stage for e in self.events if e.kind == "stage"]
 
@@ -80,29 +90,7 @@ class AgentTranscript:
         return out
 
 
-class CallBuffer:
-    """What one agent call records while it runs beside others: the
-    ``add_exchange``/``warn`` surface of a transcript, kept in call order
-    until ``replay`` appends it to the transcript that owns the stage."""
-
-    def __init__(self):
-        self._events: list[tuple[str, ChatExchange | str]] = []
-
-    def add_exchange(self, exchange: ChatExchange) -> None:
-        self._events.append(("exchange", exchange))
-
-    def warn(self, message: str) -> None:
-        self._events.append(("warning", message))
-
-    def replay(self, transcript: AgentTranscript) -> None:
-        for kind, item in self._events:
-            if kind == "exchange":
-                transcript.add_exchange(item)
-            else:
-                transcript.warn(item)
-
-
-def warn(transcript: AgentTranscript | CallBuffer | None, log: logging.Logger, message: str,
+def warn(transcript: AgentTranscript | None, log: logging.Logger, message: str,
          cause: Exception | None = None) -> None:
     """Record ``message`` in ``transcript``, if any, and log it with ``cause``."""
     if transcript is not None:

@@ -12,7 +12,7 @@ sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import canonical
@@ -190,13 +190,7 @@ def add_internal(graph: TransKG, triples: Iterable[KnowledgeTriple]) -> TransKG:
     added = _unseen(graph, incoming)
     if not added:
         return graph
-    return TransKG(
-        source_doc_id=graph.source_doc_id,
-        nodes=graph.nodes,
-        internal_triples=graph.internal_triples + added,
-        external_triples=graph.external_triples,
-        accepted_docs=graph.accepted_docs,
-    )
+    return replace(graph, internal_triples=graph.internal_triples + added)
 
 
 def integrate_external(graph: TransKG, doc, verdict, triples: Iterable[KnowledgeTriple]) -> TransKG:
@@ -230,13 +224,8 @@ def admit_external(graph: TransKG, doc_id: str, triples: Iterable[KnowledgeTripl
     accepted = graph.accepted_docs
     if doc_id not in accepted:
         accepted = accepted + (doc_id,)
-    return TransKG(
-        source_doc_id=graph.source_doc_id,
-        nodes=graph.nodes,
-        internal_triples=graph.internal_triples,
-        external_triples=graph.external_triples + _unseen(graph, incoming),
-        accepted_docs=accepted,
-    )
+    return replace(graph, external_triples=graph.external_triples + _unseen(graph, incoming),
+                   accepted_docs=accepted)
 
 
 def triples_for_term(graph: TransKG, surface: str) -> list[KnowledgeTriple]:

@@ -540,3 +540,21 @@ def test_consis_unparsable_raises():
     gateway = mock_gateway("con", fallback="no payload here")
     with pytest.raises(AgentParseError):
         consis_evaluate("src", "tgt", [], EN_ZH, "con", gateway)
+
+
+def test_consis_null_term_findings_is_repaired():
+    replies = [fenced({"score": 70, "term_findings": None}),
+               fenced({"score": 70, "term_findings": []})]
+    transcript = transcript_for("translate")
+    gateway = mock_gateway("con", fallback=sequence_responder(replies))
+    result = consis_evaluate("src", "tgt", [], EN_ZH, "con", gateway, transcript)
+    assert result.score == 70.0
+    assert result.term_findings == ()
+    repair = transcript.exchanges()[1].request.messages[-1].content
+    assert "field 'term_findings' must be an array" in repair
+
+
+def test_consis_term_findings_that_stay_null_raise_a_parse_error():
+    gateway = mock_gateway("con", fallback=fenced({"score": 70, "term_findings": None}))
+    with pytest.raises(AgentParseError, match="field 'term_findings' must be an array"):
+        consis_evaluate("src", "tgt", [], EN_ZH, "con", gateway)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -226,6 +227,67 @@ def test_config_hash_does_not_depend_on_the_workspace_directory(tmp_path):
     assert run_hash(tmp_path / "three", glossary="terms.tsv") != here
 
 
+def count_provider_calls(monkeypatch) -> list:
+    """The requests every mock backend answers from now on, in a list."""
+    calls = []
+    generate = MockBackend.generate
+    monkeypatch.setattr(MockBackend, "generate",
+                        lambda self, request: calls.append(request) or generate(self, request))
+    return calls
+
+
+def files_under(directory: Path) -> list[str]:
+    return sorted(str(path.relative_to(directory)) for path in directory.rglob("*"))
+
+
+def translate_corpus(demo, tmp_path, records) -> tuple[int, Path]:
+    """``translate --mode direct`` of ``records`` into ``work/out``; the exit
+    code and the ``work`` directory, which holds nothing but ``out``."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records), "utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    code = run_cli("translate", "--config", demo / "config.yaml", "--input", corpus,
+                   "--output", work / "out", "--mode", "direct", *EN_ZH_ARGS)
+    return code, work
+
+
+def test_translate_all_dot_ids_stay_under_output(demo, tmp_path, capsys):
+    records = [{"id": doc_id, "text": fixtures.GEOGRAPHIC_SOURCE}
+               for doc_id in (".", "..", "...")]
+    code, work = translate_corpus(demo, tmp_path, records)
+    assert code == 0
+    assert "translated 3/3" in capsys.readouterr().out
+    assert [path.name for path in work.iterdir()] == ["out"]
+    names = ("_", "__", "___")
+    assert files_under(work / "out") == sorted(
+        ["manifest.jsonl", *names] + [f"{name}/{file}" for name in names for file in
+                                      ("graph.json", "result.json", "transcript.json")])
+    for name, doc_id in zip(names, (".", "..", "...")):
+        result = json.loads((work / "out" / name / "result.json").read_text("utf-8"))
+        assert result["source_doc_id"] == doc_id
+
+
+@pytest.mark.parametrize("ids, message", [
+    (["a/b", "c", "a_b"], "documents 'a/b' and 'a_b' would share the output directory 'a_b'"),
+    (["doc-0001", None], "documents 'doc-0001' and 'doc-0001' would share"),
+    (["__", ".."], "documents '__' and '..' would share the output directory '__'"),
+], ids=["slash and underscore", "default id", "all dots"])
+def test_translate_refuses_ids_that_share_a_directory(demo, tmp_path, capsys, monkeypatch,
+                                                      ids, message):
+    calls = count_provider_calls(monkeypatch)
+    records = [{"text": fixtures.GEOGRAPHIC_SOURCE} if doc_id is None
+               else {"id": doc_id, "text": fixtures.GEOGRAPHIC_SOURCE} for doc_id in ids]
+    code, work = translate_corpus(demo, tmp_path, records)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert files_under(work) == ["out"]
+
+
 # --- build-index ---------------------------------------------------------------
 
 
@@ -298,6 +360,40 @@ def test_evaluate_comparison(demo, tmp_path, capsys):
     assert rows["bleu"]["delta"] > 0
     out = capsys.readouterr().out
     assert "metric" in out and "delta" in out
+
+
+def test_evaluate_report_under_a_file_fails_before_grading(demo, tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()
+    calls = count_provider_calls(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", "utf-8")
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", blocker / "report.json")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot create report directory")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert blocker.read_text("utf-8") == "not a directory"
+
+
+def test_evaluate_unwritable_report_is_one_error_line(demo, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    report_path.mkdir()
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", report_path)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write report {report_path}")
+    assert captured.err.count("\n") == 1
 
 
 def test_evaluate_empty_results_dir(demo, tmp_path, capsys):

@@ -242,6 +242,24 @@ def test_evaluate_run_records_partial_consis_failures():
         assert "consis_error" in report.per_example[1]
 
 
+def test_evaluate_run_records_a_consis_reply_with_null_findings():
+    examples = [example("a", "marker-one text", "猫"),
+                example("b", "marker-two text", "狗")]
+    results = [make_result("marker-one text", [], {}),
+               make_result("marker-two text", [], {})]
+    results[0].source_doc_id = "a"
+    results[1].source_doc_id = "b"
+    gateway = Gateway()
+    gateway.register_mock("con", [
+        ("marker-one", fenced_payload({"score": 75.0, "term_findings": []})),
+        ("marker-two", fenced_payload({"score": 90.0, "term_findings": None})),
+    ])
+    report = evaluate_run(results, examples, gateway, "con")
+    assert report.consis == pytest.approx(75.0)
+    assert report.per_example[1]["consis"] is None
+    assert "field 'term_findings' must be an array" in report.per_example[1]["consis_error"]
+
+
 def test_report_hash_names_the_consis_model(stub_server):
     stub_server.set_default(200, {"choices": [{"message": {"content": fenced_payload(
         {"score": 80.0, "term_findings": []})}}]})

@@ -199,6 +199,25 @@ def test_gateway_context_flushes_and_stops_its_threads(tmp_path):
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
 
 
+def test_closed_gateway_refuses_new_work(tmp_path):
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    assert gateway.fan_out(len, ["a"]) == [1]
+    gateway.close()
+    with pytest.raises(RuntimeError):
+        gateway.fan_out(len, ["a"])
+    with pytest.raises(RuntimeError):
+        gateway.flush()
+    gateway.close()  # closing again is harmless
+
+
+def test_flush_without_a_cache_starts_no_thread():
+    before = set(threading.enumerate())
+    gateway = Gateway()
+    gateway.flush()
+    assert [t for t in threading.enumerate() if t not in before] == []
+    gateway.close()
+
+
 def test_concurrent_calls_leave_every_reply_on_disk(tmp_path):
     # Many threads repeat a few requests while the writer drains; after
     # flush, a second gateway on the directory finds every reply on disk.

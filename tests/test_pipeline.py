@@ -310,6 +310,37 @@ def test_unjudged_mode_admits_everything():
     assert result.transcript.stages() == ["detect", "extract", "retrieve", "translate"]
 
 
+def timing_case(name: str, demo_gateway: Gateway):
+    """(gateway, config, source text, the stages the run opens) for ``name``."""
+    unjudged = {"alpha": [doc("dx1"), doc("dx2")]}
+    return {
+        "crat demo": (demo_gateway, demo_pipeline_config(), fixtures.GEOGRAPHIC_SOURCE,
+                      STAGES_FULL),
+        "zero terms": (demo_gateway, demo_pipeline_config(), "Nothing unusual here.",
+                       ["detect", "translate"]),
+        "detector fallback": (broken_detector_gateway(http_500), controlled_config({}),
+                              "some text", ["detect", "translate"]),
+        "unjudged": (controlled_gateway({}, ["alpha"]),
+                     controlled_config(unjudged, use_judge=False), "alpha text",
+                     ["detect", "extract", "retrieve", "translate"]),
+        "direct": (demo_gateway, demo_pipeline_config(use_knowledge=False),
+                   fixtures.GEOGRAPHIC_SOURCE, ["translate"]),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["crat demo", "zero terms", "detector fallback",
+                                  "unjudged", "direct"])
+def test_stage_timings_match_the_transcript(demo_gateway, name):
+    gateway, config, text, stages = timing_case(name, demo_gateway)
+    results, manifest = run_batch([{"id": "d", "text": text}], EN_ZH, config, gateway)
+    [result] = results
+    assert result.transcript.stages() == stages
+    assert list(result.timings_ms) == stages
+    assert all(ms >= 0 for ms in result.timings_ms.values())
+    record = json.loads(manifest.to_jsonl().splitlines()[1])
+    assert sorted(record["timings_ms"]) == sorted(stages)
+
+
 def test_ablation_stage_sets_nest():
     by_surface = {"alpha": [doc("dx1")]}
     configs = {
