@@ -11,7 +11,7 @@ from typing import Sequence
 from ..gateway import Gateway
 from ..transcript import warn
 from . import prompts
-from .schema import chat_structured, require_str
+from .schema import chat_structured, optional_str, require_objects, require_str
 
 log = logging.getLogger(__name__)
 
@@ -33,21 +33,13 @@ def _validate(payload: dict) -> tuple[float, tuple[ConsisFinding, ...]]:
     score = payload.get("score")
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise ValueError("field 'score' must be a number")
-    items = payload.get("term_findings", [])
-    if not isinstance(items, list):
-        raise ValueError("field 'term_findings' must be an array")
     findings = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise ValueError("each term_findings entry must be an object")
+    for item in require_objects(payload, "term_findings", []):
         surface = require_str(item, "surface")
         consistent = item.get("consistent")
         if not isinstance(consistent, bool):
             raise ValueError("field 'consistent' must be a boolean")
-        note = item.get("note", "")
-        if not isinstance(note, str):
-            raise ValueError("field 'note' must be a string")
-        findings.append(ConsisFinding(surface, consistent, note))
+        findings.append(ConsisFinding(surface, consistent, optional_str(item, "note")))
     return float(score), tuple(findings)
 
 

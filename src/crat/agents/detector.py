@@ -9,7 +9,7 @@ from ..gateway import Gateway
 from ..transcript import warn
 from ..transkg import TERM_CATEGORIES, TermCandidate
 from . import prompts
-from .schema import chat_structured, require_list, require_str
+from .schema import chat_structured, optional_str, require_objects, require_str
 
 log = logging.getLogger(__name__)
 
@@ -22,17 +22,9 @@ def _normalize_category(raw: str) -> str:
 
 
 def _validate(payload: dict) -> list[tuple[str, str, str]]:
-    terms = []
-    for item in require_list(payload, "terms"):
-        if not isinstance(item, dict):
-            raise ValueError("each terms entry must be an object")
-        surface = require_str(item, "surface")
-        category = _normalize_category(require_str(item, "category"))
-        rationale = item.get("rationale", "")
-        if not isinstance(rationale, str):
-            raise ValueError("field 'rationale' must be a string")
-        terms.append((surface, category, rationale))
-    return terms
+    return [(require_str(item, "surface"), _normalize_category(require_str(item, "category")),
+             optional_str(item, "rationale"))
+            for item in require_objects(payload, "terms")]
 
 
 def detect_unknown_terms(source_text: str, lang_pair: tuple[str, str], backend_id: str,

@@ -10,16 +10,14 @@ from ..gateway import Gateway
 from ..transcript import warn
 from ..transkg import KnowledgeTriple, TermCandidate, internal_provenance
 from . import prompts
-from .schema import chat_structured, require_list, require_str
+from .schema import chat_structured, require_list, require_objects, require_str
 
 log = logging.getLogger(__name__)
 
 
 def _validate(payload: dict) -> list[tuple[str, str, str, list[str]]]:
     triples = []
-    for item in require_list(payload, "triples"):
-        if not isinstance(item, dict):
-            raise ValueError("each triples entry must be an object")
+    for item in require_objects(payload, "triples"):
         subject = require_str(item, "subject")
         relation = require_str(item, "relation")
         obj = require_str(item, "object")

@@ -18,7 +18,7 @@ from ..retrieval import RetrievedDocument
 from ..transcript import warn
 from ..transkg import INCORRECT, VERDICTS, KnowledgeTriple, TermCandidate
 from . import prompts
-from .schema import AgentParseError, chat_structured, require_str
+from .schema import AgentParseError, chat_structured, optional_str, require_list, require_str
 
 log = logging.getLogger(__name__)
 
@@ -49,21 +49,15 @@ def _validate(payload: dict) -> dict:
     verdict = require_str(payload, "verdict").strip().upper()
     if verdict not in VERDICTS:
         raise ValueError(f"verdict must be CORRECT or INCORRECT, got {verdict!r}")
-    facts = payload.get("facts", [])
-    if not isinstance(facts, list):
-        raise ValueError("field 'facts' must be an array")
     parsed_facts = []
-    for fact in facts:
+    for fact in require_list(payload, "facts", []):
         if (not isinstance(fact, list) or len(fact) != 3
                 or not all(isinstance(part, str) for part in fact)):
             raise ValueError("each fact must be a [subject, relation, object] string triple")
         parsed_facts.append(tuple(fact))
     out = {"verdict": verdict, "facts": tuple(parsed_facts)}
     for key in ("proposed_rendering", "back_translation", "rationale"):
-        value = payload.get(key, "")
-        if not isinstance(value, str):
-            raise ValueError(f"field {key!r} must be a string")
-        out[key] = value
+        out[key] = optional_str(payload, key)
     return out
 
 

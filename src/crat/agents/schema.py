@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..gateway import ChatMessage, ChatRequest, Gateway
 
@@ -102,17 +102,31 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
     raise AgentParseError(agent, MAX_REPAIR_ATTEMPTS, last_error, raw_text)
 
 
-def require_str(payload: dict, key: str) -> str:
-    value = payload.get(key)
+def optional_str(payload: dict, key: str, default: str | None = "") -> str:
+    value = payload.get(key, default)
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} must be a string")
+    return value
+
+
+def require_str(payload: dict, key: str) -> str:
+    value = optional_str(payload, key, None)
     if not value.strip():
         raise ValueError(f"field {key!r} must be non-empty")
     return value
 
 
-def require_list(payload: dict, key: str) -> list:
-    value = payload.get(key)
+def require_list(payload: dict, key: str, default=None) -> list:
+    value = payload.get(key, default)
     if not isinstance(value, list):
         raise ValueError(f"field {key!r} must be an array")
     return value
+
+
+def require_objects(payload: dict, key: str, default=None) -> Iterator[dict]:
+    """Each entry of the array ``key``, checked to be an object as the loop
+    reaches it, so an earlier entry's faults are reported first."""
+    for item in require_list(payload, key, default):
+        if not isinstance(item, dict):
+            raise ValueError(f"each {key} entry must be an object")
+        yield item

@@ -168,6 +168,8 @@ def cmd_evaluate(args) -> int:
         report_path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         return _fail(f"cannot create report directory {report_path.parent}: {err}")
+    if report_path.is_dir():
+        return _fail(f"cannot write report {report_path}: it is a directory")
     try:
         config = load_run_config(args.config)
         gateway = build_gateway(config, cache_enabled=not args.no_cache)

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from . import tokenizers
@@ -112,10 +112,6 @@ def corpus_bleu(candidates: Sequence[str], references: Sequence[str],
 # --- term consistency ----------------------------------------------------------
 
 
-def _count_occurrences(haystack: str, needle: str) -> int:
-    return haystack.count(needle) if needle else 0
-
-
 def term_consistency(result: TranslationResult) -> float | None:
     """Share of repeated detected terms rendered identically everywhere.
 
@@ -123,7 +119,7 @@ def term_consistency(result: TranslationResult) -> float | None:
     qualifying terms (or no rendering map) the metric is absent, not zero.
     """
     qualifying = [surface for surface in result.graph.nodes
-                  if _count_occurrences(result.source_text, surface) >= 2]
+                  if result.source_text.count(surface) >= 2]
     if not qualifying:
         return None
     if not result.term_renderings:
@@ -159,14 +155,7 @@ class MetricReport:
         return [row["id"] for row in self.per_example]
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "consis": self.consis,
-            "term_consistency": self.term_consistency,
-            "external_score": self.external_score,
-            "config_hash": self.config_hash,
-            "per_example": self.per_example,
-        }
+        return asdict(self)
 
 
 def _mean(values: Sequence[float]) -> float | None:

@@ -55,8 +55,12 @@ MAX_INFLIGHT_PER_BACKEND = 16
 # front of it briefly unavailable.
 RETRY_STATUSES = (429, 502, 503, 504)
 
-# The longest sleep between two attempts, whether backoff or the provider's
-# ``Retry-After`` asks for more.
+# Attempts per call for what may pass on a retry (``TransportError`` and
+# ``RetryLaterError``); attempt n without a ``Retry-After`` sleeps a uniform
+# draw up to ``RETRY_BASE_DELAY_S * 2^(n-1)``, and no sleep exceeds
+# ``RETRY_CAP_S``, whatever the provider's ``Retry-After`` asks for.
+MAX_ATTEMPTS = 3
+RETRY_BASE_DELAY_S = 0.5
 RETRY_CAP_S = 30.0
 
 
@@ -425,11 +429,9 @@ class Gateway:
     do not hold a slot.
     """
 
-    def __init__(self, cache_dir: str | os.PathLike | None = None,
-                 max_attempts: int = 3, retry_base_delay_s: float = 0.5):
+    def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.max_attempts = max_attempts
-        self.retry_base_delay_s = retry_base_delay_s
+        self._closed = False
         self._backends: dict[str, MockBackend | HttpBackend] = {}
         self._inflight: dict[str, threading.BoundedSemaphore] = {}
         self._lock = threading.Lock()
@@ -447,7 +449,9 @@ class Gateway:
 
     def close(self) -> None:
         """Flush the cache and stop the gateway's threads. A closed gateway
-        takes no more work: its executors raise ``RuntimeError``."""
+        takes no more work: ``complete`` and its executors raise
+        ``RuntimeError``."""
+        self._closed = True
         self._writer.shutdown()  # runs every write queued so far first
         self._fan_out.shutdown()
 
@@ -506,6 +510,8 @@ class Gateway:
     # -- completion ------------------------------------------------------
 
     def complete(self, request: ChatRequest) -> ChatExchange:
+        if self._closed:
+            raise RuntimeError("cannot complete a request on a closed gateway")
         backend = self._backends.get(request.backend_id)
         if backend is None:
             raise UnknownBackendError(f"unknown backend: {request.backend_id!r}")
@@ -520,18 +526,18 @@ class Gateway:
 
         text = ""
         attempts = 0
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             attempts = attempt
             try:
                 with self._inflight[request.backend_id]:
                     text = backend.generate(request)
                 break
             except (TransportError, RetryLaterError) as err:
-                if attempt >= self.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise
                 delay = self._retry_delay_s(attempt, getattr(err, "retry_after_s", None))
                 log.warning("retrying %s after %s (attempt %d/%d, sleeping %.2fs)",
-                            request.backend_id, err, attempt, self.max_attempts, delay)
+                            request.backend_id, err, attempt, MAX_ATTEMPTS, delay)
                 time.sleep(delay)
         if not text.strip():
             raise EmptyResponseError(
@@ -547,10 +553,9 @@ class Gateway:
 
     def _retry_delay_s(self, attempt: int, retry_after: float | None) -> float:
         """The provider's ``Retry-After`` when it gave one, else full-jitter
-        exponential backoff (uniform up to base * 2^(attempt-1)); at most
-        ``RETRY_CAP_S`` either way."""
+        exponential backoff; at most ``RETRY_CAP_S`` either way."""
         if retry_after is None:
-            retry_after = random.uniform(0, self.retry_base_delay_s * 2 ** (attempt - 1))
+            retry_after = random.uniform(0, RETRY_BASE_DELAY_S * 2 ** (attempt - 1))
         return min(retry_after, RETRY_CAP_S)
 
     # -- cache ----------------------------------------------------------

@@ -129,19 +129,16 @@ class TranslationResult:
     fail_closed_count: int = 0  # judge verdicts failed closed; the manifest's, not result.json's
 
 
+# What result.json holds beside its format version: texts and counts, as the
+# graph, transcript and timings have their own files. The three texts are
+# required; a missing count or flag loads as its default.
+RESULT_FIELDS = ("source_doc_id", "source_text", "target_text", "term_count", "judged_count",
+                 "accepted_count", "term_renderings", "detector_fallback")
+
+
 def result_to_dict(result: TranslationResult) -> dict:
-    """Texts and counts; the graph, transcript and timings have their own files."""
-    return {
-        "format_version": RESULT_FORMAT_VERSION,
-        "source_doc_id": result.source_doc_id,
-        "source_text": result.source_text,
-        "target_text": result.target_text,
-        "term_count": result.term_count,
-        "judged_count": result.judged_count,
-        "accepted_count": result.accepted_count,
-        "term_renderings": result.term_renderings,
-        "detector_fallback": result.detector_fallback,
-    }
+    return {"format_version": RESULT_FORMAT_VERSION,
+            **{name: getattr(result, name) for name in RESULT_FIELDS}}
 
 
 def serialize_result(result: TranslationResult) -> bytes:
@@ -397,18 +394,10 @@ def result_from_dict(data: Mapping, graph: TransKG) -> TranslationResult:
     events are not reconstructed; evaluation only needs texts, graph, counts)."""
     if data.get("format_version") not in (1, RESULT_FORMAT_VERSION):
         raise PipelineError(f"unsupported result format version: {data.get('format_version')!r}")
-    return TranslationResult(
-        source_doc_id=data["source_doc_id"],
-        source_text=data["source_text"],
-        target_text=data["target_text"],
-        graph=graph,
-        transcript=AgentTranscript(),
-        term_count=data.get("term_count", 0),
-        judged_count=data.get("judged_count", 0),
-        accepted_count=data.get("accepted_count", 0),
-        term_renderings={k: list(v) for k, v in data.get("term_renderings", {}).items()},
-        detector_fallback=data.get("detector_fallback", False),
-    )
+    values = {name: data[name] for name in RESULT_FIELDS[:3]}
+    values.update((name, data[name]) for name in RESULT_FIELDS[3:] if name in data)
+    values["term_renderings"] = {k: list(v) for k, v in data.get("term_renderings", {}).items()}
+    return TranslationResult(graph=graph, transcript=AgentTranscript(), **values)
 
 
 def load_results(directory: str | Path) -> list[TranslationResult]:

@@ -12,7 +12,7 @@ sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import canonical
@@ -39,6 +39,13 @@ class GraphParseError(ValueError):
     """Serialized graph bytes could not be decoded."""
 
 
+def _check_term(surface: str, category: str) -> None:
+    if not surface:
+        raise ValueError("term surface must be non-empty")
+    if category not in TERM_CATEGORIES:
+        raise ValueError(f"unknown term category: {category!r}")
+
+
 @dataclass(frozen=True)
 class TermCandidate:
     """An unknown term flagged in the source text.
@@ -55,14 +62,11 @@ class TermCandidate:
     rationale: str = ""
 
     def __post_init__(self):
-        if not self.surface:
-            raise ValueError("term surface must be non-empty")
+        _check_term(self.surface, self.category)
         if not (0 <= self.start < self.end):
             raise ValueError(f"invalid span [{self.start}, {self.end}) for {self.surface!r}")
         if self.end - self.start != len(self.surface):
             raise ValueError(f"span length does not match surface {self.surface!r}")
-        if self.category not in TERM_CATEGORIES:
-            raise ValueError(f"unknown term category: {self.category!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,7 @@ class TermNode:
     rationale: str = ""
 
     def __post_init__(self):
-        if not self.surface:
-            raise ValueError("term surface must be non-empty")
-        if self.category not in TERM_CATEGORIES:
-            raise ValueError(f"unknown term category: {self.category!r}")
+        _check_term(self.surface, self.category)
 
 
 @dataclass(frozen=True)
@@ -244,14 +245,7 @@ def graph_to_dict(graph: TransKG) -> dict:
     return {
         "version": GRAPH_FORMAT_VERSION,
         "source_doc_id": graph.source_doc_id,
-        "nodes": {
-            surface: {
-                "surface": node.surface,
-                "category": node.category,
-                "rationale": node.rationale,
-            }
-            for surface, node in graph.nodes.items()
-        },
+        "nodes": {surface: asdict(node) for surface, node in graph.nodes.items()},
         "triples": [triple_to_dict(t) for t in graph.triples],
         "accepted_docs": list(graph.accepted_docs),
     }

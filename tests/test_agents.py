@@ -19,7 +19,7 @@ from crat.agents import (
     render_translator_prompt,
     translate_with_knowledge,
 )
-from crat.agents import prompts
+from crat.agents import consis, detector, extractor, judge, prompts
 from crat.agents.schema import chat_structured
 from crat.config import mock_script_from_dict
 from crat.gateway import Gateway
@@ -558,3 +558,35 @@ def test_consis_term_findings_that_stay_null_raise_a_parse_error():
     gateway = mock_gateway("con", fallback=fenced({"score": 70, "term_findings": None}))
     with pytest.raises(AgentParseError, match="field 'term_findings' must be an array"):
         consis_evaluate("src", "tgt", [], EN_ZH, "con", gateway)
+
+
+# --- reply shape errors --------------------------------------------------------
+#
+# These texts are quoted back in repair prompts, so a changed word changes the
+# prompt, its fingerprint and every cached reply after it.
+
+REPLY_SHAPE_ERRORS = [
+    (detector, {"terms": ["bank"]}, "each terms entry must be an object"),
+    (detector, {"terms": [{"surface": "bank", "category": "polyseme", "rationale": 1}]},
+     "field 'rationale' must be a string"),
+    (extractor, {"triples": [["s", "r", "o"]]}, "each triples entry must be an object"),
+    (judge, {"verdict": "CORRECT", "facts": "none"}, "field 'facts' must be an array"),
+    (judge, {"verdict": "CORRECT", "back_translation": None},
+     "field 'back_translation' must be a string"),
+    (consis, {"score": 50, "term_findings": ["bank"]},
+     "each term_findings entry must be an object"),
+    (consis, {"score": 50, "term_findings": [{"surface": "bank", "consistent": True,
+                                              "note": 3}]},
+     "field 'note' must be a string"),
+    # Two faults: the first entry's blank surface is reached before the second
+    # entry's shape.
+    (detector, {"terms": [{"surface": " ", "category": "polyseme"}, "bank"]},
+     "field 'surface' must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("agent, payload, message", REPLY_SHAPE_ERRORS)
+def test_reply_shape_error_texts(agent, payload, message):
+    with pytest.raises(ValueError) as info:
+        agent._validate(payload)
+    assert str(info.value) == message

@@ -396,6 +396,26 @@ def test_evaluate_unwritable_report_is_one_error_line(demo, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_evaluate_report_naming_a_directory_fails_before_grading(demo, tmp_path, capsys,
+                                                                  monkeypatch):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()
+    calls = count_provider_calls(monkeypatch)
+    report_path = tmp_path / "report.json"
+    report_path.mkdir()
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", report_path)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report {report_path}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert list(report_path.iterdir()) == []
+
+
 def test_evaluate_empty_results_dir(demo, tmp_path, capsys):
     empty = tmp_path / "results"
     empty.mkdir()

@@ -50,6 +50,12 @@ def hello_request(backend="mock"):
     return simple_request(backend, "say hello")
 
 
+@pytest.fixture(autouse=True)
+def short_retry_delay(monkeypatch):
+    """Backoff draws from 10 ms, so retried calls do not wait out the real base."""
+    monkeypatch.setattr(gateway_module, "RETRY_BASE_DELAY_S", 0.01)
+
+
 def test_request_validation():
     with pytest.raises(ValueError):
         ChatRequest("b", ())
@@ -210,6 +216,18 @@ def test_closed_gateway_refuses_new_work(tmp_path):
     gateway.close()  # closing again is harmless
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_closed_gateway_refuses_complete_before_the_backend(tmp_path, cached):
+    calls = []
+    gateway = Gateway(cache_dir=tmp_path / "cache" if cached else None)
+    gateway.register_mock("mock", [], fallback=lambda request: calls.append(request) or "hi")
+    gateway.close()
+    with pytest.raises(RuntimeError):
+        gateway.complete(hello_request())
+    assert calls == []
+    assert gateway._pending == {}
+
+
 def test_flush_without_a_cache_starts_no_thread():
     before = set(threading.enumerate())
     gateway = Gateway()
@@ -311,8 +329,8 @@ def test_corrupt_cache_entry_is_ignored(tmp_path):
 # --- http backend ---------------------------------------------------------------
 
 
-def http_gateway(url, **kwargs):
-    gateway = Gateway(retry_base_delay_s=0.01, **kwargs)
+def http_gateway(url):
+    gateway = Gateway()
     gateway.register_http("live", url, "test-model")
     return gateway
 
@@ -380,7 +398,8 @@ def test_http_retry_honours_retry_after_up_to_a_cap(stub_server, monkeypatch):
                        (503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
                        (429, {}, {"Retry-After": http_date(86400)}),
                        (200, chat_body("done")))
-    gateway = http_gateway(stub_server.url, max_attempts=5)
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 5)
+    gateway = http_gateway(stub_server.url)
     assert gateway.complete(hello_request("live")).response_text == "done"
     assert sleeps == [7.0, gateway_module.RETRY_CAP_S, 0.0, gateway_module.RETRY_CAP_S]
 
@@ -403,7 +422,8 @@ def test_http_retry_backoff_is_full_jitter(stub_server, monkeypatch):
                         lambda low, high: draws.append((low, high)) or high / 2)
     stub_server.script((503, {}), (503, {}, {"Retry-After": "after lunch"}),
                        (200, chat_body("done")))
-    gateway = Gateway(retry_base_delay_s=0.5)
+    monkeypatch.setattr(gateway_module, "RETRY_BASE_DELAY_S", 0.5)
+    gateway = Gateway()
     gateway.register_http("live", stub_server.url, "test-model")
     assert gateway.complete(hello_request("live")).response_text == "done"
     assert draws == [(0, 0.5), (0, 1.0)]
@@ -448,7 +468,7 @@ def test_http_malformed_payload(stub_server):
 
 def test_http_transport_failure_retries_then_fails():
     # Nothing listens on this port; connection errors burn all three attempts.
-    gateway = Gateway(retry_base_delay_s=0.01)
+    gateway = Gateway()
     gateway.register_http("live", "http://127.0.0.1:9", "test-model", timeout_s=0.2)
     with pytest.raises(GatewayError):
         gateway.complete(hello_request("live"))
@@ -459,7 +479,7 @@ def test_http_broken_reply_retries_then_is_transport_error(stub_server, fault):
     # A reply cut off before its Content-Length, or stalled past timeout_s,
     # is a transport failure: retried, then raised as TransportError.
     stub_server.script(fault, fault, fault)
-    gateway = Gateway(retry_base_delay_s=0.01)
+    gateway = Gateway()
     gateway.register_http("live", stub_server.url, "test-model", timeout_s=0.2)
     with pytest.raises(TransportError):
         gateway.complete(hello_request("live"))
@@ -569,11 +589,12 @@ def test_http_reply_that_closes_is_not_reused(keep_alive, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", [CUT_OFF, STALL])
-def test_http_broken_reply_on_reused_connection(keep_alive_server, fault):
+def test_http_broken_reply_on_reused_connection(keep_alive_server, fault, monkeypatch):
     # Cut off or stalled on a kept-alive connection: a TransportError, not a
     # second send, and the next call goes out on a new connection.
     keep_alive_server.script((200, chat_body("first")), fault, (200, chat_body("third")))
-    gateway = Gateway(max_attempts=1)
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    gateway = Gateway()
     gateway.register_http("live", keep_alive_server.url, "test-model", timeout_s=0.2)
     assert gateway.complete(hello_request("live")).response_text == "first"
     with pytest.raises(TransportError):
@@ -583,12 +604,13 @@ def test_http_broken_reply_on_reused_connection(keep_alive_server, fault):
     assert keep_alive_server.connection_count == 2
 
 
-def test_http_reused_connection_takes_each_calls_timeout(keep_alive_server):
+def test_http_reused_connection_takes_each_calls_timeout(keep_alive_server, monkeypatch):
     # The patient backend opens the connection; the hasty one reuses it, and
     # its own 0.2 s, not the 10 s the connection was opened with, ends the
     # stalled reply.
     keep_alive_server.script((200, chat_body("first")), STALL)
-    gateway = Gateway(max_attempts=1)
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    gateway = Gateway()
     gateway.register_http("patient", keep_alive_server.url, "test-model", timeout_s=10)
     gateway.register_http("hasty", keep_alive_server.url, "test-model", timeout_s=0.2)
     gateway.complete(hello_request("patient"))
@@ -675,11 +697,12 @@ def test_http_no_proxy_list_with_ipv6_entries(stub_server, keep_alive_server,
     assert proxied.path == "http://chat.test/v1/chat"
 
 
-def test_https_proxied_request_opens_a_connect_tunnel(stub_server, proxy_env):
+def test_https_proxied_request_opens_a_connect_tunnel(stub_server, proxy_env, monkeypatch):
     # The stub refuses the tunnel, so no TLS is spoken; the CONNECT alone
     # carries the proxy's credentials. The proxy URL may leave out its scheme.
     proxy_env("https_proxy", stub_server, scheme="")
-    gateway = Gateway(max_attempts=1)
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    gateway = Gateway()
     gateway.register_http("live", "https://secure.test/v1/chat", "test-model")
     with pytest.raises(TransportError, match="403"):
         gateway.complete(hello_request("live"))

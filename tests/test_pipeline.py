@@ -677,3 +677,21 @@ def test_result_round_trip_and_loading(tmp_path, demo_gateway):
     assert loaded.term_renderings == result.term_renderings
     with pytest.raises(PipelineError):
         load_results(tmp_path / "missing")
+
+
+def test_result_file_without_a_field(tmp_path, demo_gateway):
+    # A missing count or flag loads as its default; a missing text fails as a
+    # PipelineError that names the file.
+    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
+                          demo_gateway, source_doc_id="geo-1")
+    path = write_transcript(result, tmp_path)[0]
+    data = json.loads(path.read_text("utf-8"))
+    del data["accepted_count"], data["detector_fallback"]
+    path.write_text(json.dumps(data), "utf-8")
+    (loaded,) = load_results(tmp_path)
+    assert (loaded.accepted_count, loaded.detector_fallback) == (0, False)
+    assert (loaded.term_count, loaded.judged_count) == (result.term_count, result.judged_count)
+    del data["target_text"]
+    path.write_text(json.dumps(data), "utf-8")
+    with pytest.raises(PipelineError, match=f"unreadable result file .*{path.name}: 'target_text'"):
+        load_results(tmp_path)

@@ -26,8 +26,8 @@ Each case also reports ``connections_per_call``: the TCP connections the
 server saw it open, warm-up included, over the chat calls it made.
 
 Each tree is measured in its own processes, ``REPEATS`` times with the trees
-alternating, and each figure is the median over the repeats. Standard
-library only.
+alternating (``benchkit.alternate``), and each figure is the median over the
+repeats. Standard library only.
 
     python3 tools/bench_gateway.py --side parent=../parent/src --side change=src \\
         --out BENCH_gateway.json
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -50,6 +49,8 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
+
+import benchkit
 
 LATENCIES_MS = (0, 30)
 CALLS = 200
@@ -220,16 +221,10 @@ def measure_proxied(server: str) -> dict:
 
 
 def run_side(src: Path, urls: dict[str, str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    proxied_env = {name: value for name, value in env.items() if name.lower() != "no_proxy"}
+    proxied_env = {name: value for name, value in os.environ.items() if name.lower() != "no_proxy"}
     proxied_env["http_proxy"] = urls["30"].rsplit("/v1/", 1)[0]
-    results = {}
-    for side_env, args in ((env, ["--measure", json.dumps(urls)]),
-                           (proxied_env, ["--measure-proxied", urls["30"]])):
-        done = subprocess.run([sys.executable, __file__, *args], env=side_env,
-                              check=True, capture_output=True, text=True)
-        results.update(json.loads(done.stdout))
-    return results
+    return {**benchkit.measure_in(__file__, src, ["--measure", json.dumps(urls)]),
+            **benchkit.measure_in(__file__, src, ["--measure-proxied", urls["30"]], proxied_env)}
 
 
 def median_of(runs: list[dict]) -> dict:
@@ -238,12 +233,8 @@ def median_of(runs: list[dict]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", action="append", default=[], metavar="NAME=SRC",
-                        help="a name and the source tree holding its crat package")
-    parser.add_argument("--out", type=Path, help="write the results as JSON here")
+    parser = benchkit.parser(__doc__)
     parser.add_argument("--serve", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--measure", help=argparse.SUPPRESS)
     parser.add_argument("--measure-proxied", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve is not None:
@@ -255,35 +246,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.measure_proxied:
         print(json.dumps(measure_proxied(args.measure_proxied)))
         return 0
-    sides = dict(side.split("=", 1) for side in args.side) or {"change": "src"}
     servers = [subprocess.Popen([sys.executable, __file__, "--serve", str(latency)],
                                 stdout=subprocess.PIPE, text=True) for latency in LATENCIES_MS]
     try:
         urls = {str(latency): f"http://127.0.0.1:{server.stdout.readline().strip()}/v1/chat"
                 for latency, server in zip(LATENCIES_MS, servers)}
-        runs: dict[str, list[dict]] = {name: [] for name in sides}
-        for repeat in range(REPEATS):
-            names = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-            for name in names:
-                runs[name].append(run_side(Path(sides[name]), urls))
+        runs = benchkit.alternate(benchkit.sides(args), REPEATS, lambda src: run_side(src, urls))
     finally:
         for server in servers:
             server.kill()
             server.wait()
-    report = {
-        "benchmark": "gateway calls and judge fan-out",
-        "machine": {"platform": platform.platform(), "processor": platform.processor(),
-                    "cpus": os.cpu_count(), "python": platform.python_version()},
+    return benchkit.write_report(args, "gateway calls and judge fan-out", {
         "calls": CALLS, "fanouts": FANOUTS, "pairs_per_fanout": TERMS * DOCS_PER_TERM,
         "latencies_ms": list(LATENCIES_MS), "repeats": REPEATS,
-        "sides": list(sides),
-        "results": {name: median_of(side_runs) for name, side_runs in runs.items()},
-    }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text, "utf-8")
-    print(text, end="")
-    return 0
+    }, {name: median_of(side_runs) for name, side_runs in runs.items()})
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ it times ``crat.retrieval.build_index``, ``save_index`` and ``load_index``
 size of the saved file. ``the`` and ``of`` occur in every document, so every
 query scores two postings lists as long as the corpus, as in the benchmark's
 ``large_sources`` workload. Queries are 200-character windows of corpus
-text, searched at k = 2. Each tree is measured in its own process, one size
-at a time, and every tree must return the same hits with the same scores.
-Standard library only.
+text, searched at k = 2. Each tree is measured once, in its own process, one
+size at a time (``benchkit.main``), and every tree must return the same hits
+with the same scores. Standard library only.
 
     python3 tools/bench_index.py --side parent=../parent/src --side change=src \\
         --out BENCH_index.json
@@ -16,18 +16,12 @@ Standard library only.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import os
-import platform
 import random
-import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+import benchkit
 
 SIZES = (4_000, 20_000)
 VOCABULARY = 20_000
@@ -65,17 +59,6 @@ def make_queries(rng: random.Random, corpus: list[dict]) -> list[str]:
     return queries
 
 
-def median_s(run, repeats: int = REPEATS):
-    """The median seconds of ``repeats`` calls of ``run``, and its last result."""
-    times = []
-    for _ in range(repeats):
-        gc.collect()
-        started = time.perf_counter()
-        result = run()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times), result
-
-
 def measure() -> dict:
     """Time the ``crat`` found on ``sys.path``; one entry per corpus size."""
     from crat.retrieval import build_index, load_index, save_index, search
@@ -87,67 +70,24 @@ def measure() -> dict:
             rng = random.Random(f"{SEED}:{size}")
             corpus = make_corpus(rng, size)
             queries = make_queries(rng, corpus)
-            build_s, index = median_s(lambda: build_index(corpus))
-            save_s, _ = median_s(lambda: save_index(index, path))
+            build_s, index = benchkit.median_s(lambda: build_index(corpus), REPEATS)
+            save_s, _ = benchkit.median_s(lambda: save_index(index, path), REPEATS)
             del index
-            load_s, index = median_s(lambda: load_index(path))
-            query_ms, hits = [], []
-            for query in queries:
-                started = time.perf_counter()
-                found = search(index, query, K)
-                query_ms.append((time.perf_counter() - started) * 1000.0)
-                hits.append([[doc.id, repr(doc.score)] for doc in found])
+            load_s, index = benchkit.median_s(lambda: load_index(path), REPEATS)
+            query_ms, found = benchkit.time_each(lambda query: search(index, query, K), queries)
             results[str(size)] = {
                 "build_s": round(build_s, 4),
                 "save_s": round(save_s, 4),
                 "load_s": round(load_s, 4),
-                "query_ms_p50": round(statistics.median(query_ms), 4),
+                "query_ms_p50": round(query_ms, 4),
                 "file_mb": round(path.stat().st_size / 1e6, 3),
-                "hits": hits,
+                "hits": [[[doc.id, repr(doc.score)] for doc in docs] for docs in found],
             }
             del index, corpus
     return results
 
 
-def run_side(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    done = subprocess.run([sys.executable, __file__, "--measure"], env=env, check=True,
-                          capture_output=True, text=True)
-    return json.loads(done.stdout)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", action="append", default=[], metavar="NAME=SRC",
-                        help="a name and the source tree holding its crat package")
-    parser.add_argument("--out", type=Path, help="write the results as JSON here")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return 0
-    sides = dict(side.split("=", 1) for side in args.side) or {"change": "src"}
-    measured = {name: run_side(Path(src)) for name, src in sides.items()}
-    hits = [{size: row.pop("hits") for size, row in result.items()}
-            for result in measured.values()]
-    if any(h != hits[0] for h in hits):
-        print("the source trees returned different hits", file=sys.stderr)
-        return 1
-    report = {
-        "benchmark": "BM25 index",
-        "machine": {"platform": platform.platform(), "processor": platform.processor(),
-                    "cpus": os.cpu_count(), "python": platform.python_version()},
-        "vocabulary": VOCABULARY, "repeats": REPEATS, "queries": QUERIES,
-        "query_chars": QUERY_CHARS, "k": K, "seed": SEED,
-        "sides": list(sides),
-        "results": measured,
-    }
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        args.out.write_text(text, "utf-8")
-    print(text, end="")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(benchkit.main(__file__, __doc__, "BM25 index", {
+        "vocabulary": VOCABULARY, "repeats": REPEATS, "queries": QUERIES,
+        "query_chars": QUERY_CHARS, "k": K, "seed": SEED}, measure))
