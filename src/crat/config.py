@@ -17,6 +17,7 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from . import canonical, retrieval
+from .canonical import NUMBER, OPTIONAL, REQUIRED, Kinds
 from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrings, match_fingerprint
 from .pipeline import PipelineConfig
 
@@ -31,20 +32,13 @@ class ConfigError(Exception):
     pass
 
 
-class Kinds(dict):
-    """The shapes of one mapping, told apart by its ``kind`` value."""
-
-
 # --- the table -----------------------------------------------------------------
 #
-# Every mapping of a config file and of a mock script file: each key's YAML
-# type and whether it is required. A type is a scalar type, a one-item list (a
-# list of that type), a nested mapping's shape or its ``Kinds``. Ranges and
-# enumerations are PipelineConfig's to check; an omitted optional value takes
-# the default of the function that receives it.
+# Every mapping of a config file and of a mock script file, in
+# ``canonical.check``'s shapes. Ranges and enumerations are PipelineConfig's
+# to check; an omitted optional value takes the default of the function that
+# receives it.
 
-REQUIRED, OPTIONAL = True, False
-NUMBER = (int, float)
 _KIND = {"kind": (str, REQUIRED)}
 _PATH_SOURCE = {**_KIND, "path": (str, REQUIRED)}
 
@@ -78,37 +72,6 @@ SCRIPT_SHAPE = {
                  OPTIONAL),
 }
 
-_TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false"}
-
-
-def _check(value: Any, shape: Any, where: str, path: str = "") -> None:
-    """Raise ConfigError unless ``value`` has ``shape``; ``where`` names the
-    file and ``path`` the value's place in it."""
-    at = f"{where}: {path}" if path else where
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{at} must be a list")
-        for i, item in enumerate(value):
-            _check(item, shape[0], where, f"{path}[{i}]")
-    elif isinstance(shape, dict):
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{at} must be a mapping")
-        if isinstance(shape, Kinds):
-            kind = value.get("kind")
-            if not (isinstance(kind, str) and kind in shape):
-                raise ConfigError(f"{at}: 'kind' must be one of {', '.join(shape)}, not {kind!r}")
-            shape = shape[kind]
-        unknown = sorted(str(key) for key in value if key not in shape)
-        if unknown:
-            raise ConfigError(f"{at}: unknown key(s): {', '.join(unknown)}")
-        for key, (key_shape, required) in shape.items():
-            if key in value:
-                _check(value[key], key_shape, where, f"{path}.{key}" if path else key)
-            elif required:
-                raise ConfigError(f"{at}: needs {key!r}")
-    elif not isinstance(value, shape) or isinstance(value, bool) != (shape is bool):
-        raise ConfigError(f"{at} must be {_TYPE_NAMES[shape]}")
-
 
 class RunConfig:
     """Validated configuration document plus the directory it resolves
@@ -120,7 +83,7 @@ class RunConfig:
         self._validate()
 
     def _validate(self) -> None:
-        _check(self.data, CONFIG_SHAPE, "config")
+        canonical.check(self.data, CONFIG_SHAPE, "config", ConfigError)
         backends = self.data.get("backends", {})
         ids = set()
         for i, reg in enumerate(backends.get("registrations", [])):
@@ -174,7 +137,7 @@ def mock_script_from_dict(data: Any, where: str = "mock script",
     The optional fallback is ``{"kind": "text", "text": ...}`` or
     ``{"kind": "echo_last_user"}``.
     """
-    _check(data, SCRIPT_SHAPE, where)
+    canonical.check(data, SCRIPT_SHAPE, where, ConfigError)
     rules = []
     for i, rule in enumerate(data.get("rules", [])):
         keys = [k for k in ("substring", "substrings", "fingerprint") if k in rule]
@@ -244,16 +207,10 @@ def build_sources(config: RunConfig) -> list:
 
 def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
                           width_override: int | None = None) -> PipelineConfig:
+    """The run's pipeline settings; every role the run calls must be set, and
+    a role it does not call defaults to the translator's backend."""
     if mode not in ("crat", "direct"):
         raise ConfigError(f"unknown mode: {mode!r}")
-    roles = {role: config.role_backend(role) for role in ROLE_NAMES}
-    translator = roles["translator"]
-    if not translator:
-        raise ConfigError("backends.roles.translator is required")
-    if mode == "crat":
-        for role in ("detector", "extractor", "judge"):
-            if not roles[role]:
-                raise ConfigError(f"backends.roles.{role} is required in crat mode")
     # Every other retrieval and pipeline key is a PipelineConfig field.
     knobs = {key: value
              for section in (config.retrieval_section(), config.pipeline_section())
@@ -262,12 +219,16 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
         knobs["use_judge"] = knobs.pop("judge_enabled")
     if width_override is not None:
         knobs["width"] = width_override
-    return PipelineConfig(
-        detector_backend=roles["detector"] or translator,
-        extractor_backend=roles["extractor"] or translator,
-        judge_backend=roles["judge"] or translator,
+    translator = config.role_backend("translator")
+    pipeline = PipelineConfig(
+        **{f"{role}_backend": config.role_backend(role) or translator
+           for role in ("detector", "extractor", "judge")},
         translator_backend=translator,
         sources=sources,
         use_knowledge=(mode == "crat"),
         **knobs,
     )
+    for role in pipeline.required_roles():
+        if not config.role_backend(role):
+            raise ConfigError(f"backends.roles.{role} is required in {mode} mode")
+    return pipeline

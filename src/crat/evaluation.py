@@ -189,10 +189,23 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
     if len(target_langs) > 1:
         raise EvaluationError(f"examples mix target languages: {sorted(target_langs)}")
 
+    def grade(example: ParallelExample):
+        """The example's CONSIS score, or the error that stopped it."""
+        result = by_id[example.id]
+        try:
+            return consis_evaluate(example.source_text, result.target_text,
+                                   list(result.graph.nodes),
+                                   (example.source_lang, example.target_lang),
+                                   consis_backend, gateway).score
+        except (AgentError, GatewayError) as err:
+            return err
+
+    grades = gateway.fan_out(grade, examples) if consis_backend else [None] * len(examples)
+    gateway.flush()
     per_example = []
     consis_scores = []
     consistency_scores = []
-    for example in examples:
+    for example, graded in zip(examples, grades):
         result = by_id[example.id]
         row: dict = {"id": example.id,
                      "bleu_stats": bleu_pair_stats(result.target_text,
@@ -201,21 +214,14 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
         row["term_consistency"] = term_consistency(result)
         if row["term_consistency"] is not None:
             consistency_scores.append(row["term_consistency"])
-        if consis_backend:
-            try:
-                scored = consis_evaluate(
-                    example.source_text, result.target_text,
-                    list(result.graph.nodes),
-                    (example.source_lang, example.target_lang),
-                    consis_backend, gateway)
-                row["consis"] = scored.score
-                consis_scores.append(scored.score)
-            except (AgentError, GatewayError) as err:
-                log.warning("consis failed for %s: %s", example.id, err)
-                row["consis"] = None
-                row["consis_error"] = str(err)
+        if isinstance(graded, Exception):
+            log.warning("consis failed for %s: %s", example.id, graded)
+            row["consis"] = None
+            row["consis_error"] = str(graded)
+        elif consis_backend:
+            row["consis"] = graded
+            consis_scores.append(graded)
         per_example.append(row)
-    gateway.flush()
 
     return MetricReport(
         bleu=bleu_from_stats([row["bleu_stats"] for row in per_example]),

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import canonical
+from .canonical import OPTIONAL, REQUIRED
 from .agents import (
     AgentError,
     JudgeVerdict,
@@ -90,13 +91,14 @@ class PipelineConfig:
         if self.on_detector_error not in ON_DETECTOR_ERROR:
             raise ValueError(f"on_detector_error must be one of {ON_DETECTOR_ERROR}")
 
+    def required_roles(self) -> list[str]:
+        """The roles a run calls, in stage order."""
+        if not self.use_knowledge:
+            return ["translator"]
+        return ["detector", "extractor"] + (["judge"] if self.use_judge else []) + ["translator"]
+
     def required_backends(self) -> list[str]:
-        roles = [self.translator_backend]
-        if self.use_knowledge:
-            roles = [self.detector_backend, self.extractor_backend] + roles
-            if self.use_judge:
-                roles.insert(2, self.judge_backend)
-        return roles
+        return [getattr(self, f"{role}_backend") for role in self.required_roles()]
 
     def validate_backends(self, gateway: Gateway) -> None:
         missing = sorted({b for b in self.required_backends() if not gateway.has_backend(b)})
@@ -129,16 +131,22 @@ class TranslationResult:
     fail_closed_count: int = 0  # judge verdicts failed closed; the manifest's, not result.json's
 
 
-# What result.json holds beside its format version: texts and counts, as the
+# What result.json holds: its format version, then texts and counts, as the
 # graph, transcript and timings have their own files. The three texts are
 # required; a missing count or flag loads as its default.
-RESULT_FIELDS = ("source_doc_id", "source_text", "target_text", "term_count", "judged_count",
-                 "accepted_count", "term_renderings", "detector_fallback")
+RESULT_SHAPE = {
+    "format_version": (int, REQUIRED),
+    **dict.fromkeys(("source_doc_id", "source_text", "target_text"), (str, REQUIRED)),
+    **dict.fromkeys(("term_count", "judged_count", "accepted_count"), (int, OPTIONAL)),
+    "term_renderings": ({str: [str]}, OPTIONAL), "detector_fallback": (bool, OPTIONAL),
+}
+# Format 1 also embedded the graph and the transcript, which load unread.
+_FORMAT_1_SHAPE = {**RESULT_SHAPE, "graph": (dict, OPTIONAL), "transcript": (list, OPTIONAL)}
 
 
 def result_to_dict(result: TranslationResult) -> dict:
-    return {"format_version": RESULT_FORMAT_VERSION,
-            **{name: getattr(result, name) for name in RESULT_FIELDS}}
+    values = {name: getattr(result, name) for name in RESULT_SHAPE if name != "format_version"}
+    return {"format_version": RESULT_FORMAT_VERSION, **values}
 
 
 def serialize_result(result: TranslationResult) -> bytes:
@@ -392,26 +400,31 @@ def write_transcript(result: TranslationResult, directory: str | Path) -> list[P
 def result_from_dict(data: Mapping, graph: TransKG) -> TranslationResult:
     """Rebuild a result from its ``result.json`` fields and its graph (transcript
     events are not reconstructed; evaluation only needs texts, graph, counts)."""
-    if data.get("format_version") not in (1, RESULT_FORMAT_VERSION):
-        raise PipelineError(f"unsupported result format version: {data.get('format_version')!r}")
-    values = {name: data[name] for name in RESULT_FIELDS[:3]}
-    values.update((name, data[name]) for name in RESULT_FIELDS[3:] if name in data)
-    values["term_renderings"] = {k: list(v) for k, v in data.get("term_renderings", {}).items()}
+    version = data.get("format_version") if isinstance(data, Mapping) else RESULT_FORMAT_VERSION
+    if version not in (1, RESULT_FORMAT_VERSION):
+        raise PipelineError(f"unsupported result format version: {version!r}")
+    canonical.check(data, RESULT_SHAPE if version == RESULT_FORMAT_VERSION else _FORMAT_1_SHAPE,
+                    "result")
+    values = {name: data[name] for name in RESULT_SHAPE if name in data}
+    del values["format_version"]
     return TranslationResult(graph=graph, transcript=AgentTranscript(), **values)
 
 
 def load_results(directory: str | Path) -> list[TranslationResult]:
     """Load every ``result.json`` under a transcript directory tree, each
-    with the graph from the ``graph.json`` beside it."""
+    with the graph from the ``graph.json`` beside it; a fault names its file."""
     root = Path(directory)
     if not root.is_dir():
         raise PipelineError(f"not a results directory: {root}")
     results = []
     for path in sorted(root.glob("*/result.json")):
+        graph_path = path.parent / "graph.json"
         try:
-            data = json.loads(path.read_text("utf-8"))
-            graph = deserialize_graph((path.parent / "graph.json").read_bytes())
-            results.append(result_from_dict(data, graph))
-        except (OSError, ValueError, KeyError) as err:
+            graph = deserialize_graph(graph_path.read_bytes())
+        except (OSError, ValueError) as err:
+            raise PipelineError(f"unreadable graph file {graph_path}: {err}") from err
+        try:
+            results.append(result_from_dict(json.loads(path.read_text("utf-8")), graph))
+        except (OSError, ValueError, PipelineError) as err:
             raise PipelineError(f"unreadable result file {path}: {err}") from err
     return results

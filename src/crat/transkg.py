@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import canonical
+from .canonical import OPTIONAL, REQUIRED
 
 TERM_CATEGORIES = ("polyseme", "acronym", "proper_noun", "new_term", "low_confidence")
 
@@ -268,52 +269,34 @@ def serialize_graph(graph: TransKG) -> bytes:
     return canonical.pretty(graph_to_dict(graph)).encode("utf-8")
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if not isinstance(mapping, Mapping) or key not in mapping:
-        raise GraphParseError(f"graph payload missing {key!r} in {context}")
-    return mapping[key]
+# What graph.json holds, as ``canonical.check`` reads it.
+GRAPH_SHAPE = {
+    "version": (int, REQUIRED), "source_doc_id": (str, REQUIRED),
+    "nodes": ({str: {"surface": (str, REQUIRED), "category": (str, REQUIRED),
+                     "rationale": (str, OPTIONAL)}}, REQUIRED),
+    "triples": ([{**dict.fromkeys(("subject", "relation", "object"), (str, REQUIRED)),
+                  "provenance": ({"kind": (str, REQUIRED), "doc_id": (str, OPTIONAL)}, REQUIRED),
+                  "term_keys": ([str], REQUIRED)}], REQUIRED),
+    "accepted_docs": ([str], REQUIRED),
+}
 
 
 def graph_from_dict(data: Mapping) -> TransKG:
-    version = _require(data, "version", "document")
+    version = data.get("version") if isinstance(data, Mapping) else GRAPH_FORMAT_VERSION
     if version != GRAPH_FORMAT_VERSION:
         raise GraphParseError(f"unsupported graph format version: {version!r}")
-    source_doc_id = _require(data, "source_doc_id", "document")
-    nodes_raw = _require(data, "nodes", "document")
-    triples_raw = _require(data, "triples", "document")
-    accepted_raw = _require(data, "accepted_docs", "document")
-    if not isinstance(nodes_raw, Mapping):
-        raise GraphParseError("'nodes' must be an object")
-    if not isinstance(triples_raw, list):
-        raise GraphParseError("'triples' must be an array")
-    if not isinstance(accepted_raw, list):
-        raise GraphParseError("'accepted_docs' must be an array")
-
+    canonical.check(data, GRAPH_SHAPE, "graph", GraphParseError)
     try:
-        nodes = {
-            surface: TermNode(
-                surface=_require(node, "surface", f"node {surface!r}"),
-                category=_require(node, "category", f"node {surface!r}"),
-                rationale=node.get("rationale", ""),
-            )
-            for surface, node in nodes_raw.items()
-        }
+        nodes = {surface: TermNode(**node) for surface, node in data["nodes"].items()}
     except ValueError as err:
         raise GraphParseError(f"invalid node: {err}") from err
 
     internal: list[KnowledgeTriple] = []
     external: list[KnowledgeTriple] = []
-    for i, raw in enumerate(triples_raw):
-        prov_raw = _require(raw, "provenance", f"triple {i}")
+    for i, raw in enumerate(data["triples"]):
         try:
-            prov = Provenance(_require(prov_raw, "kind", f"triple {i}"), prov_raw.get("doc_id"))
-            triple = KnowledgeTriple(
-                subject=_require(raw, "subject", f"triple {i}"),
-                relation=_require(raw, "relation", f"triple {i}"),
-                object=_require(raw, "object", f"triple {i}"),
-                provenance=prov,
-                term_keys=frozenset(_require(raw, "term_keys", f"triple {i}")),
-            )
+            triple = KnowledgeTriple(raw["subject"], raw["relation"], raw["object"],
+                                     Provenance(**raw["provenance"]), frozenset(raw["term_keys"]))
         except ValueError as err:
             raise GraphParseError(f"invalid triple {i}: {err}") from err
         if triple.provenance.kind == INTERNAL:
@@ -323,11 +306,11 @@ def graph_from_dict(data: Mapping) -> TransKG:
         else:
             external.append(triple)
 
-    accepted = tuple(accepted_raw)
+    accepted = tuple(data["accepted_docs"])
     if len(set(accepted)) != len(accepted):
         raise GraphParseError("accepted_docs contains duplicates")
     graph = TransKG(
-        source_doc_id=source_doc_id,
+        source_doc_id=data["source_doc_id"],
         nodes=nodes,
         internal_triples=tuple(internal),
         external_triples=tuple(external),
@@ -354,6 +337,4 @@ def deserialize_graph(data: bytes) -> TransKG:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise GraphParseError(f"malformed graph payload at position {err.pos}: {err.msg}") from err
-    if not isinstance(payload, dict):
-        raise GraphParseError("graph payload must be a JSON object")
     return graph_from_dict(payload)

@@ -481,6 +481,43 @@ def test_evaluate_external_scores_record_without_score(demo, tmp_path, capsys):
     assert err.startswith("error: ") and f"{scores}:2" in err and "'score'" in err
 
 
+def rewrite_json(path: Path, edit) -> None:
+    path.write_text(json.dumps(edit(json.loads(path.read_text("utf-8")))), "utf-8")
+
+
+def subject_five(graph: dict) -> dict:
+    graph["triples"][0]["subject"] = 5
+    return graph
+
+
+# Files that ended `crat evaluate` in a traceback, and the error each gives.
+UNREADABLE_FILES = {
+    "graph subject 5": ("graph.json", subject_five,
+                        "graph: triples[0].subject must be a string"),
+    "graph version 2": ("graph.json", lambda g: {**g, "version": 2, "extra": 1},
+                        "unsupported graph format version: 2"),
+    "renderings list": ("result.json", lambda r: {**r, "term_renderings": []},
+                        "result: term_renderings must be a mapping"),
+    "result array": ("result.json", lambda r: [r], "result must be a mapping"),
+    "result version 7": ("result.json", lambda r: {**r, "format_version": 7},
+                         "unsupported result format version: 7"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_FILES)
+def test_evaluate_unreadable_file_is_one_error_line(demo, tmp_path, capsys, case):
+    name, edit, message = UNREADABLE_FILES[case]
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    path = out / "geo-1" / name
+    rewrite_json(path, edit)
+    capsys.readouterr()
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", tmp_path / "r.json")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: unreadable {path.stem} file {path}: {message}\n"
+
+
 # --- inspect-kg ---------------------------------------------------------------
 
 
@@ -512,6 +549,17 @@ def test_inspect_kg_unknown_dir(tmp_path, capsys):
     code = run_cli("inspect-kg", "--transcript", tmp_path / "missing")
     assert code == 1
     assert "no graph file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["graph subject 5", "graph version 2"])
+def test_inspect_kg_malformed_graph_is_one_error_line(demo, tmp_path, capsys, case):
+    _, edit, message = UNREADABLE_FILES[case]
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    rewrite_json(out / "geo-1" / "graph.json", edit)
+    capsys.readouterr()
+    assert run_cli("inspect-kg", "--transcript", out / "geo-1") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_imports_no_third_party_http_client():

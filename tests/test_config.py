@@ -27,7 +27,7 @@ from crat.config import (
     mock_script_from_dict,
 )
 from crat.gateway import ChatExchange, Gateway
-from crat.pipeline import PipelineConfig
+from crat.pipeline import PipelineConfig, run_batch
 from crat.transcript import AgentTranscript, TranscriptError
 
 
@@ -223,6 +223,38 @@ def test_direct_mode_needs_only_translator(tmp_path):
     assert pipeline_config.use_knowledge is False
     with pytest.raises(ConfigError, match="detector"):
         build_pipeline_config(config, [], mode="crat")
+
+
+def demo_config_without(demo, role: str, **pipeline):
+    """The demo config with ``role`` unset and ``pipeline`` keys added."""
+    data = yaml.safe_load((demo / "config.yaml").read_text("utf-8"))
+    del data["backends"]["roles"][role]
+    data["pipeline"].update(pipeline)
+    (demo / "config.yaml").write_text(yaml.safe_dump(data), "utf-8")
+    return load_run_config(demo / "config.yaml")
+
+
+@pytest.mark.parametrize("mode, role", [
+    ("crat", "detector"), ("crat", "judge"), ("crat", "translator"), ("direct", "translator"),
+])
+def test_a_role_the_run_calls_is_required(demo, mode, role):
+    config = demo_config_without(demo, role)
+    with pytest.raises(ConfigError) as caught:
+        build_pipeline_config(config, [], mode=mode)
+    assert str(caught.value) == f"backends.roles.{role} is required in {mode} mode"
+
+
+def test_judge_off_run_needs_no_judge_role(demo):
+    config = demo_config_without(demo, "judge", judge_enabled=False)
+    pipeline_config = build_pipeline_config(config, build_sources(config))
+    assert pipeline_config.required_roles() == ["detector", "extractor", "translator"]
+    corpus = [json.loads(line) for line in (demo / "inputs.jsonl").read_text("utf-8").splitlines()]
+    results, manifest = run_batch(corpus, ("en", "zh"), pipeline_config,
+                                  build_gateway(config, cache_enabled=False))
+    assert manifest.aggregate["ok"] == 2
+    stages = [e.stage for r in results for e in r.transcript.events if e.kind == "exchange"]
+    assert "judge" not in stages and "translate" in stages
+    assert all(r.judged_count == 0 and r.accepted_count for r in results)
 
 
 def test_omitted_knobs_take_pipeline_config_defaults(tmp_path):

@@ -3,7 +3,10 @@ report assembly, and report comparison."""
 
 from __future__ import annotations
 
+import logging
 import random
+import threading
+import time
 
 import pytest
 
@@ -258,6 +261,39 @@ def test_evaluate_run_records_a_consis_reply_with_null_findings():
     assert report.consis == pytest.approx(75.0)
     assert report.per_example[1]["consis"] is None
     assert "field 'term_findings' must be an array" in report.per_example[1]["consis_error"]
+
+
+def test_evaluate_run_grades_consis_on_the_fan_out(caplog):
+    # A slow grader sees several calls at once; the rows, the warnings and a
+    # failed example's place keep the examples' order.
+    examples = [example(f"e{i}", f"marker-{i} text", "猫") for i in range(8)]
+    results = [make_result(f"marker-{i} text", [], {}) for i in range(8)]
+    for i, result in enumerate(results):
+        result.source_doc_id = f"e{i}"
+    lock = threading.Lock()
+    active, peak = [0], [0]
+
+    def grader(request):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.03)
+        with lock:
+            active[0] -= 1
+        if any("marker-3 text" in message.content for message in request.messages):
+            return "garbage that never parses"
+        return fenced_payload({"score": 60.0, "term_findings": []})
+
+    gateway = Gateway()
+    gateway.register_mock("con", [], fallback=grader)
+    with caplog.at_level(logging.WARNING, logger="crat.evaluation"):
+        report = evaluate_run(results, examples, gateway, "con")
+    assert peak[0] > 1
+    assert report.example_ids() == [f"e{i}" for i in range(8)]
+    assert [row["consis"] for row in report.per_example] == [60.0] * 3 + [None] + [60.0] * 4
+    assert "consis_error" in report.per_example[3]
+    assert report.consis == pytest.approx(60.0)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["consis failed for e3"]
 
 
 def test_report_hash_names_the_consis_model(stub_server):

@@ -18,22 +18,24 @@ from conftest import (
     demo_pipeline_config,
     register_demo_backends,
 )
-from crat import fixtures
+from crat import canonical, fixtures
 from crat.config import build_gateway, build_pipeline_config, build_sources, load_run_config
 from crat.fixtures import fenced_payload
 from crat.gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, HttpStatusError
 from crat.pipeline import (
+    RESULT_SHAPE,
     PipelineConfig,
     PipelineError,
     load_results,
     run_batch,
+    result_to_dict,
     run_pipeline,
     serialize_result,
     write_transcript,
 )
 from crat.retrieval import RetrievedDocument
 from crat.transcript import STAGES
-from crat.transkg import CORRECT, INCORRECT
+from crat.transkg import CORRECT, GRAPH_SHAPE, INCORRECT, graph_to_dict
 
 EN_ZH = ("en", "zh")
 
@@ -679,6 +681,39 @@ def test_result_round_trip_and_loading(tmp_path, demo_gateway):
         load_results(tmp_path / "missing")
 
 
+@pytest.mark.parametrize("use_knowledge", [True, False])
+def test_written_files_have_their_declared_shapes(demo_gateway, use_knowledge):
+    # What result.json and graph.json are written from passes the check they
+    # are read with, so a field cannot be written without being declared.
+    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE},
+              {"id": "fin-1", "text": fixtures.FINANCIAL_SOURCE}]
+    results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(use_knowledge=use_knowledge),
+                           demo_gateway)
+    assert len(results) == 2
+    for result in results:
+        canonical.check(result_to_dict(result), RESULT_SHAPE, "result")
+        canonical.check(graph_to_dict(result.graph), GRAPH_SHAPE, "graph")
+    assert all(r.term_renderings and r.graph.triples for r in results) == use_knowledge
+
+
+def test_format_1_result_still_loads(tmp_path, demo_gateway):
+    # Format 1 embedded the graph and the transcript; format 2 refuses them.
+    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
+                          demo_gateway, source_doc_id="geo-1")
+    path = write_transcript(result, tmp_path)[0]
+    data = json.loads(path.read_text("utf-8"))
+    data.update(format_version=1, graph=graph_to_dict(result.graph),
+                transcript=result.transcript.to_dict())
+    path.write_text(json.dumps(data), "utf-8")
+    (loaded,) = load_results(tmp_path)
+    assert loaded.graph == result.graph
+    assert loaded.term_renderings == result.term_renderings
+    data["format_version"] = 2
+    path.write_text(json.dumps(data), "utf-8")
+    with pytest.raises(PipelineError, match=r"result: unknown key\(s\): graph, transcript$"):
+        load_results(tmp_path)
+
+
 def test_result_file_without_a_field(tmp_path, demo_gateway):
     # A missing count or flag loads as its default; a missing text fails as a
     # PipelineError that names the file.
@@ -693,5 +728,6 @@ def test_result_file_without_a_field(tmp_path, demo_gateway):
     assert (loaded.term_count, loaded.judged_count) == (result.term_count, result.judged_count)
     del data["target_text"]
     path.write_text(json.dumps(data), "utf-8")
-    with pytest.raises(PipelineError, match=f"unreadable result file .*{path.name}: 'target_text'"):
+    with pytest.raises(PipelineError,
+                       match=f"unreadable result file .*{path.name}: result: needs 'target_text'"):
         load_results(tmp_path)

@@ -3,6 +3,7 @@ serialization."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from crat.transkg import (
     add_internal,
     deserialize_graph,
     external_provenance,
+    graph_to_dict,
     integrate_external,
     internal_provenance,
     new_graph,
@@ -263,6 +265,42 @@ def test_unknown_term_key_rejected_on_load():
     data["nodes"].pop("Scotia")
     with pytest.raises(GraphParseError, match="Scotia"):
         deserialize_graph(json.dumps(data).encode())
+
+
+def _subject_five(data):
+    data["triples"][0]["subject"] = 5
+
+
+# Edits to a written graph, and the error each gives on reading it back.
+MALFORMED_GRAPHS = {
+    "subject 5": (_subject_five, "graph: triples[0].subject must be a string"),
+    "node category null": (lambda d: d["nodes"]["Scotia"].update(category=None),
+                           "graph: nodes.Scotia.category must be a string"),
+    "node list": (lambda d: d["nodes"].update(Sea=[]), "graph: nodes.Sea must be a mapping"),
+    "provenance extra key": (lambda d: d["triples"][1]["provenance"].update(note="x"),
+                             "graph: triples[1].provenance: unknown key(s): note"),
+    "no accepted_docs": (lambda d: d.pop("accepted_docs"), "graph: needs 'accepted_docs'"),
+    "accepted_docs string": (lambda d: d.update(accepted_docs="d7"),
+                             "graph: accepted_docs must be a list"),
+    "version 2": (lambda d: d.update(version=2, extra=1), "unsupported graph format version: 2"),
+    "version true": (lambda d: d.update(version=True), "graph: version must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GRAPHS)
+def test_graph_file_is_checked_against_its_shape(case):
+    edit, message = MALFORMED_GRAPHS[case]
+    data = graph_to_dict(two_insert_graph())
+    edit(data)
+    with pytest.raises(GraphParseError) as caught:
+        deserialize_graph(json.dumps(data).encode())
+    assert str(caught.value) == message
+
+
+def test_graph_file_that_is_not_an_object_is_refused():
+    for payload in (b"[1]", b'"just a string"', b"null"):
+        with pytest.raises(GraphParseError, match="^graph must be a mapping$"):
+            deserialize_graph(payload)
 
 
 # --- properties -----------------------------------------------------------------
