@@ -111,7 +111,8 @@ def cmd_translate(args) -> int:
 
     lang_pair = (args.source_lang, args.target_lang)
     try:
-        results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
+        with gateway:  # closes its cache segment
+            results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
     except PipelineError as err:  # a corpus refused before any call
         return _fail(str(err))
 
@@ -179,25 +180,26 @@ def cmd_evaluate(args) -> int:
             return _fail(f"parallel corpus not found: {corpus_path}")
         examples = load_parallel_corpus(
             corpus_path.read_text("utf-8").splitlines(), str(corpus_path))
-        report = _evaluate_dir(args.results, examples, gateway, consis_backend)
-        if args.external_scores:
-            records = [_require(where, record, "id", "score")
-                       for where, record in _read_jsonl(Path(args.external_scores))]
-            scores = {str(r["id"]): float(r["score"]) for r in records}
-            attach_external_scores(report, scores)
-        payload: dict = {"candidate": report.to_dict()}
-        if args.baseline:
-            baseline_report = _evaluate_dir(args.baseline, examples, gateway, consis_backend)
-            comparison = compare_reports(baseline_report, report)
-            payload["baseline"] = baseline_report.to_dict()
-            payload["comparison"] = comparison.to_dict()
-            print(comparison.to_text())
-        else:
-            print(f"bleu: {report.bleu:.3f}")
-            if report.consis is not None:
-                print(f"consis: {report.consis:.3f}")
-            if report.term_consistency is not None:
-                print(f"term_consistency: {report.term_consistency:.3f}")
+        with gateway:  # closes its cache segment
+            report = _evaluate_dir(args.results, examples, gateway, consis_backend)
+            if args.external_scores:
+                records = [_require(where, record, "id", "score")
+                           for where, record in _read_jsonl(Path(args.external_scores))]
+                scores = {str(r["id"]): float(r["score"]) for r in records}
+                attach_external_scores(report, scores)
+            payload: dict = {"candidate": report.to_dict()}
+            if args.baseline:
+                baseline_report = _evaluate_dir(args.baseline, examples, gateway, consis_backend)
+                comparison = compare_reports(baseline_report, report)
+                payload["baseline"] = baseline_report.to_dict()
+                payload["comparison"] = comparison.to_dict()
+                print(comparison.to_text())
+            else:
+                print(f"bleu: {report.bleu:.3f}")
+                if report.consis is not None:
+                    print(f"consis: {report.consis:.3f}")
+                if report.term_consistency is not None:
+                    print(f"term_consistency: {report.term_consistency:.3f}")
     except (ConfigError, GatewayError, PipelineError, EvaluationError, OSError,
             ValueError) as err:
         return _fail(str(err))
@@ -219,7 +221,7 @@ def cmd_inspect_kg(args) -> int:
     try:
         graph = deserialize_graph(graph_path.read_bytes())
     except GraphParseError as err:
-        return _fail(str(err))
+        return _fail(f"unreadable graph file {graph_path}: {err}")
     if args.term:
         filtered = {
             "term": args.term,

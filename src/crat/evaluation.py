@@ -201,7 +201,6 @@ def evaluate_run(results: Sequence[TranslationResult], examples: Sequence[Parall
             return err
 
     grades = gateway.fan_out(grade, examples) if consis_backend else [None] * len(examples)
-    gateway.flush()
     per_example = []
     consis_scores = []
     consistency_scores = []

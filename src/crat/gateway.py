@@ -21,7 +21,6 @@ import logging
 import os
 import random
 import socket
-import tempfile
 import threading
 import time
 import urllib.request
@@ -421,12 +420,12 @@ class Gateway:
     """Backend registry, retry policy, content-addressed response cache, and
     the threads that calls fan out on.
 
-    Cache entries live at ``<cache_dir>/<fp[:2]>/<fp>.json`` and are written
-    atomically (temp file + rename) behind the call, so concurrent runs may
-    share a cache directory. A cache file that cannot be read is a miss, and
-    one that cannot be written is logged. Each backend admits
-    ``MAX_INFLIGHT_PER_BACKEND`` calls at once; cache reads and retry sleeps
-    do not hold a slot.
+    Each gateway appends cache entries to a segment of its own,
+    ``<cache_dir>/<pid>-<16 hex>.jsonl``, one line each; the key directory
+    maps every fingerprint in the directory's segments to its line. An entry
+    that cannot be read is a miss, and one that cannot be written is logged.
+    Each backend admits ``MAX_INFLIGHT_PER_BACKEND`` calls at once; cache
+    reads and retry sleeps do not hold a slot.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -435,11 +434,15 @@ class Gateway:
         self._backends: dict[str, MockBackend | HttpBackend] = {}
         self._inflight: dict[str, threading.BoundedSemaphore] = {}
         self._lock = threading.Lock()
-        self._pending: dict[str, str] = {}  # fingerprint -> reply not yet on disk
-        # Each starts its threads on first submit.
+        self._segment = None  # this gateway's segment, open for appending
+        # Segment paths by number, this gateway's first, and the key directory
+        # (fingerprint -> segment number, offset), built at the first read.
+        self._segments: list[Path] = [] if cache_dir is None else [
+            self.cache_dir / f"{os.getpid()}-{os.urandom(8).hex()}.jsonl"]
+        self._keys: dict[str, tuple[int, int]] | None = None
+        # Starts its threads on first submit.
         self._fan_out = ThreadPoolExecutor(MAX_INFLIGHT_PER_BACKEND,
                                            thread_name_prefix="crat-fan-out")
-        self._writer = ThreadPoolExecutor(1, thread_name_prefix="crat-cache-writer")
 
     def __enter__(self) -> "Gateway":
         return self
@@ -448,18 +451,14 @@ class Gateway:
         self.close()
 
     def close(self) -> None:
-        """Flush the cache and stop the gateway's threads. A closed gateway
-        takes no more work: ``complete`` and its executors raise
+        """Stop the gateway's threads and close its cache segment. A closed
+        gateway takes no more work: ``complete`` and ``fan_out`` raise
         ``RuntimeError``."""
         self._closed = True
-        self._writer.shutdown()  # runs every write queued so far first
         self._fan_out.shutdown()
-
-    def flush(self) -> None:
-        """Return once every reply pending so far is in the cache directory,
-        or has failed to get there and been logged."""
-        if self.cache_dir is not None:
-            self._writer.submit(lambda: None).result()  # one thread: runs after every earlier write
+        with self._lock:
+            if self._segment is not None:
+                self._segment.close()
 
     def fan_out(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``fn`` of each item, run on the gateway's ``MAX_INFLIGHT_PER_BACKEND``
@@ -515,7 +514,8 @@ class Gateway:
         backend = self._backends.get(request.backend_id)
         if backend is None:
             raise UnknownBackendError(f"unknown backend: {request.backend_id!r}")
-        fingerprint = request_fingerprint(request, backend.model)
+        payload = _canonical_payload(request, backend.model)
+        fingerprint = canonical.digest(payload)
         started = time.perf_counter()
 
         if self.cache_dir is not None:
@@ -544,10 +544,7 @@ class Gateway:
                 f"backend {request.backend_id!r} returned an empty completion")
 
         if self.cache_dir is not None:
-            payload = _canonical_payload(request, backend.model)
-            with self._lock:
-                self._pending[fingerprint] = text
-            self._writer.submit(self._write_behind, fingerprint, payload, text)
+            self._cache_append(fingerprint, payload, text)
         return ChatExchange(request, text, _elapsed_ms(started),
                             cache_hit=False, fingerprint=fingerprint, attempts=attempts)
 
@@ -560,55 +557,73 @@ class Gateway:
 
     # -- cache ----------------------------------------------------------
 
-    def _cache_path(self, fingerprint: str) -> Path:
-        return self.cache_dir / fingerprint[:2] / f"{fingerprint}.json"
-
     def _cache_read(self, fingerprint: str) -> str | None:
-        pending = self._pending.get(fingerprint)
-        if pending is not None:
-            return pending
-        path = self._cache_path(fingerprint)
-        try:
-            entry = json.loads(path.read_text("utf-8"))
-            text = entry["response_text"]
-        except OSError:
+        with self._lock:
+            if self._keys is None:
+                self._keys = self._scan_segments()
+            place = self._keys.get(fingerprint)
+        if place is None:
             return None
-        except (ValueError, KeyError, TypeError):
-            log.warning("ignoring corrupt cache entry %s", path)
+        path, offset = self._segments[place[0]], place[1]
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                entry = json.loads(handle.readline())
+            if entry["fingerprint"] == fingerprint and isinstance(entry["response_text"], str):
+                return entry["response_text"]
+        except FileNotFoundError:  # its segment was moved or deleted
             return None
-        return text if isinstance(text, str) else None
+        except (OSError, ValueError, LookupError, TypeError):
+            pass
+        log.warning("ignoring corrupt cache entry %s at offset %d", path, offset)
+        return None
 
-    def _write_behind(self, fingerprint: str, payload: dict, text: str) -> None:
-        """The writer thread's task: put one reply on disk, then drop it from
-        the pending replies."""
-        try:
-            self._cache_write(fingerprint, payload, text)
-        except OSError as err:
-            log.warning("could not write cache entry %s: %s", self._cache_path(fingerprint), err)
-        finally:
-            with self._lock:
-                self._pending.pop(fingerprint, None)
-
-    def _cache_write(self, fingerprint: str, payload: dict, text: str) -> None:
-        path = self._cache_path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "fingerprint": fingerprint,
-            "request": payload,
-            "response_text": text,
-            "timestamp": time.time(),
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(canonical.compact(entry))
-            os.replace(tmp, path)
-        except BaseException:
+    def _scan_segments(self) -> dict[str, tuple[int, int]]:
+        """The key directory over every segment in the cache directory; lines
+        torn by a killed process or headed by no fingerprint are skipped."""
+        keys = {}
+        for path in sorted(self.cache_dir.glob("*.jsonl")):
+            number, offset, skipped = len(self._segments), 0, False
+            self._segments.append(path)
             try:
-                os.unlink(tmp)
+                with open(path, "rb") as handle:
+                    for line in handle:
+                        # Sorted keys put the 64-digit fingerprint first.
+                        if (line[-1:] == b"\n" and line[:16] == b'{"fingerprint":"'
+                                and line[80:82] == b'",'):
+                            keys[line[16:80].decode()] = (number, offset)
+                        else:
+                            skipped = True
+                        offset += len(line)
             except OSError:
-                pass
-            raise
+                skipped = True
+            if skipped:
+                log.warning("skipped unreadable lines in cache segment %s", path)
+        return keys
+
+    def _cache_append(self, fingerprint: str, payload: dict, text: str) -> None:
+        """Append one entry to this gateway's segment and flush it. A segment
+        moved or deleted is replaced by a new one and an empty key directory."""
+        data = (canonical.compact({"fingerprint": fingerprint, "request": payload,
+                                   "response_text": text, "timestamp": time.time()})
+                + "\n").encode("utf-8")
+        path = self._segments[0]
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot write to the cache of a closed gateway")
+            try:
+                if self._segment is not None and not (path.exists() and os.path.samestat(
+                        path.stat(), os.fstat(self._segment.fileno()))):  # moved or deleted
+                    self._segment.close()
+                    self._segment, self._keys = None, {}
+                if self._segment is None:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    self._segment = open(path, "ab")
+                self._segment.write(data)
+                self._segment.flush()  # appended where the file ended, whatever wrote last
+                self._keys[fingerprint] = (0, self._segment.tell() - len(data))
+            except OSError as err:
+                log.warning("could not write cache entry %s: %s", path, err)
 
 
 def _elapsed_ms(started: float) -> int:

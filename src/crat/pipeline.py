@@ -330,31 +330,28 @@ def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],
 
     results = []
     records = []
-    try:
-        with ThreadPoolExecutor(max_workers=config.width) as pool:
-            futures = [pool.submit(run_pipeline, text, lang_pair, config, gateway, doc_id)
-                       for doc_id, text in docs]
-            for (doc_id, _), future in zip(docs, futures):
-                try:
-                    result = future.result()
-                except Exception as err:  # per-doc isolation
-                    log.warning("document %s failed: %s", doc_id, err)
-                    records.append({"doc_id": doc_id, "status": "error", "error": str(err)})
-                    continue
-                results.append(result)
-                records.append({
-                    "doc_id": doc_id,
-                    "status": "ok",
-                    "term_count": result.term_count,
-                    "judged_count": result.judged_count,
-                    "accepted_count": result.accepted_count,
-                    "detector_fallback": result.detector_fallback,
-                    "timings_ms": result.timings_ms,
-                })
-                if result.fail_closed_count:
-                    records[-1]["judge_fail_closed"] = result.fail_closed_count
-    finally:
-        gateway.flush()
+    with ThreadPoolExecutor(max_workers=config.width) as pool:
+        futures = [pool.submit(run_pipeline, text, lang_pair, config, gateway, doc_id)
+                   for doc_id, text in docs]
+        for (doc_id, _), future in zip(docs, futures):
+            try:
+                result = future.result()
+            except Exception as err:  # per-doc isolation
+                log.warning("document %s failed: %s", doc_id, err)
+                records.append({"doc_id": doc_id, "status": "error", "error": str(err)})
+                continue
+            results.append(result)
+            records.append({
+                "doc_id": doc_id,
+                "status": "ok",
+                "term_count": result.term_count,
+                "judged_count": result.judged_count,
+                "accepted_count": result.accepted_count,
+                "detector_fallback": result.detector_fallback,
+                "timings_ms": result.timings_ms,
+            })
+            if result.fail_closed_count:
+                records[-1]["judge_fail_closed"] = result.fail_closed_count
     aggregate = {
         "documents": len(docs),
         "ok": len(results),

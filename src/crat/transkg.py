@@ -290,40 +290,45 @@ def graph_from_dict(data: Mapping) -> TransKG:
         nodes = {surface: TermNode(**node) for surface, node in data["nodes"].items()}
     except ValueError as err:
         raise GraphParseError(f"invalid node: {err}") from err
+    for key, node in nodes.items():
+        if node.surface != key:
+            raise GraphParseError(f"graph: nodes.{key} has the surface {node.surface!r}")
 
+    accepted = tuple(data["accepted_docs"])
+    if len(set(accepted)) != len(accepted):
+        raise GraphParseError("accepted_docs contains duplicates")
     internal: list[KnowledgeTriple] = []
     external: list[KnowledgeTriple] = []
+    places: dict[tuple, int] = {}  # each triple's key -> its first index
     for i, raw in enumerate(data["triples"]):
         try:
             triple = KnowledgeTriple(raw["subject"], raw["relation"], raw["object"],
                                      Provenance(**raw["provenance"]), frozenset(raw["term_keys"]))
         except ValueError as err:
             raise GraphParseError(f"invalid triple {i}: {err}") from err
+        if len(triple.term_keys) < len(raw["term_keys"]):
+            raise GraphParseError(f"graph: triples[{i}].term_keys repeats a key")
+        if places.setdefault(triple.key(), i) != i:
+            raise GraphParseError(f"graph: triples[{i}] repeats triples[{places[triple.key()]}]")
+        for key in triple.term_keys:
+            if key not in nodes:
+                raise GraphParseError(f"triple references unknown term key: {key!r}")
         if triple.provenance.kind == INTERNAL:
             if external:
                 raise GraphParseError(f"triple {i}: internal triple after external triples")
             internal.append(triple)
+        elif triple.provenance.doc_id not in accepted:
+            raise GraphParseError(
+                f"external triple cites unadmitted document {triple.provenance.doc_id!r}")
         else:
             external.append(triple)
-
-    accepted = tuple(data["accepted_docs"])
-    if len(set(accepted)) != len(accepted):
-        raise GraphParseError("accepted_docs contains duplicates")
-    graph = TransKG(
+    return TransKG(
         source_doc_id=data["source_doc_id"],
         nodes=nodes,
         internal_triples=tuple(internal),
         external_triples=tuple(external),
         accepted_docs=accepted,
     )
-    for triple in graph.triples:
-        for key in triple.term_keys:
-            if key not in graph.nodes:
-                raise GraphParseError(f"triple references unknown term key: {key!r}")
-        if triple.provenance.kind == EXTERNAL and triple.provenance.doc_id not in accepted:
-            raise GraphParseError(
-                f"external triple cites unadmitted document {triple.provenance.doc_id!r}")
-    return graph
 
 
 def deserialize_graph(data: bytes) -> TransKG:

@@ -496,6 +496,12 @@ UNREADABLE_FILES = {
                         "graph: triples[0].subject must be a string"),
     "graph version 2": ("graph.json", lambda g: {**g, "version": 2, "extra": 1},
                         "unsupported graph format version: 2"),
+    "node key not its surface": ("graph.json", lambda g: g["nodes"]["bank"].update(
+        surface="Scotia") or g, "graph: nodes.bank has the surface 'Scotia'"),
+    "repeated triple": ("graph.json", lambda g: g["triples"].insert(1, g["triples"][0]) or g,
+                        "graph: triples[1] repeats triples[0]"),
+    "repeated term key": ("graph.json", lambda g: g["triples"][0]["term_keys"].append(
+        "Scotia") or g, "graph: triples[0].term_keys repeats a key"),
     "renderings list": ("result.json", lambda r: {**r, "term_renderings": []},
                         "result: term_renderings must be a mapping"),
     "result array": ("result.json", lambda r: [r], "result must be a mapping"),
@@ -551,15 +557,17 @@ def test_inspect_kg_unknown_dir(tmp_path, capsys):
     assert "no graph file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["graph subject 5", "graph version 2"])
+@pytest.mark.parametrize("case", [case for case in UNREADABLE_FILES if case.startswith(
+    ("graph", "node", "repeated"))])
 def test_inspect_kg_malformed_graph_is_one_error_line(demo, tmp_path, capsys, case):
     _, edit, message = UNREADABLE_FILES[case]
     out = tmp_path / "out"
     assert translate(demo, out) == 0
-    rewrite_json(out / "geo-1" / "graph.json", edit)
+    path = out / "geo-1" / "graph.json"
+    rewrite_json(path, edit)
     capsys.readouterr()
     assert run_cli("inspect-kg", "--transcript", out / "geo-1") == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: unreadable graph file {path}: {message}\n"
 
 
 def test_cli_imports_no_third_party_http_client():

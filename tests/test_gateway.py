@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import re
+import shutil
 import socket
 import statistics
 import sys
@@ -149,47 +152,24 @@ def test_cache_transparency(tmp_path):
             == without_cache.complete(request).response_text)
 
 
+def segments(cache_dir) -> list:
+    """The cache segments in ``cache_dir``."""
+    return sorted(cache_dir.glob("*.jsonl"))
+
+
 def test_cache_layout_and_contents(tmp_path):
     gateway = Gateway(cache_dir=tmp_path / "cache")
     gateway.register_mock("mock", [], fallback="entry")
     exchange = gateway.complete(hello_request())
-    gateway.flush()
+    gateway.complete(hello_request())
+    [segment] = segments(tmp_path / "cache")
+    assert re.fullmatch(rf"{os.getpid()}-[0-9a-f]{{16}}\.jsonl", segment.name)
+    [line] = segment.read_text("utf-8").splitlines()  # on disk when complete returns
     fp = exchange.fingerprint
-    path = tmp_path / "cache" / fp[:2] / f"{fp}.json"
-    assert path.is_file()
-    entry = json.loads(path.read_text())
-    assert entry["response_text"] == "entry"
-    assert entry["fingerprint"] == fp
-    assert "timestamp" in entry and "request" in entry
-
-
-def test_pending_entry_is_a_hit_before_it_is_on_disk(tmp_path, monkeypatch):
-    # The writer is held until the second call is done: the reply is then
-    # only in memory, and the backend must still be called once.
-    calls = []
-    gateway = Gateway(cache_dir=tmp_path / "cache")
-    gateway.register_mock("mock", [], fallback=lambda request: calls.append(1) or "pending")
-    release = threading.Event()
-    write = gateway._cache_write
-
-    def held_write(*args):
-        assert release.wait(5), "the test never released the writer"
-        write(*args)
-
-    monkeypatch.setattr(gateway, "_cache_write", held_write)
-    first = gateway.complete(hello_request())
-    path = tmp_path / "cache" / first.fingerprint[:2] / f"{first.fingerprint}.json"
-    second = gateway.complete(hello_request())
-    assert not path.exists()
-    assert (first.cache_hit, second.cache_hit) == (False, True)
-    assert second.response_text == "pending" and second.attempts == 0
-    assert len(calls) == 1
-    release.set()
-    gateway.flush()
-    entry = json.loads(path.read_text())
+    assert line.startswith(f'{{"fingerprint":"{fp}",')
+    entry = json.loads(line)
     assert sorted(entry) == ["fingerprint", "request", "response_text", "timestamp"]
-    assert entry["fingerprint"] == first.fingerprint
-    assert entry["response_text"] == "pending"
+    assert entry["response_text"] == "entry"
     assert entry["request"]["messages"] == [["user", "say hello"]]
 
 
@@ -199,9 +179,10 @@ def test_gateway_context_flushes_and_stops_its_threads(tmp_path):
         gateway.register_mock("mock", [], fallback="entry")
         exchange = gateway.complete(hello_request())
         assert gateway.fan_out(len, ["a", "bb"]) == [1, 2]
-    fp = exchange.fingerprint
-    assert json.loads((tmp_path / "cache" / fp[:2] / f"{fp}.json").read_text())[
-        "response_text"] == "entry"
+    [segment] = segments(tmp_path / "cache")
+    entry = json.loads(segment.read_text("utf-8"))
+    assert (entry["fingerprint"], entry["response_text"]) == (exchange.fingerprint, "entry")
+    assert gateway._segment.closed
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
 
 
@@ -211,8 +192,6 @@ def test_closed_gateway_refuses_new_work(tmp_path):
     gateway.close()
     with pytest.raises(RuntimeError):
         gateway.fan_out(len, ["a"])
-    with pytest.raises(RuntimeError):
-        gateway.flush()
     gateway.close()  # closing again is harmless
 
 
@@ -225,20 +204,12 @@ def test_closed_gateway_refuses_complete_before_the_backend(tmp_path, cached):
     with pytest.raises(RuntimeError):
         gateway.complete(hello_request())
     assert calls == []
-    assert gateway._pending == {}
-
-
-def test_flush_without_a_cache_starts_no_thread():
-    before = set(threading.enumerate())
-    gateway = Gateway()
-    gateway.flush()
-    assert [t for t in threading.enumerate() if t not in before] == []
-    gateway.close()
+    assert not (tmp_path / "cache").exists()  # no segment was written
 
 
 def test_concurrent_calls_leave_every_reply_on_disk(tmp_path):
-    # Many threads repeat a few requests while the writer drains; after
-    # flush, a second gateway on the directory finds every reply on disk.
+    # Many threads repeat a few requests; every line of the segment is a
+    # whole entry, and a second gateway on the directory finds every reply.
     prompts = [f"prompt {n}" for n in range(8)]
     gateway = Gateway(cache_dir=tmp_path / "cache")
     gateway.register_mock("mock", [], fallback=lambda request: "re: " + request_text(request))
@@ -249,13 +220,97 @@ def test_concurrent_calls_leave_every_reply_on_disk(tmp_path):
             simple_request("mock", prompts[n % len(prompts)])).response_text, range(200))
     finally:
         sys.setswitchinterval(switch)
-    gateway.flush()
     assert texts == [f"re: {prompts[n % len(prompts)]}" for n in range(200)]
+    [segment] = segments(tmp_path / "cache")
+    entries = [json.loads(line) for line in segment.read_text("utf-8").splitlines()]
+    assert {entry["response_text"] for entry in entries} == set(texts)
     reader = Gateway(cache_dir=tmp_path / "cache")
     reader.register_mock("mock", [])
     for prompt in prompts:
         exchange = reader.complete(simple_request("mock", prompt))
         assert exchange.cache_hit and exchange.response_text == f"re: {prompt}"
+
+
+def counting_gateway(cache_dir, calls: list) -> Gateway:
+    """A cached gateway whose mock answers "re: <prompt>" and counts its calls."""
+    gateway = Gateway(cache_dir=cache_dir)
+    gateway.register_mock("mock", [], fallback=lambda request: calls.append(1) or (
+        "re: " + request_text(request)))
+    return gateway
+
+
+@pytest.mark.parametrize("spend", ["move", "delete"])
+def test_cache_dir_moved_away_under_a_live_gateway(tmp_path, spend):
+    # A benchmark round moves the cache aside and keeps the gateway: the next
+    # call misses and starts a new segment, and its repeat hits.
+    calls = []
+    cache = tmp_path / "cache"
+    gateway = counting_gateway(cache, calls)
+    assert [gateway.complete(hello_request()).cache_hit for _ in range(2)] == [False, True]
+    if spend == "move":
+        cache.rename(tmp_path / "spent")
+    else:
+        shutil.rmtree(cache)
+    assert [gateway.complete(hello_request()).cache_hit for _ in range(2)] == [False, True]
+    assert len(calls) == 2
+    [segment] = segments(cache)
+    assert len(segment.read_text("utf-8").splitlines()) == 1
+    if spend == "move":
+        [spent] = segments(tmp_path / "spent")
+        assert spent.name == segment.name
+        assert len(spent.read_text("utf-8").splitlines()) == 1
+
+
+def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
+    # A process killed in mid-append leaves a line with no newline: a gateway
+    # opened later skips it with one warning and finds every whole entry.
+    calls = []
+    writer = counting_gateway(tmp_path / "cache", calls)
+    for prompt in ("first", "second"):
+        writer.complete(simple_request("mock", prompt))
+    [segment] = segments(tmp_path / "cache")
+    whole = segment.read_bytes()
+    with open(segment, "ab") as handle:
+        handle.write(whole[:50])
+    reader = counting_gateway(tmp_path / "cache", calls)
+    for prompt in ("first", "second"):
+        exchange = reader.complete(simple_request("mock", prompt))
+        assert exchange.cache_hit and exchange.response_text == f"re: {prompt}"
+    assert len(calls) == 2
+    warnings = [r.getMessage() for r in caplog.records if r.name == "crat.gateway"]
+    assert warnings == [f"skipped unreadable lines in cache segment {segment}"]
+
+
+def test_line_at_a_stale_offset_is_a_miss(tmp_path, caplog):
+    # The segment was rewritten in place with its lines swapped: the line at
+    # the first entry's offset names another fingerprint, so it is a miss.
+    calls = []
+    gateway = counting_gateway(tmp_path / "cache", calls)
+    for prompt in ("first", "second"):
+        gateway.complete(simple_request("mock", prompt))
+    [segment] = segments(tmp_path / "cache")
+    first, second = segment.read_bytes().splitlines(keepends=True)
+    segment.write_bytes(second + first)
+    exchange = gateway.complete(simple_request("mock", "first"))
+    assert exchange.cache_hit is False and exchange.response_text == "re: first"
+    assert "ignoring corrupt cache entry" in caplog.text
+    assert gateway.complete(simple_request("mock", "first")).cache_hit is True
+    assert len(calls) == 3
+
+
+def test_gateway_opened_later_finds_another_gateways_replies(tmp_path):
+    calls = []
+    first = counting_gateway(tmp_path / "cache", calls)
+    first.complete(simple_request("mock", "one"))
+    second = counting_gateway(tmp_path / "cache", calls)
+    assert second.complete(simple_request("mock", "one")).cache_hit is True
+    second.complete(simple_request("mock", "two"))
+    assert len(segments(tmp_path / "cache")) == 2
+    # The first gateway built its key directory before the second wrote.
+    assert first.complete(simple_request("mock", "two")).cache_hit is False
+    third = counting_gateway(tmp_path / "cache", calls)
+    assert third.complete(simple_request("mock", "two")).cache_hit is True
+    assert len(calls) == 3
 
 
 def chat_body(text: str) -> dict:
@@ -291,7 +346,6 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
             first = Gateway(cache_dir=cache_dir)
             first.register_http("live", stub_server.url, "model-a")
             assert first.complete(hello_request("live")).response_text == "answer from model A"
-            first.flush()
             second = Gateway(cache_dir=cache_dir)
             second.register_http("live", url_b, model_b)
             exchange = second.complete(hello_request("live"))
@@ -305,7 +359,6 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
     cache_dir = tmp_path / "script"
     first = script_gateway(tmp_path / "a", "answer from script A", cache_dir)
     assert first.complete(hello_request()).response_text == "answer from script A"
-    first.flush()
     exchange = script_gateway(tmp_path / "b", "answer from script B",
                               cache_dir).complete(hello_request())
     assert exchange.cache_hit is False
@@ -315,15 +368,20 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
     assert again.complete(hello_request()).cache_hit is True
 
 
-def test_corrupt_cache_entry_is_ignored(tmp_path):
-    gateway = Gateway(cache_dir=tmp_path / "cache")
-    gateway.register_mock("mock", [], fallback="fresh")
-    exchange = gateway.complete(hello_request())
-    gateway.flush()
-    path = tmp_path / "cache" / exchange.fingerprint[:2] / f"{exchange.fingerprint}.json"
-    path.write_text("not json")
-    again = gateway.complete(hello_request())
-    assert again.cache_hit is False and again.response_text == "fresh"
+def test_corrupt_cache_entry_is_ignored(tmp_path, caplog):
+    # Not JSON, another fingerprint, not an object: each is a miss, with a
+    # warning, and the fresh reply appended after it then hits.
+    for n, corrupt in enumerate([b"not json\n", b'{"fingerprint":"x"}\n', b"[]\n"]):
+        gateway = Gateway(cache_dir=tmp_path / f"cache{n}")
+        gateway.register_mock("mock", [], fallback="fresh")
+        gateway.complete(hello_request())
+        [segment] = segments(tmp_path / f"cache{n}")
+        segment.write_bytes(corrupt)
+        caplog.clear()
+        again = gateway.complete(hello_request())
+        assert again.cache_hit is False and again.response_text == "fresh"
+        assert "ignoring corrupt cache entry" in caplog.text
+        assert gateway.complete(hello_request()).cache_hit is True
 
 
 # --- http backend ---------------------------------------------------------------

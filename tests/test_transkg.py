@@ -284,6 +284,13 @@ MALFORMED_GRAPHS = {
                              "graph: accepted_docs must be a list"),
     "version 2": (lambda d: d.update(version=2, extra=1), "unsupported graph format version: 2"),
     "version true": (lambda d: d.update(version=True), "graph: version must be an integer"),
+    # Invariants that the writer keeps and a shape cannot state.
+    "node key not its surface": (lambda d: d["nodes"]["Scotia"].update(surface="Bank"),
+                                 "graph: nodes.Scotia has the surface 'Bank'"),
+    "repeated triple": (lambda d: d["triples"].insert(1, dict(d["triples"][0])),
+                        "graph: triples[1] repeats triples[0]"),
+    "repeated term key": (lambda d: d["triples"][0]["term_keys"].append("Scotia"),
+                          "graph: triples[0].term_keys repeats a key"),
 }
 
 

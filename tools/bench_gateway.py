@@ -10,9 +10,17 @@ a chat request. For each source tree given it times:
 - ``Gateway.complete`` over ``CALLS`` distinct prompts, with the response
   cache off and on (a new cache directory each time, so every call misses and
   writes an entry): the median wall time and calling-thread CPU time of one
-  call, and the process CPU per call over the whole loop, which includes any
-  background writer. A tree whose gateway has ``flush`` is flushed inside
-  that loop's time.
+  call, and the process CPU per call over the whole loop, which includes the
+  cache writes on any thread. A tree whose gateway still has ``flush`` (a
+  background writer) is flushed inside that loop's time.
+- the same ``CALLS`` prompts once more against the 0 ms server, answered
+  from the cache that the first pass filled (flushed first, where there is
+  ``flush``): the read path of a batch that repeats its documents.
+- the first call of a new gateway on a cache of ``LOG_ENTRIES`` entries (a
+  ``LOG_REQUEST_CHARS`` request and a ``LOG_REPLY_CHARS`` reply each, written
+  by that tree's own gateway from an in-process mock), a hit: the time to
+  open the cache, ``first_read_ms``, and the median of the ``CALLS`` hits
+  after it.
 - the judge stage of ``run_pipeline`` on documents with 3 terms x 4
   retrieved documents, 12 judge calls each, against the 30 ms server with
   the cache on: the median stage time over ``FANOUTS`` documents. The
@@ -58,6 +66,9 @@ FANOUTS = 30
 TERMS = 3
 DOCS_PER_TERM = 4
 REPEATS = 3
+LOG_ENTRIES = 20_000
+LOG_REQUEST_CHARS = 3000
+LOG_REPLY_CHARS = 480
 # Never resolved: the proxy carries every request to it.
 PROXIED_URL = "http://chat.bench.invalid/v1/chat"
 TERM_RE = re.compile(r"term\d+x\d+")
@@ -122,9 +133,11 @@ def server_connections(url: str) -> int:
         return json.loads(reply.read())["connections"]
 
 
-def time_calls(url: str, cache_dir: str | None, server: str | None = None) -> dict:
+def time_calls(url: str, cache_dir: str | None, server: str | None = None,
+               hits: bool = False) -> dict:
     """Time calls to ``url``, counting the connections of the loopback server
-    at ``server`` (by default ``url`` itself)."""
+    at ``server`` (by default ``url`` itself); with ``hits``, fill the cache
+    with the same calls first, untimed."""
     from crat.gateway import ChatMessage, ChatRequest, Gateway
 
     server = server or url
@@ -132,6 +145,10 @@ def time_calls(url: str, cache_dir: str | None, server: str | None = None) -> di
     gateway = Gateway(cache_dir=cache_dir)
     gateway.register_http("bench", url, "bench-model")
     gateway.complete(ChatRequest("bench", (ChatMessage("user", "warm-up"),)))
+    for n in range(CALLS if hits else 0):
+        gateway.complete(ChatRequest("bench", (ChatMessage("user", f"call {n}"),)))
+    if hits and hasattr(gateway, "flush"):
+        gateway.flush()
     walls, thread_cpus = [], []
     wall_started, cpu_started = time.perf_counter(), time.process_time()
     for n in range(CALLS):
@@ -149,6 +166,33 @@ def time_calls(url: str, cache_dir: str | None, server: str | None = None) -> di
         "loop_wall_ms_per_call": (time.perf_counter() - wall_started) * 1000 / CALLS,
         "connections_per_call": (server_connections(server) - connections) / (CALLS + 1),
     }
+
+
+def time_first_read(cache_dir: str) -> dict:
+    """Fill a cache of ``LOG_ENTRIES`` entries from a mock, then time the hits
+    of a new gateway on it: the first, and the median of ``CALLS`` after it."""
+    from crat.gateway import ChatMessage, ChatRequest, Gateway
+
+    def request(n: int) -> ChatRequest:
+        text = f"entry {n} " + "x" * LOG_REQUEST_CHARS
+        return ChatRequest("bench", (ChatMessage("user", text[:LOG_REQUEST_CHARS]),))
+
+    writer = Gateway(cache_dir=cache_dir)
+    writer.register_mock("bench", [], fallback="y" * LOG_REPLY_CHARS)
+    for n in range(LOG_ENTRIES):
+        writer.complete(request(n))
+    writer.close()
+    gateway = Gateway(cache_dir=cache_dir)
+    gateway.register_mock("bench", [])  # a miss would raise
+    started = time.perf_counter()
+    gateway.complete(request(0))
+    first = time.perf_counter() - started
+    walls = []
+    for n in range(1, CALLS + 1):
+        started = time.perf_counter()
+        gateway.complete(request(n * (LOG_ENTRIES // (CALLS + 1))))
+        walls.append(time.perf_counter() - started)
+    return {"first_read_ms": first * 1000, "hit_wall_ms_p50": statistics.median(walls) * 1000}
 
 
 class FanOutSource:
@@ -206,6 +250,9 @@ def measure(urls: dict[str, str]) -> dict:
             for cache in ("off", "on"):
                 cache_dir = os.path.join(scratch, f"calls-{latency}") if cache == "on" else None
                 results[f"complete_{latency}ms_cache_{cache}"] = time_calls(url, cache_dir)
+        results["complete_0ms_cache_hit"] = time_calls(
+            urls["0"], os.path.join(scratch, "hits"), hits=True)
+        results["first_read_20k_entries"] = time_first_read(os.path.join(scratch, "log"))
         results["judge_fanout_30ms_cache_on"] = time_fanout(
             urls["30"], os.path.join(scratch, "fanout"))
     return results
@@ -258,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             server.wait()
     return benchkit.write_report(args, "gateway calls and judge fan-out", {
         "calls": CALLS, "fanouts": FANOUTS, "pairs_per_fanout": TERMS * DOCS_PER_TERM,
+        "log_entries": LOG_ENTRIES, "log_request_chars": LOG_REQUEST_CHARS,
+        "log_reply_chars": LOG_REPLY_CHARS,
         "latencies_ms": list(LATENCIES_MS), "repeats": REPEATS,
     }, {name: median_of(side_runs) for name, side_runs in runs.items()})
 
