@@ -4,23 +4,29 @@ Deterministic scripted mocks and a generic HTTP chat client sit behind one
 ``Gateway.complete`` call, which fingerprints the request, reads and writes
 the optional response cache, bounds the calls in flight on each backend and
 retries what may pass. ``http_exchange`` is the one HTTP transport, for chat
-backends and remote search sources alike: kept-alive ``http.client``
-connections from one process-wide pool, direct or through the environment's
-proxy, which gets the proxy URL's user and password as
-``Proxy-Authorization``. It follows no redirect. ``check_endpoint`` admits
-only http and https endpoints. The README's introduction and its
-Configuration section describe the cache, the retry policy and the transport.
+backends and remote search sources alike: a small HTTP/1.1 client on
+kept-alive sockets from one process-wide pool, direct or through the
+environment's proxy, which gets the proxy URL's user and password as
+``Proxy-Authorization``. Each request goes out in one write; a reply's body
+is framed as RFC 9112 section 6.3 says (chunked, else ``Content-Length``,
+else read until the server closes), interim 1xx replies are skipped, and a
+line over 65 536 bytes or more than 100 header fields is a
+``TransportError``. It follows no redirect. ``check_endpoint`` admits only
+http and https endpoints. The README's introduction and its Configuration
+section describe the cache, the retry policy and the transport.
 """
 
 from __future__ import annotations
 
 import functools
-import http.client
+import hashlib
 import json
 import logging
+import mmap
 import os
 import random
 import socket
+import ssl
 import threading
 import time
 import urllib.request
@@ -28,10 +34,9 @@ from base64 import b64encode
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.message import Message
 from email.utils import parsedate_to_datetime
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__, canonical
@@ -137,7 +142,8 @@ class ChatRequest:
         return ""
 
 
-def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
+def _canonical_request(request: ChatRequest, model: dict | None = None) -> tuple[str, str]:
+    """``request_fingerprint`` and the canonical JSON that it hashes."""
     payload = {
         "backend": request.backend_id,
         "messages": [[m.role, m.content] for m in request.messages],
@@ -145,13 +151,14 @@ def _canonical_payload(request: ChatRequest, model: dict | None = None) -> dict:
     }
     if model is not None:
         payload["model"] = model
-    return payload
+    text = canonical.compact(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), text
 
 
 def request_fingerprint(request: ChatRequest, model: dict | None = None) -> str:
     """Stable content hash of (backend, messages, ``PARAMS``), and of ``model``,
     the identity of the model that answers, when the backend has one."""
-    return canonical.digest(_canonical_payload(request, model))
+    return _canonical_request(request, model)[0]
 
 
 @dataclass
@@ -176,17 +183,19 @@ class ChatExchange:
         }
 
 
-_CONNECTION_CLASSES = {"http": http.client.HTTPConnection,
-                       "https": http.client.HTTPSConnection}
+_PORTS = {"http": 80, "https": 443}
 
 # Connections are kept only where the reply headers can be acknowledged at
 # once; elsewhere a kept-alive call could wait out the delayed ACK.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+# A reply head's limits, as ``http.client`` sets them: bytes per line, fields.
+_MAX_LINE, _MAX_HEADERS = 65536, 100
 
-# Idle kept-alive connections by (scheme, host, port, proxy), shared by every
-# thread of the process; the most recently used one is taken first.
-_IDLE: dict[tuple, list[http.client.HTTPConnection]] = {}
+# Idle kept-alive connections, each a socket and its buffered reader, by
+# (scheme, host, port, proxy), shared by every thread of the process; the
+# most recently used one is taken first.
+_IDLE: dict[tuple, list[tuple[socket.socket, BinaryIO]]] = {}
 _IDLE_LOCK = threading.Lock()
 
 
@@ -197,7 +206,7 @@ def _proxies() -> dict[str, tuple]:
     password, percent-decoded, as a tuple of (name, value) items."""
     proxies = {}
     environment = urllib.request.getproxies()  # no_proxy is left to proxy_bypass
-    for scheme in _CONNECTION_CLASSES.keys() & environment.keys():
+    for scheme in _PORTS.keys() & environment.keys():
         url = environment[scheme]
         proxy = urlsplit(url if "//" in url else f"//{url}")
         authorization = ()
@@ -208,76 +217,155 @@ def _proxies() -> dict[str, tuple]:
     return proxies
 
 
+_tls = functools.cache(ssl.create_default_context)  # made at the first https connection
+
+
 def check_endpoint(url: str) -> str:
     """``url``, unless it is not an http or https URL with a host."""
     parts = urlsplit(url)
-    if parts.scheme not in _CONNECTION_CLASSES or not parts.netloc:
+    if parts.scheme not in _PORTS or not parts.netloc:
         raise BackendConfigError(f"malformed endpoint URL: {url!r}")
     return url
 
 
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
-                  timeout_s: float) -> tuple[int, bytes, Message]:
-    """One HTTP request, a POST when ``body`` is given and a GET otherwise, on
-    a kept-alive connection, direct or to the environment's proxy: the reply's
-    status, whole body and headers, whatever the status. A failure to connect,
-    a timeout or a reply cut off before its end raises ``TransportError``."""
-    headers = {**headers, "User-Agent": f"crat/{__version__}"}
+                  timeout_s: float) -> tuple[int, bytes, dict[str, str]]:
+    """One HTTP/1.1 request, a POST when ``body`` is given and a GET otherwise,
+    on a kept-alive connection, direct or to the environment's proxy: the
+    reply's status, whole body and headers (names lower-cased), whatever the
+    status. A failure to connect, a timeout or a malformed or cut-off reply
+    raises ``TransportError``."""
     parts = urlsplit(url)
     target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
     connection = None
     try:
-        connection_class = _CONNECTION_CLASSES[parts.scheme]
-        host, port = parts.hostname, parts.port or connection_class.default_port
+        host, port = parts.hostname, parts.port or _PORTS[parts.scheme]
+        authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        # The Host field names the port only when it is not the scheme's default.
+        fields = {"Host": authority.removesuffix(f":{_PORTS[parts.scheme]}"),
+                  "Accept-Encoding": "identity",
+                  **({} if body is None else {"Content-Length": str(len(body))}),
+                  **headers, "User-Agent": f"crat/{__version__}"}
         proxy = _proxies().get(parts.scheme)
         if proxy and urllib.request.proxy_bypass(parts.netloc):
             proxy = None
         elif proxy and parts.scheme == "http":
             target = f"http://{parts.netloc}{target}"  # the absolute form, RFC 9112 3.2.2
-            headers.update(proxy[2])
+            fields.update(proxy[2], Host=parts.netloc)
+        request = _head(f"{'GET' if body is None else 'POST'} {target}", fields) + (body or b"")
         key = (parts.scheme, host, port, proxy)
         with _IDLE_LOCK:
             idle = _IDLE.get(key)
             connection = idle.pop() if idle else None
         if connection is not None:
             try:
-                reply = _send(connection, target, body, headers, timeout_s)
+                status, reply_headers, http11 = _send(connection, request, timeout_s)
             except (ConnectionResetError, BrokenPipeError):
-                # Closed by the server while idle: no byte of a reply came
-                # (``RemoteDisconnected`` is a ``ConnectionResetError``).
-                connection.close()
+                # Closed by the server while idle: no byte of a reply came.
+                _close(connection)
                 connection = None
         if connection is None:
-            address = proxy[:2] if proxy else (host, port)
-            connection = connection_class(*address, timeout=timeout_s)
+            # A proxy URL without a port names the request's default port.
+            address = (proxy[0], proxy[1] or _PORTS[parts.scheme]) if proxy else (host, port)
+            sock = socket.create_connection(address, timeout_s)
+            connection = sock, sock.makefile("rb")
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if proxy and parts.scheme == "https":  # a CONNECT tunnel, RFC 9110 9.3.6
-                connection.set_tunnel(host, port, dict(proxy[2]))
-            reply = _send(connection, target, body, headers, timeout_s)
-        keep = _QUICKACK is not None and not reply.will_close
+                connect = _head(f"CONNECT {authority}", {"Host": authority, **dict(proxy[2])})
+                tunnel_status = _send(connection, connect, timeout_s)[0]
+                if tunnel_status != 200:
+                    raise OSError(f"Tunnel connection failed: {tunnel_status}")
+            if parts.scheme == "https":
+                connection[1].close()  # the socket itself goes on inside the TLS one
+                sock = _tls().wrap_socket(sock, server_hostname=host)
+                connection = sock, sock.makefile("rb")
+            status, reply_headers, http11 = _send(connection, request, timeout_s)
+        keep = (_QUICKACK is not None and http11
+                and "close" not in reply_headers.get("connection", "").lower())
         if keep:
-            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-        data = reply.read()
-    except (OSError, http.client.HTTPException, ValueError) as err:  # ValueError: a bad port
+            connection[0].setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        data, keep = _read_body(connection[1], status, reply_headers, keep)
+    except (OSError, ValueError) as err:  # ValueError: a bad port or a malformed reply
         if connection is not None:
-            connection.close()
+            _close(connection)
         raise TransportError(f"transport failure calling {url}: {err!r}") from err
     if keep:
         with _IDLE_LOCK:
             _IDLE.setdefault(key, []).append(connection)
     else:
-        connection.close()
-    return reply.status, data, reply.headers
+        _close(connection)
+    return status, data, reply_headers
 
 
-def _send(connection: http.client.HTTPConnection, target: str, body: bytes | None,
-          headers: Mapping[str, str], timeout_s: float) -> http.client.HTTPResponse:
-    """Send one request on ``connection`` under ``timeout_s``; the reply with
-    its status line and headers read."""
-    connection.timeout = timeout_s
-    if connection.sock is not None:
-        connection.sock.settimeout(timeout_s)
-    connection.request("GET" if body is None else "POST", target, body, headers)
-    return connection.getresponse()
+def _head(start: str, fields: Mapping[str, str]) -> bytes:
+    """An HTTP/1.1 request line and header fields, as they go on the wire."""
+    lines = [f"{start} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+    if any("\r" in line or "\n" in line for line in lines):  # a token read with its newline
+        raise ValueError(f"CR or LF in a request line or header field: {lines[0]!r}")
+    return "\r\n".join([*lines, "", ""]).encode("latin-1")
+
+
+def _close(connection: tuple[socket.socket, BinaryIO]) -> None:
+    connection[1].close()
+    connection[0].close()
+
+
+def _send(connection: tuple[socket.socket, BinaryIO], request: bytes,
+          timeout_s: float) -> tuple[int, dict[str, str], bool]:
+    """Send ``request`` in one write under ``timeout_s``. The reply's status
+    past any interim 1xx reply, its header fields by lower-cased name (a
+    repeated one joined by commas) and whether it speaks HTTP/1.1."""
+    connection[0].settimeout(timeout_s)
+    connection[0].sendall(request)
+    status = 100
+    while 100 <= status < 200:
+        line = _read_line(connection[1])
+        if not (line[:5] == b"HTTP/" and line[8:9] == b" " and line[9:12].isdigit()):
+            # No byte at all: the server closed the connection, maybe while idle.
+            raise (ValueError if line else ConnectionResetError)(f"status line {line[:80]!r}")
+        status, fields = int(line[9:12]), {}
+        while (field := _read_line(connection[1])) not in (b"\r\n", b"\n"):
+            name, colon, value = field.decode("latin-1").partition(":")
+            if not colon or len(fields) == _MAX_HEADERS:
+                raise ValueError(f"malformed header line or over {_MAX_HEADERS} fields")
+            name, value = name.strip().lower(), value.strip()
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    return status, fields, line[:8] == b"HTTP/1.1"
+
+
+def _read_body(reader: BinaryIO, status: int, fields: Mapping[str, str],
+               keep: bool) -> tuple[bytes, bool]:
+    """A reply's body framed by RFC 9112 6.3, and whether to ``keep`` its
+    connection: chunked if that is the last transfer coding (not kept with a
+    ``Content-Length`` too), else ``Content-Length`` bytes, else all until EOF."""
+    coding = fields.get("transfer-encoding", "").rpartition(",")[2].strip().lower()
+    if status in (204, 304):
+        return b"", keep
+    if coding == "chunked":
+        chunks = []
+        while size := int(_read_line(reader).partition(b";")[0], 16):
+            chunks.append(_read_exactly(reader, size))
+            _read_exactly(reader, 2)  # the CRLF after the chunk
+        while _read_line(reader).strip():  # the trailer fields
+            pass
+        return b"".join(chunks), keep and "content-length" not in fields
+    if "content-length" in fields and not coding:
+        return _read_exactly(reader, int(fields["content-length"])), keep
+    return reader.read(), False
+
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    data = reader.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise ValueError(f"reply cut off after {len(data)} of {size} bytes")
+    return data
 
 
 def body_excerpt(body: bytes) -> str:
@@ -396,7 +484,7 @@ class HttpBackend:
             headers, self.timeout_s)
         if status in RETRY_STATUSES:
             raise RetryLaterError(status, body_excerpt(body),
-                                  retry_after_s(reply_headers.get("Retry-After")))
+                                  retry_after_s(reply_headers.get("retry-after")))
         if not 200 <= status < 300:
             raise HttpStatusError(status, body_excerpt(body))
         try:
@@ -434,7 +522,8 @@ class Gateway:
         self._backends: dict[str, MockBackend | HttpBackend] = {}
         self._inflight: dict[str, threading.BoundedSemaphore] = {}
         self._lock = threading.Lock()
-        self._segment = None  # this gateway's segment, open for appending
+        # This gateway's segment, open for appending, and its (inode, device).
+        self._segment, self._opened = None, None
         # Segment paths by number, this gateway's first, and the key directory
         # (fingerprint -> segment number, offset), built at the first read.
         self._segments: list[Path] = [] if cache_dir is None else [
@@ -514,8 +603,7 @@ class Gateway:
         backend = self._backends.get(request.backend_id)
         if backend is None:
             raise UnknownBackendError(f"unknown backend: {request.backend_id!r}")
-        payload = _canonical_payload(request, backend.model)
-        fingerprint = canonical.digest(payload)
+        fingerprint, encoded = _canonical_request(request, backend.model)
         started = time.perf_counter()
 
         if self.cache_dir is not None:
@@ -544,7 +632,7 @@ class Gateway:
                 f"backend {request.backend_id!r} returned an empty completion")
 
         if self.cache_dir is not None:
-            self._cache_append(fingerprint, payload, text)
+            self._cache_append(fingerprint, encoded, text)
         return ChatExchange(request, text, _elapsed_ms(started),
                             cache_hit=False, fingerprint=fingerprint, attempts=attempts)
 
@@ -586,39 +674,49 @@ class Gateway:
             number, offset, skipped = len(self._segments), 0, False
             self._segments.append(path)
             try:
-                with open(path, "rb") as handle:
-                    for line in handle:
+                with (open(path, "rb") as handle,
+                      mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view):
+                    while offset < len(view):
+                        end = view.find(b"\n", offset)  # -1: a line torn by a killed process
                         # Sorted keys put the 64-digit fingerprint first.
-                        if (line[-1:] == b"\n" and line[:16] == b'{"fingerprint":"'
-                                and line[80:82] == b'",'):
-                            keys[line[16:80].decode()] = (number, offset)
+                        fingerprint = view[offset + 16:offset + 80]
+                        if (end > offset + 81 and view[offset:offset + 16] == b'{"fingerprint":"'
+                                and view[offset + 80:offset + 82] == b'",' and fingerprint.isalnum()):
+                            keys[fingerprint.decode()] = (number, offset)
                         else:
                             skipped = True
-                        offset += len(line)
+                        offset = end + 1 if end >= 0 else len(view)
+            except ValueError:  # an empty segment, which cannot be mapped
+                pass
             except OSError:
                 skipped = True
             if skipped:
                 log.warning("skipped unreadable lines in cache segment %s", path)
         return keys
 
-    def _cache_append(self, fingerprint: str, payload: dict, text: str) -> None:
-        """Append one entry to this gateway's segment and flush it. A segment
+    def _cache_append(self, fingerprint: str, encoded: str, text: str) -> None:
+        """Append the ``canonical.compact`` line of one entry, with the request
+        as ``encoded``, to this gateway's segment and flush it. A segment
         moved or deleted is replaced by a new one and an empty key directory."""
-        data = (canonical.compact({"fingerprint": fingerprint, "request": payload,
-                                   "response_text": text, "timestamp": time.time()})
-                + "\n").encode("utf-8")
+        data = (f'{{"fingerprint":"{fingerprint}","request":{encoded},"response_text":'
+                f'{canonical.compact(text)},"timestamp":{canonical.compact(time.time())}}}\n'
+                ).encode("utf-8")
         path = self._segments[0]
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot write to the cache of a closed gateway")
             try:
-                if self._segment is not None and not (path.exists() and os.path.samestat(
-                        path.stat(), os.fstat(self._segment.fileno()))):  # moved or deleted
+                try:
+                    moved = self._segment is not None and os.stat(path)[1:3] != self._opened
+                except FileNotFoundError:  # moved or deleted
+                    moved = True
+                if moved:
                     self._segment.close()
                     self._segment, self._keys = None, {}
                 if self._segment is None:
                     path.parent.mkdir(parents=True, exist_ok=True)
                     self._segment = open(path, "ab")
+                    self._opened = os.fstat(self._segment.fileno())[1:3]
                 self._segment.write(data)
                 self._segment.flush()  # appended where the file ended, whatever wrote last
                 self._keys[fingerprint] = (0, self._segment.tell() - len(data))

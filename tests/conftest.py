@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import socket
+import ssl
 import threading
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -90,6 +91,15 @@ STALL = "stall"
 HANG_UP = "hang up"
 
 
+class Raw(NamedTuple):
+    """A scripted reply sent as it stands, ``data`` byte for byte. With
+    ``close`` the server then stops writing on the connection but goes on
+    reading it, so that a request the client sends on it after all is still
+    recorded."""
+    data: bytes
+    close: bool = False
+
+
 class StubRequest(NamedTuple):
     method: str
     path: str
@@ -115,6 +125,11 @@ class StubHandler(BaseHTTPRequestHandler):
         with server.lock:
             response = server.responses.pop(0) if server.responses else server.default_response
             server.requests.append(StubRequest(self.command, self.path, self.headers, received))
+        if isinstance(response, Raw):
+            self.wfile.write(response.data)
+            if response.close:
+                self.connection.shutdown(socket.SHUT_WR)
+            return
         if isinstance(response, str):  # a fault; the connection ends with it
             reply = (200, server.default_response[1])
             self.close_connection = True
@@ -158,15 +173,19 @@ class KeepAliveHandler(StubHandler):
 
 class StubServer:
     """Local HTTP server that replays a scripted sequence of (status, body)
-    or (status, body, {header: value}) replies, ``CUT_OFF``, ``STALL`` or
-    ``HANG_UP``, and records every request and counts the TCP connections.
-    It answers HTTP/1.0, closing every connection after one reply, or with
-    ``keep_alive`` HTTP/1.1, keeping them open. Either way it sends the
-    headers and the body in two writes with Nagle's algorithm on."""
+    or (status, body, {header: value}) replies, ``CUT_OFF``, ``STALL``,
+    ``HANG_UP`` or ``Raw`` replies, and records every request and counts the
+    TCP connections. It answers HTTP/1.0, closing every connection after one
+    reply, or with ``keep_alive`` HTTP/1.1, keeping them open. Either way it
+    sends the headers and the body of a reply it builds in two writes with
+    Nagle's algorithm on. Given a server-side ``tls`` context, it speaks
+    HTTPS."""
 
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, tls: ssl.SSLContext | None = None):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0),
                                          KeepAliveHandler if keep_alive else StubHandler)
+        if tls is not None:
+            self.httpd.socket = tls.wrap_socket(self.httpd.socket, server_side=True)
         self.httpd.lock = threading.Lock()
         self.httpd.connections = set()
         self.httpd.connection_count = 0

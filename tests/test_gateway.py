@@ -9,7 +9,9 @@ import os
 import re
 import shutil
 import socket
+import ssl
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +22,8 @@ import pytest
 
 import crat
 from crat import gateway as gateway_module
-from conftest import CUT_OFF, HANG_UP, STALL, StubServer, simple_request
+from conftest import CUT_OFF, HANG_UP, STALL, Raw, StubServer, simple_request
+from crat import canonical
 from crat.config import build_gateway, load_run_config
 from crat.gateway import (
     BackendConfigError,
@@ -31,6 +34,7 @@ from crat.gateway import (
     Gateway,
     GatewayError,
     HttpStatusError,
+    PARAMS,
     ProtocolError,
     RetryLaterError,
     ScriptedMissError,
@@ -173,6 +177,27 @@ def test_cache_layout_and_contents(tmp_path):
     assert entry["request"]["messages"] == [["user", "say hello"]]
 
 
+def test_cache_line_is_the_canonical_entry(tmp_path):
+    # The entry line is the compact canonical JSON of its four fields, byte
+    # for byte, and its fingerprint is the request's, non-ASCII text kept.
+    model = {"name": "modèle", "endpoint": "http://chat.test/v1"}
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_mock("mock", [], fallback="réponse « 银行 » \u2028 \"fin\"", model=model)
+    request = ChatRequest("mock", (ChatMessage("system", "sois bref"),
+                                   ChatMessage("user", "银行 bank\n\"quoted\" é")))
+    exchange = gateway.complete(request)
+    [segment] = segments(tmp_path)
+    line = segment.read_bytes()
+    entry = json.loads(line)
+    assert entry["fingerprint"] == exchange.fingerprint == request_fingerprint(request, model)
+    assert entry["request"] == {
+        "backend": "mock", "model": model, "params": PARAMS,
+        "messages": [["system", "sois bref"], ["user", "银行 bank\n\"quoted\" é"]]}
+    assert entry["response_text"] == "réponse « 银行 » \u2028 \"fin\""
+    fields = ("fingerprint", "request", "response_text", "timestamp")
+    assert line == (canonical.compact({name: entry[name] for name in fields}) + "\n").encode()
+
+
 def test_gateway_context_flushes_and_stops_its_threads(tmp_path):
     before = set(threading.enumerate())
     with Gateway(cache_dir=tmp_path / "cache") as gateway:
@@ -261,17 +286,16 @@ def test_cache_dir_moved_away_under_a_live_gateway(tmp_path, spend):
         assert len(spent.read_text("utf-8").splitlines()) == 1
 
 
-def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
-    # A process killed in mid-append leaves a line with no newline: a gateway
-    # opened later skips it with one warning and finds every whole entry.
+def assert_bad_tail_is_skipped_with_a_warning(tmp_path, caplog, bad_tail):
+    # Two whole entries, then the line that bad_tail makes of their bytes: a
+    # gateway opened later skips that line with one warning and finds both.
     calls = []
     writer = counting_gateway(tmp_path / "cache", calls)
     for prompt in ("first", "second"):
         writer.complete(simple_request("mock", prompt))
     [segment] = segments(tmp_path / "cache")
-    whole = segment.read_bytes()
     with open(segment, "ab") as handle:
-        handle.write(whole[:50])
+        handle.write(bad_tail(segment.read_bytes()))
     reader = counting_gateway(tmp_path / "cache", calls)
     for prompt in ("first", "second"):
         exchange = reader.complete(simple_request("mock", prompt))
@@ -279,6 +303,17 @@ def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
     assert len(calls) == 2
     warnings = [r.getMessage() for r in caplog.records if r.name == "crat.gateway"]
     assert warnings == [f"skipped unreadable lines in cache segment {segment}"]
+
+
+def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
+    # A process killed in mid-append leaves a line with no newline.
+    assert_bad_tail_is_skipped_with_a_warning(tmp_path, caplog, lambda whole: whole[:50])
+
+
+def test_line_whose_fingerprint_is_not_hex_is_skipped_with_a_warning(tmp_path, caplog):
+    assert_bad_tail_is_skipped_with_a_warning(
+        tmp_path, caplog, lambda whole: whole[:16] + b"\xff" * 64 + whole[80:]
+    )
 
 
 def test_line_at_a_stale_offset_is_a_miss(tmp_path, caplog):
@@ -579,6 +614,18 @@ def test_http_sends_auth_and_wire_shape(stub_server, monkeypatch):
     assert sent.headers["User-Agent"] == f"crat/{crat.__version__}"
 
 
+def test_http_header_value_with_a_newline_is_refused(stub_server, monkeypatch):
+    # A token read from a file with its newline would end the header block
+    # early; the call fails before anything is sent.
+    monkeypatch.setenv("TEST_TOKEN", "sekret\nX-Injected: yes")
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    gateway = Gateway()
+    gateway.register_http("live", stub_server.url, "test-model", auth_token_env_var="TEST_TOKEN")
+    with pytest.raises(TransportError, match="CR or LF|Invalid header"):
+        gateway.complete(hello_request("live"))
+    assert stub_server.requests == []
+
+
 # --- kept-alive connections -------------------------------------------------------
 
 
@@ -736,6 +783,22 @@ def test_http_proxied_request_reuses_a_proxy_connection(stub_server, keep_alive_
     assert len(keep_alive_server.requests) == 2
 
 
+def test_http_proxy_without_a_port_is_reached_on_port_80(monkeypatch, proxy_env):
+    addresses = []
+
+    def refuse(address, *args, **kwargs):
+        addresses.append(address)
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setenv("http_proxy", "http://proxy.test")
+    gateway_module._proxies.cache_clear()
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 1)
+    with pytest.raises(TransportError, match="refused"):
+        http_gateway("http://chat.test/v1/chat").complete(hello_request("live"))
+    assert addresses == [("proxy.test", 80)]
+
+
 @pytest.mark.parametrize("no_proxy", ["localhost,127.0.0.1,::1", "localhost,127.0.0.1,[::1]"])
 def test_http_no_proxy_list_with_ipv6_entries(stub_server, keep_alive_server,
                                               monkeypatch, proxy_env, no_proxy):
@@ -769,6 +832,94 @@ def test_https_proxied_request_opens_a_connect_tunnel(stub_server, proxy_env, mo
     assert tunnel.headers["Proxy-Authorization"] == PROXY_AUTHORIZATION
 
 
+@pytest.fixture
+def tls_server(tmp_path, monkeypatch, proxy_env):
+    """A kept-alive ``StubServer`` speaking HTTPS with a self-signed
+    certificate for localhost, which ``SSL_CERT_FILE`` makes trusted; no proxy
+    is set."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                    "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1", "-subj", "/CN=localhost",
+                    "-addext", "subjectAltName=DNS:localhost", "-keyout", key, "-out", cert],
+                   check=True, capture_output=True)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    gateway_module._proxies.cache_clear()
+    gateway_module._tls.cache_clear()
+    server = StubServer(keep_alive=True, tls=context)
+    yield server
+    server.close()
+    gateway_module._tls.cache_clear()
+
+
+def test_https_calls_share_one_verified_connection(tls_server):
+    port = tls_server.httpd.server_address[1]
+    gateway = http_gateway(f"https://localhost:{port}/v1/chat")
+    for prompt in ("one", "two", "three"):
+        assert gateway.complete(simple_request("live", prompt)).response_text == "ok"
+    assert tls_server.connection_count == 1
+    assert [r.headers["Host"] for r in tls_server.requests] == [f"localhost:{port}"] * 3
+
+
+class TunnelProxy:
+    """A proxy that answers each ``CONNECT`` with 200 and then relays bytes
+    both ways between the client and 127.0.0.1 at the port asked for; it
+    records each ``CONNECT`` head."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.heads = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _ = self.listener.accept()
+            except OSError:  # closed
+                return
+            head = b""
+            # A byte at a time, so as to read no further than the head.
+            while not head.endswith(b"\r\n\r\n") and (byte := client.recv(1)):
+                head += byte
+            self.heads.append(head.decode("latin-1"))
+            port = int(head.split()[1].rpartition(b":")[2])
+            upstream = socket.create_connection(("127.0.0.1", port))
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            for source, sink in ((client, upstream), (upstream, client)):
+                threading.Thread(target=self._relay, args=(source, sink), daemon=True).start()
+
+    @staticmethod
+    def _relay(source, sink):
+        try:
+            while data := source.recv(65536):
+                sink.sendall(data)
+            sink.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+
+def test_https_through_a_connect_tunnel(tls_server, proxy_env):
+    # The tunnel carries the verified TLS connection, kept alive like a direct one.
+    proxy = TunnelProxy()
+    try:
+        proxy_env("https_proxy", proxy)
+        port = tls_server.httpd.server_address[1]
+        gateway = http_gateway(f"https://localhost:{port}/v1/chat")
+        for prompt in ("one", "two"):
+            assert gateway.complete(simple_request("live", prompt)).response_text == "ok"
+        (head,) = proxy.heads
+        assert head.startswith(f"CONNECT localhost:{port} HTTP/1.1\r\n")
+        assert f"Proxy-Authorization: {PROXY_AUTHORIZATION}\r\n" in head
+        assert tls_server.connection_count == 1
+        assert [r.path for r in tls_server.requests] == ["/v1/chat"] * 2
+    finally:
+        proxy.listener.close()
+
+
 def test_http_redirect_is_not_followed(stub_server):
     stub_server.script((307, {}, {"Location": "/elsewhere"}))
     gateway = http_gateway(f"{stub_server.url}/v1/chat")
@@ -776,3 +927,91 @@ def test_http_redirect_is_not_followed(stub_server):
         gateway.complete(hello_request("live"))
     assert info.value.status == 307
     assert len(stub_server.requests) == 1
+
+
+# --- reply framing ------------------------------------------------------------------
+
+
+def raw(*head: str, body: bytes = b"") -> bytes:
+    """A reply head of the lines ``head``, each ended by CRLF, then an empty
+    line and ``body``."""
+    return "".join(f"{line}\r\n" for line in (*head, "")).encode("latin-1") + body
+
+
+def chunked(data: bytes, size: int) -> bytes:
+    """``data`` in chunks of ``size`` bytes, each with a chunk extension, then
+    the last chunk and a trailer field."""
+    pieces = [data[n:n + size] for n in range(0, len(data), size)]
+    return (b"".join(b'%x;note="x"\r\n%s\r\n' % (len(piece), piece) for piece in pieces)
+            + b"0\r\nX-Checksum: none\r\n\r\n")
+
+
+FRAMED = json.dumps(chat_body("framed")).encode()
+
+
+def test_http_chunked_reply_with_extension_and_trailer(keep_alive_server):
+    # The trailer is read up to its end: the next call on the same
+    # connection reads its own reply.
+    keep_alive_server.script(Raw(raw("HTTP/1.1 200 OK", "Transfer-Encoding: chunked",
+                                     body=chunked(FRAMED, 7))))
+    gateway = http_gateway(keep_alive_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "framed"
+    assert gateway.complete(simple_request("live", "again")).response_text == "ok"
+    assert keep_alive_server.connection_count == 1
+
+
+def test_http_reply_without_length_is_read_to_close(keep_alive_server):
+    # Neither a length nor chunking: the body ends where the server stops
+    # writing, and the connection carries no second request.
+    keep_alive_server.script(Raw(raw("HTTP/1.1 200 OK", body=FRAMED), close=True))
+    gateway = http_gateway(keep_alive_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "framed"
+    assert gateway.complete(simple_request("live", "again")).attempts == 1
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connection_count == 2
+
+
+def test_http_reply_with_length_and_chunking_is_read_as_chunked(keep_alive_server):
+    # RFC 9112 6.3: chunking overrides Content-Length, and a reply that sends
+    # both may not be framed as the server meant, so its connection is dropped.
+    keep_alive_server.script(Raw(raw("HTTP/1.1 200 OK", "Content-Length: 5",
+                                     "Transfer-Encoding: chunked", body=chunked(FRAMED, 16))))
+    gateway = http_gateway(keep_alive_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "framed"
+    assert gateway.complete(simple_request("live", "again")).response_text == "ok"
+    assert keep_alive_server.connection_count == 2
+
+
+@pytest.mark.parametrize("interim", [("HTTP/1.1 100 Continue",),
+                                     ("HTTP/1.1 103 Early Hints", "Link: </a.css>; rel=preload")],
+                         ids=["100", "103"])
+def test_http_interim_reply_is_skipped(keep_alive_server, interim):
+    keep_alive_server.script(Raw(raw(*interim) + raw(
+        "HTTP/1.1 200 OK", f"Content-Length: {len(FRAMED)}", body=FRAMED)))
+    gateway = http_gateway(keep_alive_server.url)
+    exchange = gateway.complete(hello_request("live"))
+    assert (exchange.response_text, exchange.attempts) == ("framed", 1)
+    assert gateway.complete(simple_request("live", "again")).response_text == "ok"
+    assert keep_alive_server.connection_count == 1
+
+
+def test_http_lower_case_retry_after_is_honoured(stub_server, monkeypatch):
+    sleeps = record_sleeps(monkeypatch)
+    stub_server.script((503, {}, {"retry-after": "7"}), (200, chat_body("done")))
+    gateway = http_gateway(stub_server.url)
+    assert gateway.complete(hello_request("live")).response_text == "done"
+    assert sleeps == [7.0]
+
+
+@pytest.mark.parametrize("reply", [
+    raw("ICY 200 OK", "Content-Length: 2", body=b"{}"),
+    raw("HTTP/1.1 200 OK", "X-Long: " + "a" * 65536, "Content-Length: 2", body=b"{}"),
+    raw("HTTP/1.1 200 OK", *[f"X-Field-{n}: {n}" for n in range(100)], "Content-Length: 2",
+        body=b"{}"),
+], ids=["not-http", "line-over-64-kib", "101-fields"])
+def test_http_malformed_reply_head_is_a_transport_error(keep_alive_server, reply):
+    keep_alive_server.script(*[Raw(reply)] * gateway_module.MAX_ATTEMPTS)
+    gateway = http_gateway(keep_alive_server.url)
+    with pytest.raises(TransportError):
+        gateway.complete(hello_request("live"))
+    assert len(keep_alive_server.requests) == gateway_module.MAX_ATTEMPTS
