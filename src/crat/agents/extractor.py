@@ -30,12 +30,13 @@ def _validate(payload: dict) -> list[tuple[str, str, str, list[str]]]:
 
 def extract_internal_knowledge(source_text: str, terms: Sequence[TermCandidate],
                                backend_id: str, gateway: Gateway,
-                               transcript=None) -> list[KnowledgeTriple]:
+                               transcript=None, on_sent=None) -> list[KnowledgeTriple]:
     """Extract source-context triples for the flagged terms.
 
     With no terms there is nothing to extract and no model call is made.
     Triples referencing surfaces outside ``terms`` are dropped with a warning,
-    as are triples with no term reference at all.
+    as are triples with no term reference at all. ``on_sent`` runs while the
+    first request is in flight (see ``Gateway.complete``).
     """
     if not terms:
         return []
@@ -45,7 +46,8 @@ def extract_internal_knowledge(source_text: str, terms: Sequence[TermCandidate],
         term_list=", ".join(t.surface for t in terms),
         source_text=source_text,
     )
-    reported = chat_structured(gateway, backend_id, prompt, "extractor", _validate, transcript)
+    reported = chat_structured(gateway, backend_id, prompt, "extractor", _validate, transcript,
+                               on_sent)
 
     triples = []
     for subject, relation, obj, keys in reported:

@@ -73,20 +73,22 @@ def extract_payload(text: str) -> dict:
 
 
 def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
-                    validate: Callable[[dict], Any], transcript=None) -> Any:
+                    validate: Callable[[dict], Any], transcript=None,
+                    on_sent: Callable[[], object] | None = None) -> Any:
     """Run one agent call with bounded repair; returns what ``validate``
     returns for the first usable reply.
 
     ``validate`` turns the raw payload dict into the agent-specific value and
     raises ``ValueError`` on schema violations; a violation counts as a parse
-    failure and consumes a repair attempt.
+    failure and consumes a repair attempt. ``on_sent`` goes to the first
+    request's ``Gateway.complete``.
     """
     messages = [ChatMessage("user", prompt)]
     raw_text = ""
     last_error = "no attempt made"
     for attempt in range(MAX_REPAIR_ATTEMPTS + 1):
         request = ChatRequest(backend_id, tuple(messages))
-        exchange = gateway.complete(request)
+        exchange = gateway.complete(request, None if attempt else on_sent)
         if transcript is not None:
             transcript.add_exchange(exchange)
         raw_text = exchange.response_text

@@ -229,15 +229,28 @@ def check_endpoint(url: str) -> str:
 
 
 def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
-                  timeout_s: float) -> tuple[int, bytes, dict[str, str]]:
+                  timeout_s: float, on_sent: Callable[[], object] | None = None,
+                  ) -> tuple[int, bytes, dict[str, str]]:
     """One HTTP/1.1 request, a POST when ``body`` is given and a GET otherwise,
     on a kept-alive connection, direct or to the environment's proxy: the
     reply's status, whole body and headers (names lower-cased), whatever the
     status. A failure to connect, a timeout or a malformed or cut-off reply
-    raises ``TransportError``."""
+    raises ``TransportError``. ``on_sent`` runs after each write of the
+    request (again when a dropped idle connection makes it resend), before
+    the reply is read; what it raises closes the connection and propagates
+    as it is."""
     parts = urlsplit(url)
     target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-    connection = None
+    connection, raised = None, []
+
+    def sent() -> None:  # tells what on_sent raises from the transport's own errors
+        try:
+            if on_sent is not None:
+                on_sent()
+        except BaseException as err:
+            raised.append(err)
+            raise
+
     try:
         host, port = parts.hostname, parts.port or _PORTS[parts.scheme]
         authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
@@ -259,8 +272,10 @@ def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
             connection = idle.pop() if idle else None
         if connection is not None:
             try:
-                status, reply_headers, http11 = _send(connection, request, timeout_s)
-            except (ConnectionResetError, BrokenPipeError):
+                status, reply_headers, http11 = _send(connection, request, timeout_s, sent)
+            except (ConnectionResetError, BrokenPipeError) as err:
+                if err in raised:
+                    raise
                 # Closed by the server while idle: no byte of a reply came.
                 _close(connection)
                 connection = None
@@ -279,15 +294,18 @@ def http_exchange(url: str, body: bytes | None, headers: Mapping[str, str],
                 connection[1].close()  # the socket itself goes on inside the TLS one
                 sock = _tls().wrap_socket(sock, server_hostname=host)
                 connection = sock, sock.makefile("rb")
-            status, reply_headers, http11 = _send(connection, request, timeout_s)
+            status, reply_headers, http11 = _send(connection, request, timeout_s, sent)
         keep = (_QUICKACK is not None and http11
                 and "close" not in reply_headers.get("connection", "").lower())
         if keep:
             connection[0].setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
         data, keep = _read_body(connection[1], status, reply_headers, keep)
-    except (OSError, ValueError) as err:  # ValueError: a bad port or a malformed reply
+    except BaseException as err:
         if connection is not None:
             _close(connection)
+        if err in raised or not isinstance(err, (OSError, ValueError)):
+            raise
+        # ValueError: a bad port or a malformed reply
         raise TransportError(f"transport failure calling {url}: {err!r}") from err
     if keep:
         with _IDLE_LOCK:
@@ -310,13 +328,16 @@ def _close(connection: tuple[socket.socket, BinaryIO]) -> None:
     connection[0].close()
 
 
-def _send(connection: tuple[socket.socket, BinaryIO], request: bytes,
-          timeout_s: float) -> tuple[int, dict[str, str], bool]:
-    """Send ``request`` in one write under ``timeout_s``. The reply's status
-    past any interim 1xx reply, its header fields by lower-cased name (a
-    repeated one joined by commas) and whether it speaks HTTP/1.1."""
+def _send(connection: tuple[socket.socket, BinaryIO], request: bytes, timeout_s: float,
+          on_sent: Callable[[], object] | None = None) -> tuple[int, dict[str, str], bool]:
+    """Send ``request`` in one write under ``timeout_s`` and run ``on_sent``.
+    The reply's status past any interim 1xx reply, its header fields by
+    lower-cased name (a repeated one joined by commas) and whether it speaks
+    HTTP/1.1."""
     connection[0].settimeout(timeout_s)
     connection[0].sendall(request)
+    if on_sent is not None:
+        on_sent()
     status = 100
     while 100 <= status < 200:
         line = _read_line(connection[1])
@@ -440,16 +461,19 @@ class MockBackend:
         )
         self._fallback = fallback
 
-    def generate(self, request: ChatRequest) -> str:
-        for matcher, response in self._rules:
-            if matcher(request):
-                return response(request) if callable(response) else response
-        if self._fallback is not None:
-            return self._fallback(request) if callable(self._fallback) else self._fallback
-        head = request.last_user_content()[:160]
-        raise ScriptedMissError(
-            f"backend {self.backend_id!r} has no scripted response for request "
-            f"{request_fingerprint(request)[:12]} (last user message: {head!r})")
+    def generate(self, request: ChatRequest, on_sent: Callable[[], object] | None = None) -> str:
+        """The first matching rule's response, else the fallback's; ``on_sent``
+        runs once the response is made, as if it had been sent."""
+        response = next((r for matcher, r in self._rules if matcher(request)), self._fallback)
+        if response is None:
+            head = request.last_user_content()[:160]
+            raise ScriptedMissError(
+                f"backend {self.backend_id!r} has no scripted response for request "
+                f"{request_fingerprint(request)[:12]} (last user message: {head!r})")
+        text = response(request) if callable(response) else response
+        if on_sent is not None:
+            on_sent()
+        return text
 
 
 class HttpBackend:
@@ -469,7 +493,7 @@ class HttpBackend:
         so a cached answer cannot cross models or endpoints."""
         return {"name": self.model_name, "endpoint": self.endpoint_url}
 
-    def generate(self, request: ChatRequest) -> str:
+    def generate(self, request: ChatRequest, on_sent: Callable[[], object] | None = None) -> str:
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
@@ -481,7 +505,7 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         status, body, reply_headers = http_exchange(
             self.endpoint_url, json.dumps(payload, allow_nan=False).encode("utf-8"),
-            headers, self.timeout_s)
+            headers, self.timeout_s, on_sent)
         if status in RETRY_STATUSES:
             raise RetryLaterError(status, body_excerpt(body),
                                   retry_after_s(reply_headers.get("retry-after")))
@@ -597,7 +621,12 @@ class Gateway:
 
     # -- completion ------------------------------------------------------
 
-    def complete(self, request: ChatRequest) -> ChatExchange:
+    def complete(self, request: ChatRequest,
+                 on_sent: Callable[[], object] | None = None) -> ChatExchange:
+        """One call through the cache, the in-flight bound and the retry
+        policy. ``on_sent`` runs once: after the request is written, for an
+        HTTP backend, or before ``complete`` returns, for a cache hit or a
+        mock."""
         if self._closed:
             raise RuntimeError("cannot complete a request on a closed gateway")
         backend = self._backends.get(request.backend_id)
@@ -605,10 +634,14 @@ class Gateway:
             raise UnknownBackendError(f"unknown backend: {request.backend_id!r}")
         fingerprint, encoded = _canonical_request(request, backend.model)
         started = time.perf_counter()
+        if on_sent is not None:
+            on_sent = functools.cache(on_sent)  # once: a retry's write does not run it
 
         if self.cache_dir is not None:
             cached = self._cache_read(fingerprint)
             if cached is not None:
+                if on_sent is not None:
+                    on_sent()
                 return ChatExchange(request, cached, _elapsed_ms(started),
                                     cache_hit=True, fingerprint=fingerprint, attempts=0)
 
@@ -618,7 +651,7 @@ class Gateway:
             attempts = attempt
             try:
                 with self._inflight[request.backend_id]:
-                    text = backend.generate(request)
+                    text = backend.generate(request, on_sent)
                 break
             except (TransportError, RetryLaterError) as err:
                 if attempt >= MAX_ATTEMPTS:

@@ -6,6 +6,13 @@ graph only through the judge's verdict gate; with zero detected terms the
 knowledge stages are skipped entirely and the translator runs on an empty
 graph.
 
+Retrieval does not wait for extraction: it runs on the calling thread while
+the first extract request is in flight (``Gateway.complete``'s ``on_sent``),
+so a remote source may be queried for a document whose extraction then
+fails. Its warnings are recorded apart and joined as the retrieve stage
+after the extract stage's events; ``timings_ms["retrieve"]`` is its own
+wall time, which overlaps ``extract``.
+
 Every judge call reads only the internal knowledge fixed before the judge
 stage, so all (term, document) pairs are judged at once, on the gateway's
 ``MAX_INFLIGHT_PER_BACKEND`` worker threads (``Gateway.fan_out``), which
@@ -225,17 +232,24 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
     judged_count = fail_closed_count = 0
 
     if terms:
+        # Retrieval runs while the first extract request is in flight; its
+        # warnings and its own wall time join the retrieve stage afterwards.
+        per_term_docs = []
+        retrieved, retrieve_timing = AgentTranscript(), {}
+
+        def retrieve() -> None:
+            with _stage("retrieve", retrieved, retrieve_timing):
+                per_term_docs.extend(
+                    (term, retrieve_for_term(term, source_text, config.sources,
+                                             config.k_per_source, config.n2, retrieved))
+                    for term in terms)
+
         with _stage("extract", transcript, timings):
             internal = extract_internal_knowledge(
-                source_text, terms, config.extractor_backend, gateway, transcript)
+                source_text, terms, config.extractor_backend, gateway, transcript, retrieve)
             graph = add_internal(graph, internal)
-
-        with _stage("retrieve", transcript, timings):
-            per_term_docs = []
-            for term in terms:
-                docs = retrieve_for_term(term, source_text, config.sources,
-                                         config.k_per_source, config.n2, transcript)
-                per_term_docs.append((term, docs))
+        transcript.join(retrieved)
+        timings.update(retrieve_timing)
 
         if any(docs for _, docs in per_term_docs):
             if config.use_judge:

@@ -7,6 +7,7 @@ import json
 import socket
 import ssl
 import threading
+import time
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
@@ -32,6 +33,13 @@ DEMO_SCRIPTS = {
 def simple_request(backend_id: str, prompt: str) -> ChatRequest:
     """A request of one user message."""
     return ChatRequest(backend_id, (ChatMessage("user", prompt),))
+
+
+def wait_for(condition, timeout_s: float = 5.0) -> None:
+    """Return once ``condition()`` is true, or after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
 
 
 def demo_backend(backend_id: str) -> MockBackend:
@@ -72,6 +80,23 @@ def artifact_bytes(results, directory) -> list[bytes]:
     under ``directory``, in order."""
     return [path.read_bytes() for result in results
             for path in write_transcript(result, directory)]
+
+
+@pytest.fixture(autouse=True)
+def close_gateways(monkeypatch):
+    """Close every gateway the test opened, so that no cache segment is left
+    open when it ends."""
+    opened = []
+    init = Gateway.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(Gateway, "__init__", tracked)
+    yield
+    for gateway in opened:
+        gateway.close()
 
 
 @pytest.fixture
@@ -193,7 +218,9 @@ class StubServer:
         self.httpd.responses = []
         self.httpd.requests = []
         self.httpd.default_response = (200, {"choices": [{"message": {"content": "ok"}}]})
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll, so that close() does not wait out serve_forever's 0.5 s.
+        self.thread = threading.Thread(target=self.httpd.serve_forever, args=(0.01,),
+                                       daemon=True)
         self.thread.start()
 
     @property

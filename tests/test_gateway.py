@@ -22,7 +22,7 @@ import pytest
 
 import crat
 from crat import gateway as gateway_module
-from conftest import CUT_OFF, HANG_UP, STALL, Raw, StubServer, simple_request
+from conftest import CUT_OFF, HANG_UP, STALL, Raw, StubServer, simple_request, wait_for
 from crat import canonical
 from crat.config import build_gateway, load_run_config
 from crat.gateway import (
@@ -660,6 +660,32 @@ def test_http_threads_never_share_a_connection_at_once(keep_alive_server):
     assert attempts == [1] * 80
     assert len(keep_alive_server.requests) == 80
     assert keep_alive_server.connection_count <= 8
+
+
+@pytest.mark.parametrize("reused", [False, True])
+@pytest.mark.parametrize("error", [ValueError, ConnectionResetError, KeyError])
+def test_http_on_sent_error_closes_the_connection_and_propagates(keep_alive_server, reused,
+                                                                  error):
+    # What on_sent raises is not a transport failure: the request is not
+    # sent again, the exception is the one raised, and the connection,
+    # with its reply unread, is closed rather than pooled.
+    gateway = http_gateway(keep_alive_server.url)
+    if reused:
+        gateway.complete(simple_request("live", "warm up"))
+    raised = error("from on_sent")
+
+    def on_sent():
+        raise raised
+
+    with pytest.raises(error) as caught:
+        gateway.complete(hello_request("live"), on_sent)
+    assert caught.value is raised
+    wait_for(lambda: len(keep_alive_server.requests) > reused)
+    wait_for(lambda: not keep_alive_server.httpd.connections)
+    assert len(keep_alive_server.requests) == 1 + reused
+    assert not keep_alive_server.httpd.connections
+    host, port = keep_alive_server.httpd.server_address
+    assert not gateway_module._IDLE.get(("http", host, port, None))
 
 
 def test_http_connection_closed_while_idle_costs_no_attempt(keep_alive_server, monkeypatch):

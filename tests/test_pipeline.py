@@ -17,8 +17,10 @@ from conftest import (
     demo_backend,
     demo_pipeline_config,
     register_demo_backends,
+    wait_for,
 )
 from crat import canonical, fixtures
+from crat import gateway as gateway_module
 from crat.config import build_gateway, build_pipeline_config, build_sources, load_run_config
 from crat.fixtures import fenced_payload
 from crat.gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, HttpStatusError
@@ -33,7 +35,7 @@ from crat.pipeline import (
     serialize_result,
     write_transcript,
 )
-from crat.retrieval import RetrievedDocument
+from crat.retrieval import RemoteSource, RetrievedDocument, SourceError
 from crat.transcript import STAGES
 from crat.transkg import CORRECT, GRAPH_SHAPE, INCORRECT, graph_to_dict
 
@@ -66,15 +68,19 @@ def judge_reply(verdict: str, rendering: str = "", facts=None) -> str:
     })
 
 
-def controlled_gateway(verdict_by_doc: dict[str, str],
-                       term_surfaces: list[str], judge=None) -> Gateway:
+def controlled_gateway(verdict_by_doc: dict[str, str], term_surfaces: list[str],
+                       judge=None, cache_dir=None, extractor_url=None) -> Gateway:
     """Mock backends for a controlled run over invented term surfaces; a
-    ``judge`` callable, if given, answers every judge request."""
-    gateway = Gateway()
+    ``judge`` callable, if given, answers every judge request, and the
+    extractor is an HTTP backend at ``extractor_url``, if given."""
+    gateway = Gateway(cache_dir)
     gateway.register_mock("det", [], fallback=fenced_payload(
         {"terms": [{"surface": s, "category": "new_term", "rationale": ""}
                    for s in term_surfaces]}))
-    gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
+    if extractor_url is None:
+        gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
+    else:
+        gateway.register_http("ext", extractor_url, "test-model", timeout_s=5)
     judge_rules = [(f"Document {doc_id}:", judge_reply(verdict))
                    for doc_id, verdict in verdict_by_doc.items()]
     gateway.register_mock("jdg", [] if judge else judge_rules,
@@ -356,6 +362,134 @@ def test_ablation_stage_sets_nest():
         result = run_pipeline("alpha text", EN_ZH, config, gateway)
         stage_sets[name] = set(result.transcript.stages())
     assert stage_sets["vanilla"] < stage_sets["kg"] < stage_sets["full"]
+
+
+# --- retrieval during the extract wait --------------------------------------------
+
+
+class FailingSource:
+    kind = "remote"
+    label = "down"
+
+    def search(self, query, k):
+        raise SourceError("unreachable")
+
+
+def test_retrieval_warning_sits_in_the_retrieve_stage_after_extraction():
+    gateway = controlled_gateway({}, ["alpha"])
+    sources = [FailingSource(), ScriptedSource({"alpha": [doc("dx1")]})]
+    result = run_pipeline("alpha text", EN_ZH, controlled_config({}, sources=sources), gateway)
+    events = [(e["kind"], e["stage"], e.get("message")) for e in result.transcript.to_dict()]
+    assert events == [
+        ("stage", "detect", None), ("exchange", "detect", None),
+        ("stage", "extract", None), ("exchange", "extract", None),
+        ("stage", "retrieve", None),
+        ("warning", "retrieve", "retrieval source 'down' failed: unreachable"),
+        ("stage", "judge", None), ("exchange", "judge", None),
+        ("stage", "translate", None), ("exchange", "translate", None),
+    ]
+    assert result.judged_count == 1
+    assert list(result.timings_ms) == STAGES_FULL
+
+
+class RecordingSource:
+    """Wraps a source: appends ("search", label) and ("found", label) to
+    ``events`` around each of its searches, which start after ``before()``."""
+
+    kind = "remote"
+
+    def __init__(self, label, inner, events, before=lambda: None):
+        self.label, self.inner, self.events, self.before = label, inner, events, before
+
+    def search(self, query, k):
+        self.before()
+        self.events.append(("search", self.label))
+        time.sleep(0.02)  # long enough for the extract reply to arrive unread
+        try:
+            return self.inner.search(query, k)
+        finally:
+            self.events.append(("found", self.label))
+
+
+EXTRACT_REPLY = fenced_payload({"triples": []})
+
+
+def chat(text: str) -> tuple:
+    return 200, {"choices": [{"message": {"content": text}}]}
+
+
+# How the extractor answers: the stub's scripted replies, or None for a mock.
+EXTRACTOR_CASES = {
+    "http": [chat(EXTRACT_REPLY)],
+    "repair turn": [chat("Triples, in prose."), chat(EXTRACT_REPLY)],
+    "503, then retried": [(503, "busy", {"Retry-After": "0"}), chat(EXTRACT_REPLY)],
+    "cache hit": [chat(EXTRACT_REPLY)],
+    "mock": None,
+}
+
+
+@pytest.mark.parametrize("case", EXTRACTOR_CASES)
+def test_retrieval_runs_once_per_document(keep_alive_server, tmp_path, case):
+    events = []
+    glossary = ScriptedSource({"alpha": [doc("dx1")]})
+    config = controlled_config({}, sources=[RecordingSource("glossary", glossary, events)])
+    replies = EXTRACTOR_CASES[case]
+    if replies is not None:
+        keep_alive_server.script(*replies)
+    gateway = controlled_gateway({}, ["alpha"], cache_dir=tmp_path / "cache", extractor_url=(
+        None if replies is None else keep_alive_server.url))
+    runs = 2 if case == "cache hit" else 1
+    for _ in range(runs):
+        result = run_pipeline("alpha text", EN_ZH, config, gateway)
+        assert result.judged_count == 1
+    assert events == [("search", "glossary"), ("found", "glossary")] * runs
+    if replies is not None:
+        assert len(keep_alive_server.requests) == len(replies)
+        exchanges = [e for e in result.transcript.exchanges() if e.request.backend_id == "ext"]
+        assert [e.cache_hit for e in exchanges] == [case == "cache hit"] * len(exchanges)
+
+
+def test_retrieval_runs_between_the_extract_send_and_its_reply(keep_alive_server,
+                                                               monkeypatch):
+    # Both searches start once the extract request has reached the server,
+    # and its reply, there before they end, is read only after the last.
+    events = []
+    read_line = gateway_module._read_line
+    monkeypatch.setattr(gateway_module, "_read_line",
+                        lambda reader: events.append(("read",)) or read_line(reader))
+
+    def extract_request_arrived():
+        wait_for(lambda: keep_alive_server.requests)
+        events.append(("stub requests", len(keep_alive_server.requests)))
+
+    sources = [RecordingSource(label, ScriptedSource({"alpha": [doc(f"{label}-1")]}), events,
+                               extract_request_arrived) for label in ("index", "glossary")]
+    keep_alive_server.script(chat(EXTRACT_REPLY))
+    gateway = controlled_gateway({}, ["alpha"], extractor_url=keep_alive_server.url)
+    result = run_pipeline("alpha text", EN_ZH, controlled_config({}, sources=sources), gateway)
+    assert result.judged_count == 2
+    assert events[:events.index(("read",))] == [
+        ("stub requests", 1), ("search", "index"), ("found", "index"),
+        ("stub requests", 1), ("search", "glossary"), ("found", "glossary"),
+    ]
+
+
+def test_remote_source_searched_during_the_extract_wait(keep_alive_server):
+    # The extract call holds one kept-alive connection while the remote
+    # search takes a second one; both go back to the pool.
+    remote = RemoteSource(f"{keep_alive_server.url}/search", timeout_s=5)
+    source = RecordingSource("remote", remote, [],
+                             lambda: wait_for(lambda: keep_alive_server.requests))
+    keep_alive_server.script(chat(EXTRACT_REPLY), (200, [
+        {"id": "r1", "title": "alpha", "text": "alpha is remote", "score": 1.0}]))
+    gateway = controlled_gateway({}, ["alpha"], extractor_url=keep_alive_server.url)
+    result = run_pipeline("alpha text", EN_ZH, controlled_config({}, sources=[source]), gateway)
+    assert result.judged_count == 1
+    assert [(r.method, r.path.split("?")[0]) for r in keep_alive_server.requests] == [
+        ("POST", "/"), ("GET", "/search")]
+    assert keep_alive_server.connection_count == 2
+    host, port = keep_alive_server.httpd.server_address
+    assert len(gateway_module._IDLE[("http", host, port, None)]) == 2
 
 
 # --- stage conformance property ------------------------------------------------------
