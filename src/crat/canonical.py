@@ -1,13 +1,15 @@
 """Canonical JSON, the one encoding of run artifacts, reports and hashes:
 sorted keys and non-ASCII text kept as is, so equal values encode to equal
-bytes. And ``check``, the one shape check of every document crat reads: the
-config, mock scripts, ``graph.json`` and ``result.json``."""
+bytes. ``read_text`` and ``jsonl_records``, the one reader of the files crat is
+handed and its JSON Lines parser. And ``check``, the one shape check of every
+document crat reads: the config, mock scripts, ``graph.json`` and ``result.json``."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from pathlib import Path
+from typing import Any, Iterable, Mapping
 
 
 def pretty(value) -> str:
@@ -24,6 +26,35 @@ def compact(value) -> str:
 def digest(value) -> str:
     """Hex sha256 of the UTF-8 compact form."""
     return hashlib.sha256(compact(value).encode("utf-8")).hexdigest()
+
+
+def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of the file at ``path``; ``error``, naming ``what`` and
+    the path, if it is missing, unreadable or not UTF-8."""
+    try:
+        return Path(path).read_text("utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:  # a directory, no permission, not UTF-8
+        raise error(f"cannot read {what} {path}: {getattr(err, 'strerror', err)}") from None
+
+
+def jsonl_records(lines: Iterable[str], origin: str, error: type[Exception],
+                  ) -> list[tuple[str, dict]]:
+    """Each non-blank line's JSON object, with the ``origin:line`` it came from."""
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{origin}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise error(f"{where}: malformed JSON: {err.msg}") from None
+        if not isinstance(record, dict):
+            raise error(f"{where}: expected a JSON object")
+        records.append((where, record))
+    return records
 
 
 # --- shapes --------------------------------------------------------------------

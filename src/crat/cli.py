@@ -11,12 +11,12 @@ Exit codes: 0 success, 1 fatal error, 2 partial batch failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import canonical, retrieval
+from . import canonical, retrieval, tokenizers
 from .config import (
+    MODES,
     ConfigError,
     build_gateway,
     build_pipeline_config,
@@ -44,31 +44,16 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
+# What a command may raise for bad input or a failed run: ``main`` prints it as
+# one ``error:`` line and exits 1.
+FAILURES = (ConfigError, EvaluationError, GatewayError, OSError, PipelineError,
+            retrieval.RetrievalError, ValueError)
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_FATAL
 
-
-def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
+def _read_jsonl(path: str, what: str) -> list[tuple[str, dict]]:
     """Each non-blank line's JSON object, with the ``path:line`` it came from."""
-    try:
-        lines = path.read_text("utf-8").splitlines()
-    except FileNotFoundError:
-        raise ValueError(f"file not found: {path}") from None
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{where}: malformed JSON: {err.msg}") from err
-        if not isinstance(record, dict):
-            raise ValueError(f"{where}: expected a JSON object")
-        records.append((where, record))
-    return records
+    return canonical.jsonl_records(canonical.read_text(path, what, ValueError).splitlines(),
+                                   path, ValueError)
 
 
 def _require(where: str, record: dict, *keys: str) -> dict:
@@ -86,35 +71,28 @@ def _load_translate_corpus(args) -> list[dict]:
     if args.text is not None:
         return [{"id": args.doc_id or "doc-0", "text": args.text}]
     path = Path(args.input)
-    if not path.is_file():
-        raise ValueError(f"input file not found: {path}")
     if path.suffix == ".jsonl":
-        return [record for _, record in _read_jsonl(path)]
-    return [{"id": args.doc_id or path.stem, "text": path.read_text("utf-8")}]
+        return [record for _, record in _read_jsonl(args.input, "input file")]
+    return [{"id": args.doc_id or path.stem,
+             "text": canonical.read_text(args.input, "input file", ValueError)}]
 
 
 def cmd_translate(args) -> int:
-    try:
-        config = load_run_config(args.config)
-        corpus = _load_translate_corpus(args)
-        gateway = build_gateway(config, cache_enabled=not args.no_cache)
-        sources = build_sources(config) if args.mode == "crat" else []
-        pipeline_config = build_pipeline_config(config, sources, mode=args.mode,
-                                                width_override=args.width)
-    except (ConfigError, GatewayError, retrieval.RetrievalError, ValueError) as err:
-        return _fail(str(err))
+    config = load_run_config(args.config)
+    corpus = _load_translate_corpus(args)
+    gateway = build_gateway(config, cache_enabled=not args.no_cache)
+    sources = build_sources(config) if args.mode == "crat" else []
+    pipeline_config = build_pipeline_config(config, sources, mode=args.mode,
+                                            width_override=args.width)
     out_dir = Path(args.output)
     try:  # before any provider call, so a bad --output costs none
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        return _fail(f"cannot create output directory {out_dir}: {err}")
+        raise OSError(f"cannot create output directory {out_dir}: {err}") from err
 
     lang_pair = (args.source_lang, args.target_lang)
-    try:
-        with gateway:  # closes its cache segment
-            results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
-    except PipelineError as err:  # a corpus refused before any call
-        return _fail(str(err))
+    with gateway:  # closes its cache segment
+        results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
 
     for result in results:
         write_transcript(result, out_dir)
@@ -135,19 +113,13 @@ def cmd_translate(args) -> int:
 
 
 def cmd_build_index(args) -> int:
-    path = Path(args.corpus)
-    try:
-        records = [_require(where, record, "id") for where, record in _read_jsonl(path)]
-    except (OSError, ValueError) as err:
-        return _fail(str(err))
+    records = [_require(where, record, "id")
+               for where, record in _read_jsonl(args.corpus, "corpus file")]
     if not records:
-        print(f"warning: {path} holds no documents; building an empty index",
+        print(f"warning: {args.corpus} holds no documents; building an empty index",
               file=sys.stderr)
-    try:
-        index = retrieval.build_index(records, tokenizer_id=args.tokenizer)
-        retrieval.save_index(index, args.output)
-    except (ValueError, OSError) as err:
-        return _fail(str(err))
+    index = retrieval.build_index(records, tokenizer_id=args.tokenizer)
+    retrieval.save_index(index, args.output)
     print(f"indexed {index.doc_count} document(s), {len(index.terms)} term(s) "
           f"-> {args.output}")
     return EXIT_OK
@@ -168,45 +140,41 @@ def cmd_evaluate(args) -> int:
     try:  # before any grading call, so a bad --report costs none
         report_path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        return _fail(f"cannot create report directory {report_path.parent}: {err}")
+        raise OSError(f"cannot create report directory {report_path.parent}: {err}") from err
     if report_path.is_dir():
-        return _fail(f"cannot write report {report_path}: it is a directory")
-    try:
-        config = load_run_config(args.config)
-        gateway = build_gateway(config, cache_enabled=not args.no_cache)
-        consis_backend = config.role_backend("consis")
-        corpus_path = Path(args.corpus)
-        if not corpus_path.is_file():
-            return _fail(f"parallel corpus not found: {corpus_path}")
-        examples = load_parallel_corpus(
-            corpus_path.read_text("utf-8").splitlines(), str(corpus_path))
-        with gateway:  # closes its cache segment
-            report = _evaluate_dir(args.results, examples, gateway, consis_backend)
-            if args.external_scores:
-                records = [_require(where, record, "id", "score")
-                           for where, record in _read_jsonl(Path(args.external_scores))]
-                scores = {str(r["id"]): float(r["score"]) for r in records}
-                attach_external_scores(report, scores)
-            payload: dict = {"candidate": report.to_dict()}
-            if args.baseline:
-                baseline_report = _evaluate_dir(args.baseline, examples, gateway, consis_backend)
-                comparison = compare_reports(baseline_report, report)
-                payload["baseline"] = baseline_report.to_dict()
-                payload["comparison"] = comparison.to_dict()
-                print(comparison.to_text())
-            else:
-                print(f"bleu: {report.bleu:.3f}")
-                if report.consis is not None:
-                    print(f"consis: {report.consis:.3f}")
-                if report.term_consistency is not None:
-                    print(f"term_consistency: {report.term_consistency:.3f}")
-    except (ConfigError, GatewayError, PipelineError, EvaluationError, OSError,
-            ValueError) as err:
-        return _fail(str(err))
+        raise IsADirectoryError(f"cannot write report {report_path}: it is a directory")
+    config = load_run_config(args.config)
+    gateway = build_gateway(config, cache_enabled=not args.no_cache)
+    consis_backend = config.role_backend("consis")
+    examples = load_parallel_corpus(
+        canonical.read_text(args.corpus, "parallel corpus", EvaluationError).splitlines(),
+        args.corpus)
+    with gateway:  # closes its cache segment
+        report = _evaluate_dir(args.results, examples, gateway, consis_backend)
+        if args.external_scores:
+            scores = {}
+            for where, record in _read_jsonl(args.external_scores, "external scores file"):
+                _require(where, record, "id", "score")
+                canonical.check(record["score"], canonical.NUMBER, where, ValueError, "score")
+                scores[str(record["id"])] = float(record["score"])
+            attach_external_scores(report, scores)
+        payload: dict = {"candidate": report.to_dict()}
+        if args.baseline:
+            baseline_report = _evaluate_dir(args.baseline, examples, gateway, consis_backend)
+            comparison = compare_reports(baseline_report, report)
+            payload["baseline"] = baseline_report.to_dict()
+            payload["comparison"] = comparison.to_dict()
+            print(comparison.to_text())
+        else:
+            print(f"bleu: {report.bleu:.3f}")
+            if report.consis is not None:
+                print(f"consis: {report.consis:.3f}")
+            if report.term_consistency is not None:
+                print(f"term_consistency: {report.term_consistency:.3f}")
     try:
         report_path.write_text(canonical.pretty(payload), "utf-8")
     except OSError as err:
-        return _fail(f"cannot write report {report_path}: {err}")
+        raise OSError(f"cannot write report {report_path}: {err}") from err
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -217,11 +185,11 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect_kg(args) -> int:
     graph_path = Path(args.transcript) / "graph.json"
     if not graph_path.is_file():
-        return _fail(f"no graph file under {args.transcript}")
+        raise FileNotFoundError(f"no graph file under {args.transcript}")
     try:
         graph = deserialize_graph(graph_path.read_bytes())
     except GraphParseError as err:
-        return _fail(f"unreadable graph file {graph_path}: {err}")
+        raise GraphParseError(f"unreadable graph file {graph_path}: {err}") from err
     if args.term:
         filtered = {
             "term": args.term,
@@ -250,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--source-lang", required=True)
     translate.add_argument("--target-lang", required=True)
     translate.add_argument("--output", required=True, help="transcript output directory")
-    translate.add_argument("--mode", choices=("crat", "direct"), default="crat")
+    translate.add_argument("--mode", choices=MODES, default="crat")
     translate.add_argument("--width", type=int, default=None,
                            help="concurrent documents (overrides config)")
     translate.add_argument("--no-cache", action="store_true")
@@ -260,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build-index", help="build a BM25 index from corpus JSONL")
     build.add_argument("--corpus", required=True)
     build.add_argument("--output", required=True)
-    build.add_argument("--tokenizer", choices=("simple", "char"), default="simple")
+    build.add_argument("--tokenizer", choices=tokenizers.TOKENIZER_IDS,
+                       default=tokenizers.SIMPLE)
     build.set_defaults(func=cmd_build_index)
 
     evaluate = sub.add_parser("evaluate", help="score results against a parallel corpus")
@@ -284,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FAILURES as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FATAL
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrin
 from .pipeline import PipelineConfig
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
+MODES = ("crat", "direct")
 
 # libyaml's parser where PyYAML was built with it, else the pure-Python one;
 # both build the same values through the same safe constructor.
@@ -117,9 +118,7 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text("utf-8"), Loader=YAML_LOADER)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raw = yaml.load(canonical.read_text(path, "config file", ConfigError), Loader=YAML_LOADER)
     except yaml.YAMLError as err:
         raise ConfigError(f"config file {path} is not valid YAML: {err}") from err
     return RunConfig(raw, path.parent)
@@ -157,9 +156,7 @@ def mock_script_from_dict(data: Any, where: str = "mock script",
 def load_mock_script(path: Path) -> Mapping:
     """The parsed script document, for ``mock_script_from_dict``."""
     try:
-        return json.loads(path.read_text("utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"mock script not found: {path}") from None
+        return json.loads(canonical.read_text(path, "mock script", ConfigError))
     except json.JSONDecodeError as err:
         raise ConfigError(f"mock script {path} is not valid JSON: {err}") from err
 
@@ -209,7 +206,7 @@ def build_pipeline_config(config: RunConfig, sources: list, mode: str = "crat",
                           width_override: int | None = None) -> PipelineConfig:
     """The run's pipeline settings; every role the run calls must be set, and
     a role it does not call defaults to the translator's backend."""
-    if mode not in ("crat", "direct"):
+    if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode!r}")
     # Every other retrieval and pipeline key is a PipelineConfig field.
     knobs = {key: value

@@ -12,14 +12,13 @@ is zero, which keeps identical candidate/reference pairs at exactly 100.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
-from . import tokenizers
+from . import canonical, tokenizers
 from .agents import AgentError, consis_evaluate
 from .gateway import Gateway, GatewayError
 from .pipeline import TranslationResult
@@ -281,11 +280,8 @@ def load_parallel_corpus(lines: Sequence[str], origin: str = "corpus") -> list[P
     """Parse JSON Lines records {id, source_text, reference_text, source_lang,
     target_lang}."""
     examples = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for where, record in canonical.jsonl_records(lines, origin, EvaluationError):
         try:
-            record = json.loads(line)
             examples.append(ParallelExample(
                 id=str(record["id"]),
                 source_text=record["source_text"],
@@ -294,5 +290,5 @@ def load_parallel_corpus(lines: Sequence[str], origin: str = "corpus") -> list[P
                 target_lang=record["target_lang"],
             ))
         except (ValueError, KeyError, TypeError) as err:
-            raise EvaluationError(f"{origin}:{lineno}: bad parallel example: {err}") from err
+            raise EvaluationError(f"{where}: bad parallel example: {err}") from err
     return examples

@@ -12,8 +12,8 @@ is framed as RFC 9112 section 6.3 says (chunked, else ``Content-Length``,
 else read until the server closes), interim 1xx replies are skipped, and a
 line over 65 536 bytes or more than 100 header fields is a
 ``TransportError``. It follows no redirect. ``check_endpoint`` admits only
-http and https endpoints. The README's introduction and its Configuration
-section describe the cache, the retry policy and the transport.
+http and https endpoints with a host. The README's introduction and its
+Configuration section describe the cache, the retry policy and the transport.
 """
 
 from __future__ import annotations
@@ -221,9 +221,14 @@ _tls = functools.cache(ssl.create_default_context)  # made at the first https co
 
 
 def check_endpoint(url: str) -> str:
-    """``url``, unless it is not an http or https URL with a host."""
+    """``url``, unless it is not an http or https URL with a host and, if it
+    names one, a port from 1 to 65535."""
     parts = urlsplit(url)
-    if parts.scheme not in _PORTS or not parts.netloc:
+    try:
+        port_ok = parts.port is None or parts.port > 0
+    except ValueError:  # not a number, or out of range
+        port_ok = False
+    if parts.scheme not in _PORTS or not parts.hostname or not port_ok:
         raise BackendConfigError(f"malformed endpoint URL: {url!r}")
     return url
 

@@ -206,7 +206,9 @@ def _verdict_triples(verdict: JudgeVerdict, doc: RetrievedDocument, term,
 def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineConfig,
                  gateway: Gateway, source_doc_id: str = "doc-0") -> TranslationResult:
     """Translate one document through the full stage sequence."""
-    if not source_text or not source_text.strip():
+    if not isinstance(source_text, str):
+        raise PipelineError(f"{source_doc_id}: source text is not a string")
+    if not source_text.strip():
         raise PipelineError(f"{source_doc_id}: source text is empty")
     config.validate_backends(gateway)
 

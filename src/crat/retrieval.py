@@ -215,13 +215,11 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> CorpusIndex:
+    text = canonical.read_text(path, "index file", RetrievalError)
     try:
         # Format 3 holds no floats: one reads as null, which _check_index rejects.
-        payload = json.loads(Path(path).read_bytes(), parse_float=lambda _: None,
-                             parse_constant=lambda _: None)
-    except FileNotFoundError:
-        raise RetrievalError(f"index file not found: {path}") from None
-    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+        payload = json.loads(text, parse_float=lambda _: None, parse_constant=lambda _: None)
+    except json.JSONDecodeError as err:
         raise RetrievalError(f"malformed index file {path}: {err}") from err
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != INDEX_FORMAT_VERSION:
@@ -302,10 +300,7 @@ class GlossaryEntry:
 def load_glossary(path: str | Path) -> list[GlossaryEntry]:
     """Parse a TSV glossary: ``source_term<TAB>target_term[<TAB>note]``."""
     entries = []
-    try:
-        text = Path(path).read_text("utf-8")
-    except FileNotFoundError:
-        raise RetrievalError(f"glossary file not found: {path}") from None
+    text = canonical.read_text(path, "glossary file", RetrievalError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -104,6 +104,16 @@ MALFORMED_CONFIGS = {
     "remote source with a data: endpoint": (
         ("retrieval", "sources", 0), {"kind": "remote", "endpoint": "data:,[]"},
         "malformed endpoint URL: 'data:,[]'"),
+    "remote source with no host": (
+        ("retrieval", "sources", 0), {"kind": "remote", "endpoint": "http://:8080/v1"},
+        "malformed endpoint URL: 'http://:8080/v1'"),
+    "remote source with a port out of range": (
+        ("retrieval", "sources", 0), {"kind": "remote", "endpoint": "http://h:99999/v1"},
+        "malformed endpoint URL: 'http://h:99999/v1'"),
+    "http backend with only a user": (
+        ("backends", "registrations", 0),
+        {"id": "det", "kind": "http", "endpoint": "http://user@/v1", "model": "m"},
+        "malformed endpoint URL: 'http://user@/v1'"),
     "glossary source without path": (
         ("retrieval", "sources", 0), {"kind": "glossary"}, "retrieval.sources[0]: needs 'path'"),
     "mock script holding a list": (
@@ -168,6 +178,45 @@ def test_translate_missing_index_file(demo, tmp_path, capsys):
                    "--text", "x", "--output", tmp_path / "out", *EN_ZH_ARGS)
     assert code == 1
     assert "index file not found" in capsys.readouterr().err
+
+
+# Files crat is handed that ended in a traceback, or in an error naming no
+# file: (the file in the demo workspace, how it is spoiled, the error).
+UNREADABLE_INPUTS = {
+    "config a directory": ("config.yaml", "directory", "cannot read config file"),
+    "glossary a directory": ("glossary.tsv", "directory", "cannot read glossary file"),
+    "index a directory": ("index.json", "directory", "cannot read index file"),
+    "mock script a directory": ("scripts/judge.json", "directory", "cannot read mock script"),
+    "glossary not UTF-8": ("glossary.tsv", "latin-1", "cannot read glossary file"),
+    "input not UTF-8": ("inputs.jsonl", "latin-1", "cannot read input file"),
+    "parallel corpus not UTF-8": ("parallel.jsonl", "latin-1", "cannot read parallel corpus"),
+    "index corpus not UTF-8": ("corpus.jsonl", "latin-1", "cannot read corpus file"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_input_file_is_one_error_line(demo, tmp_path, capsys, case):
+    name, spoil, message = UNREADABLE_INPUTS[case]
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()
+    path = demo / name
+    if spoil == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes("caf\u00e9\n".encode("latin-1") + path.read_bytes())
+    if name == "parallel.jsonl":
+        code = run_cli("evaluate", "--results", out, "--corpus", path,
+                       "--config", demo / "config.yaml", "--report", tmp_path / "r.json")
+    elif name == "corpus.jsonl":
+        code = run_cli("build-index", "--corpus", path, "--output", tmp_path / "i.json")
+    else:
+        code = translate(demo, tmp_path / "again")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message} {path}: ") and err.count("\n") == 1, err
+    assert ("Is a directory" if spoil == "directory" else "can't decode") in err
 
 
 def test_translate_partial_batch_failure(demo, tmp_path, capsys):
@@ -479,6 +528,21 @@ def test_evaluate_external_scores_record_without_score(demo, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{scores}:2" in err and "'score'" in err
+
+
+@pytest.mark.parametrize("score", ["high", True, None])
+def test_evaluate_external_score_that_is_not_a_number(demo, tmp_path, capsys, score):
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()  # discard translate output
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"id": "geo-1", "score": 0.9}) + "\n"
+                      + json.dumps({"id": "fin-1", "score": score}) + "\n")
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", tmp_path / "r.json",
+                   "--external-scores", scores)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {scores}:2: score must be a number\n"
 
 
 def rewrite_json(path: Path, edit) -> None:

@@ -348,6 +348,11 @@ def test_parallel_example_validation():
         load_parallel_corpus(["{broken"])
 
 
+def test_parallel_corpus_line_that_is_not_an_object():
+    with pytest.raises(EvaluationError, match=r"^par.jsonl:2: expected a JSON object$"):
+        load_parallel_corpus(["", "[1]"], "par.jsonl")
+
+
 # --- comparison -----------------------------------------------------------------
 
 

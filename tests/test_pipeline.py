@@ -289,6 +289,15 @@ def test_empty_source_text_rejected(demo_gateway):
         run_pipeline("   ", EN_ZH, demo_pipeline_config(), demo_gateway)
 
 
+def test_batch_fails_a_document_whose_text_is_not_a_string(demo_gateway):
+    corpus = [{"id": "x", "text": 5}, {"id": "y", "text": "fine text"},
+              {"id": "z", "text": ""}]
+    results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), demo_gateway)
+    assert [result.source_doc_id for result in results] == ["y"]
+    assert [record.get("error") for record in manifest.records] == [
+        "x: source text is not a string", None, "z: source text is empty"]
+
+
 def test_missing_backend_reported(demo_gateway):
     config = demo_pipeline_config(judge_backend="ghost")
     with pytest.raises(PipelineError, match="ghost"):

@@ -498,7 +498,9 @@ def test_remote_search_redirect_is_source_error(stub_server):
 
 
 @pytest.mark.parametrize("endpoint",
-                         ["data:,[]", "file:///etc/hosts", "ftp://x.test/q", "http:/q"])
+                         ["data:,[]", "file:///etc/hosts", "ftp://x.test/q", "http:/q",
+                          "http://:8080/v1", "http://user@/v1", "http://h:99999/v1",
+                          "http://h:port/v1", "http://h:0/v1"])
 def test_remote_source_refuses_endpoints_that_are_not_http(endpoint):
     with pytest.raises(BackendConfigError, match="malformed endpoint URL"):
         RemoteSource(endpoint)

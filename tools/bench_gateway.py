@@ -11,11 +11,10 @@ a chat request. For each source tree given it times:
   cache off and on (a new cache directory each time, so every call misses and
   writes an entry): the median wall time and calling-thread CPU time of one
   call, and the process CPU per call over the whole loop, which includes the
-  cache writes on any thread. A tree whose gateway still has ``flush`` (a
-  background writer) is flushed inside that loop's time.
+  cache writes on any thread.
 - the same ``CALLS`` prompts once more against the 0 ms server, answered
-  from the cache that the first pass filled (flushed first, where there is
-  ``flush``): the read path of a batch that repeats its documents.
+  from the cache that the first pass filled: the read path of a batch that
+  repeats its documents.
 - the first call of a new gateway on a cache of ``LOG_ENTRIES`` entries (a
   ``LOG_REQUEST_CHARS`` request and a ``LOG_REPLY_CHARS`` reply each, written
   by that tree's own gateway from an in-process mock), a hit: the time to
@@ -147,8 +146,6 @@ def time_calls(url: str, cache_dir: str | None, server: str | None = None,
     gateway.complete(ChatRequest("bench", (ChatMessage("user", "warm-up"),)))
     for n in range(CALLS if hits else 0):
         gateway.complete(ChatRequest("bench", (ChatMessage("user", f"call {n}"),)))
-    if hits and hasattr(gateway, "flush"):
-        gateway.flush()
     walls, thread_cpus = [], []
     wall_started, cpu_started = time.perf_counter(), time.process_time()
     for n in range(CALLS):
@@ -157,8 +154,6 @@ def time_calls(url: str, cache_dir: str | None, server: str | None = None,
         gateway.complete(request)
         thread_cpus.append(time.thread_time() - thread_started)
         walls.append(time.perf_counter() - started)
-    if hasattr(gateway, "flush"):
-        gateway.flush()
     return {
         "wall_ms_p50": statistics.median(walls) * 1000,
         "thread_cpu_ms_p50": statistics.median(thread_cpus) * 1000,
@@ -235,8 +230,6 @@ def time_fanout(url: str, cache_dir: str) -> dict:
             raise SystemExit(f"judged {result.judged_count} pairs, not {TERMS * DOCS_PER_TERM}")
         if n:
             judge_ms.append(result.timings_ms["judge"])
-    if hasattr(gateway, "flush"):
-        gateway.flush()
     return {"judge_ms_p50": statistics.median(judge_ms),
             "connections_per_call": (server_connections(url) - connections)
             / ((FANOUTS + 1) * TERMS * DOCS_PER_TERM)}
