@@ -17,8 +17,10 @@ TEMPLATE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
 
 
 def lang_name(code: str) -> str:
-    """The display name prompts use; an unknown code stands for itself."""
-    return tokenizers.LANG_NAMES.get(code, code)
+    """The display name prompts use for a code of ``tokenizers.LANG_NAMES``."""
+    if code not in tokenizers.LANG_NAMES:
+        raise ValueError(f"unknown language code {code!r}")
+    return tokenizers.LANG_NAMES[code]
 
 
 @lru_cache(maxsize=None)

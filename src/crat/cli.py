@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import canonical, retrieval, tokenizers
+from .agents.prompts import lang_name
 from .config import (
     MODES,
     ConfigError,
@@ -78,6 +79,9 @@ def _load_translate_corpus(args) -> list[dict]:
 
 
 def cmd_translate(args) -> int:
+    lang_pair = (args.source_lang, args.target_lang)
+    for code in lang_pair:  # refused before any file is made or call sent
+        lang_name(code)
     config = load_run_config(args.config)
     corpus = _load_translate_corpus(args)
     gateway = build_gateway(config, cache_enabled=not args.no_cache)
@@ -90,7 +94,6 @@ def cmd_translate(args) -> int:
     except OSError as err:
         raise OSError(f"cannot create output directory {out_dir}: {err}") from err
 
-    lang_pair = (args.source_lang, args.target_lang)
     with gateway:  # closes its cache segment
         results, manifest = run_batch(corpus, lang_pair, pipeline_config, gateway)
 

@@ -18,7 +18,7 @@ import yaml
 
 from . import canonical, retrieval
 from .canonical import NUMBER, OPTIONAL, REQUIRED, Kinds
-from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrings, match_fingerprint
+from .gateway import Gateway, check_endpoint, echo_last_user, match_all_substrings
 from .pipeline import PipelineConfig
 
 ROLE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
@@ -68,7 +68,7 @@ CONFIG_SHAPE = {
 
 SCRIPT_SHAPE = {
     "rules": ([{"substring": (str, OPTIONAL), "substrings": ([str], OPTIONAL),
-                "fingerprint": (str, OPTIONAL), "response": (str, REQUIRED)}], OPTIONAL),
+                "response": (str, REQUIRED)}], OPTIONAL),
     "fallback": (Kinds(text={**_KIND, "text": (str, OPTIONAL)}, echo_last_user=_KIND),
                  OPTIONAL),
 }
@@ -131,21 +131,18 @@ def mock_script_from_dict(data: Any, where: str = "mock script",
                           ) -> tuple[list, Callable[..., str] | str | None]:
     """Turn a scripted-mock description into register_mock arguments.
 
-    Rules match in order; each carries exactly one of ``substring``,
-    ``substrings`` (all must appear), or ``fingerprint``, plus ``response``.
+    Rules match in order; each carries exactly one of ``substring`` or
+    ``substrings`` (all must appear), plus ``response``.
     The optional fallback is ``{"kind": "text", "text": ...}`` or
     ``{"kind": "echo_last_user"}``.
     """
     canonical.check(data, SCRIPT_SHAPE, where, ConfigError)
     rules = []
     for i, rule in enumerate(data.get("rules", [])):
-        keys = [k for k in ("substring", "substrings", "fingerprint") if k in rule]
-        if len(keys) != 1:
-            raise ConfigError(f"{where}: rules[{i}]: needs exactly one of "
-                              "substring/substrings/fingerprint")
-        matcher = (rule["substring"] if keys[0] == "substring"
-                   else match_all_substrings(rule["substrings"]) if keys[0] == "substrings"
-                   else match_fingerprint(rule["fingerprint"]))
+        if ("substring" in rule) == ("substrings" in rule):
+            raise ConfigError(f"{where}: rules[{i}]: needs exactly one of substring/substrings")
+        matcher = (rule["substring"] if "substring" in rule
+                   else match_all_substrings(rule["substrings"]))
         rules.append((matcher, rule["response"]))
     fallback = data.get("fallback")
     if fallback is not None:

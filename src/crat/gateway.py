@@ -438,10 +438,6 @@ def match_all_substrings(needles: Sequence[str]) -> Matcher:
     return lambda request: all(n in request_text(request) for n in needles)
 
 
-def match_fingerprint(fingerprint: str) -> Matcher:
-    return lambda request: request_fingerprint(request) == fingerprint
-
-
 def echo_last_user(request: ChatRequest) -> str:
     return request.last_user_content()
 
@@ -474,7 +470,7 @@ class MockBackend:
             head = request.last_user_content()[:160]
             raise ScriptedMissError(
                 f"backend {self.backend_id!r} has no scripted response for request "
-                f"{request_fingerprint(request)[:12]} (last user message: {head!r})")
+                f"{request_fingerprint(request, self.model)[:12]} (last user message: {head!r})")
         text = response(request) if callable(response) else response
         if on_sent is not None:
             on_sent()

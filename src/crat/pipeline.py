@@ -147,8 +147,6 @@ RESULT_SHAPE = {
     **dict.fromkeys(("term_count", "judged_count", "accepted_count"), (int, OPTIONAL)),
     "term_renderings": ({str: [str]}, OPTIONAL), "detector_fallback": (bool, OPTIONAL),
 }
-# Format 1 also embedded the graph and the transcript, which load unread.
-_FORMAT_1_SHAPE = {**RESULT_SHAPE, "graph": (dict, OPTIONAL), "transcript": (list, OPTIONAL)}
 
 
 def result_to_dict(result: TranslationResult) -> dict:
@@ -414,10 +412,9 @@ def result_from_dict(data: Mapping, graph: TransKG) -> TranslationResult:
     """Rebuild a result from its ``result.json`` fields and its graph (transcript
     events are not reconstructed; evaluation only needs texts, graph, counts)."""
     version = data.get("format_version") if isinstance(data, Mapping) else RESULT_FORMAT_VERSION
-    if version not in (1, RESULT_FORMAT_VERSION):
+    if version != RESULT_FORMAT_VERSION:
         raise PipelineError(f"unsupported result format version: {version!r}")
-    canonical.check(data, RESULT_SHAPE if version == RESULT_FORMAT_VERSION else _FORMAT_1_SHAPE,
-                    "result")
+    canonical.check(data, RESULT_SHAPE, "result")
     values = {name: data[name] for name in RESULT_SHAPE if name in data}
     del values["format_version"]
     return TranslationResult(graph=graph, transcript=AgentTranscript(), **values)

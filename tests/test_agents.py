@@ -231,6 +231,14 @@ def test_golden_consis_prompt():
     assert rendered == (GOLDEN / "consis.txt").read_text("utf-8")
 
 
+def test_lang_name_refuses_an_unknown_code():
+    assert prompts.lang_name("zh") == "Chinese"
+    with pytest.raises(ValueError, match="^unknown language code 'zz'$"):
+        prompts.lang_name("zz")
+    with pytest.raises(ValueError, match="'zz'"):
+        render_translator_prompt("text", new_graph("d", []), ("en", "zz"))
+
+
 def test_prompt_determinism():
     one = render_translator_prompt(fixtures.GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
     two = render_translator_prompt(fixtures.GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
@@ -467,6 +475,13 @@ def test_translator_empty_graph_prompt_has_no_knowledge(monkeypatch):
     gateway = mock_gateway("trn", fallback=respond)
     translate_with_knowledge("plain text", new_graph("d", []), EN_ZH, "trn", gateway)
     assert "Verified term knowledge" not in prompts_seen[0]
+
+
+def test_translator_takes_a_string_rendering_as_a_one_item_list():
+    gateway = mock_gateway("trn", fallback=fenced(
+        {"translation": "河岸。", "term_renderings": {"bank": "河岸"}}))
+    output = translate_with_knowledge("The bank.", new_graph("d", []), EN_ZH, "trn", gateway)
+    assert output.term_renderings == {"bank": ["河岸"]}
 
 
 def test_translator_rejects_empty_translation():

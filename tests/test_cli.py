@@ -64,6 +64,38 @@ def test_crat_vs_direct_differ(demo, tmp_path):
     assert fixtures.FINANCIAL_BANK in direct_result["target_text"]
 
 
+@pytest.mark.parametrize("doc_id", [None, "geo-9"])
+def test_translate_plain_text_input_is_one_document(demo, tmp_path, capsys, doc_id):
+    source = tmp_path / "geo.txt"
+    source.write_text(fixtures.GEOGRAPHIC_SOURCE, "utf-8")
+    out = tmp_path / "out"
+    extra = ["--doc-id", doc_id] if doc_id else []
+    code = run_cli("translate", "--config", demo / "config.yaml", "--input", source,
+                   "--output", out, *EN_ZH_ARGS, *extra)
+    assert code == 0
+    name = doc_id or "geo"
+    assert files_under(out) == [name, *(f"{name}/{file}" for file in (
+        "graph.json", "result.json", "transcript.json")), "manifest.jsonl"]
+    result = json.loads((out / name / "result.json").read_text("utf-8"))
+    assert result["source_doc_id"] == name
+    assert result["source_text"] == fixtures.GEOGRAPHIC_SOURCE
+    assert fixtures.RIVERBANK in result["target_text"]
+    assert "translated 1/1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--source-lang", "--target-lang"])
+def test_translate_refuses_an_unknown_language_code(demo, tmp_path, capsys, monkeypatch, flag):
+    calls = count_provider_calls(monkeypatch)
+    langs = {"--source-lang": "en", "--target-lang": "zh", flag: "zz"}
+    out = tmp_path / "out"
+    code = run_cli("translate", "--config", demo / "config.yaml", "--text", "The bank.",
+                   "--output", out, *(part for item in langs.items() for part in item))
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown language code 'zz'\n"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_translate_missing_input(demo, tmp_path, capsys):
     code = run_cli("translate", "--config", demo / "config.yaml",
                    "--input", tmp_path / "nope.jsonl",
@@ -83,10 +115,7 @@ def test_translate_bad_config(tmp_path, capsys):
 
 def test_translate_output_that_is_a_file_fails_before_any_call(demo, tmp_path, capsys,
                                                                monkeypatch):
-    calls = []
-    generate = MockBackend.generate
-    monkeypatch.setattr(MockBackend, "generate",
-                        lambda self, request: calls.append(request) or generate(self, request))
+    calls = count_provider_calls(monkeypatch)
     out = tmp_path / "out"
     out.write_text("not a directory", "utf-8")
     assert translate(demo, out) == 1
@@ -119,6 +148,9 @@ MALFORMED_CONFIGS = {
     "mock script holding a list": (
         ("backends", "registrations", 3, "script_path"), "scripts/bad.json",
         "bad.json must be a mapping"),
+    "mock script with a fingerprint rule": (
+        ("backends", "registrations", 3, "script_path"), "scripts/fingerprint.json",
+        "fingerprint.json: rules[0]: unknown key(s): fingerprint"),
     "list n2": (("retrieval", "n2"), [1], "retrieval.n2 must be an integer"),
     "quoted judge_enabled": (
         ("pipeline", "judge_enabled"), "no", "pipeline.judge_enabled must be true or false"),
@@ -142,6 +174,8 @@ def test_malformed_config_exits_with_one_error_line(demo, tmp_path, capsys, case
     parent[path[-1]] = value
     (demo / "config.yaml").write_text(yaml.safe_dump(data), "utf-8")
     (demo / "scripts" / "bad.json").write_text("[1]\n", "utf-8")
+    (demo / "scripts" / "fingerprint.json").write_text(
+        '{"rules": [{"fingerprint": "ab", "response": "r"}]}\n', "utf-8")
     commands = {
         "translate": ("--input", demo / "inputs.jsonl", "--output", tmp_path / "out",
                       *EN_ZH_ARGS),
@@ -280,8 +314,8 @@ def count_provider_calls(monkeypatch) -> list:
     """The requests every mock backend answers from now on, in a list."""
     calls = []
     generate = MockBackend.generate
-    monkeypatch.setattr(MockBackend, "generate",
-                        lambda self, request: calls.append(request) or generate(self, request))
+    monkeypatch.setattr(MockBackend, "generate", lambda self, request, on_sent=None:
+                        calls.append(request) or generate(self, request, on_sent))
     return calls
 
 
@@ -445,6 +479,24 @@ def test_evaluate_unwritable_report_is_one_error_line(demo, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_evaluate_report_write_that_fails_after_grading_is_one_error_line(demo, tmp_path, capsys):
+    # A link into a directory that does not exist passes the early checks,
+    # and the write itself fails.
+    out = tmp_path / "out"
+    assert translate(demo, out) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    report_path.symlink_to(tmp_path / "missing" / "report.json")
+    code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
+                   "--config", demo / "config.yaml", "--report", report_path)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "bleu:" in captured.out
+    assert captured.err.startswith(f"error: cannot write report {report_path}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_evaluate_report_naming_a_directory_fails_before_grading(demo, tmp_path, capsys,
                                                                   monkeypatch):
     out = tmp_path / "out"
@@ -571,6 +623,8 @@ UNREADABLE_FILES = {
     "result array": ("result.json", lambda r: [r], "result must be a mapping"),
     "result version 7": ("result.json", lambda r: {**r, "format_version": 7},
                          "unsupported result format version: 7"),
+    "result version 1": ("result.json", lambda r: {**r, "format_version": 1},
+                         "unsupported result format version: 1"),
 }
 
 

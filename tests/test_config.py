@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 from conftest import simple_request
-from crat import fixtures
+from crat import canonical, fixtures
 from crat.config import (
     CONFIG_SHAPE,
     YAML_LOADER,
@@ -27,7 +28,7 @@ from crat.config import (
     mock_script_from_dict,
 )
 from crat.gateway import ChatExchange, Gateway
-from crat.pipeline import PipelineConfig, run_batch
+from crat.pipeline import PipelineConfig, PipelineError, run_batch, run_pipeline, write_transcript
 from crat.transcript import AgentTranscript, TranscriptError
 
 
@@ -166,9 +167,17 @@ def test_readme_configuration_example_loads(tmp_path):
 def test_mock_script_rule_validation():
     with pytest.raises(ConfigError, match="response"):
         mock_script_from_dict({"rules": [{"substring": "x"}]})
-    with pytest.raises(ConfigError, match="exactly one"):
+    # Rules match on text: a script file's requests are fingerprinted with
+    # the script's own digest, so no rule in it could name one.
+    with pytest.raises(ConfigError,
+                       match=r"^mock script: rules\[0\]: unknown key\(s\): fingerprint$"):
         mock_script_from_dict({"rules": [
             {"substring": "x", "fingerprint": "y", "response": "r"}]})
+    with pytest.raises(ConfigError, match="exactly one of substring/substrings"):
+        mock_script_from_dict({"rules": [
+            {"substring": "x", "substrings": ["y"], "response": "r"}]})
+    with pytest.raises(ConfigError, match="exactly one of substring/substrings"):
+        mock_script_from_dict({"rules": [{"response": "r"}]})
     with pytest.raises(ConfigError, match="fallback"):
         mock_script_from_dict({"rules": [], "fallback": {"kind": "dice"}})
 
@@ -195,6 +204,27 @@ def test_load_mock_script_errors(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_mock_script(bad)
+
+
+def test_scripted_miss_names_the_fingerprint_transcripts_hold(tmp_path):
+    # A mock read from a script file answers as the script's digest, and its
+    # miss names the fingerprint prefix that transcript.json and the cache
+    # record for the same request once a mock of that identity answers it.
+    script = {"rules": [{"substring": "goodbye", "response": "bye"}]}
+    (tmp_path / "script.json").write_text(json.dumps(script), "utf-8")
+    config = RunConfig({"backends": {"registrations": [
+        {"id": "trn", "kind": "mock", "script_path": "script.json"}]}}, tmp_path)
+    direct = PipelineConfig(translator_backend="trn", use_knowledge=False)
+    with pytest.raises(PipelineError, match=r"for request [0-9a-f]{12} ") as miss:
+        run_pipeline("The bank.", ("en", "zh"), direct, build_gateway(config, cache_enabled=False))
+    prefix = re.search(r"for request ([0-9a-f]{12}) ", str(miss.value))[1]
+    answering = Gateway()
+    answering.register_mock("trn", [("The bank.", '{"translation": "银行。"}')],
+                            model={"script": canonical.digest(script)})
+    result = run_pipeline("The bank.", ("en", "zh"), direct, answering)
+    transcript = json.loads(write_transcript(result, tmp_path / "run")[2].read_text("utf-8"))
+    (fingerprint,) = [event["fingerprint"] for event in transcript if event["kind"] == "exchange"]
+    assert fingerprint.startswith(prefix)
 
 
 # --- runtime construction ---------------------------------------------------------

@@ -152,6 +152,17 @@ def test_term_consistency_absent_without_rendering_map():
     assert term_consistency(result) is None
 
 
+def test_term_consistency_skips_a_repeated_term_without_renderings(caplog):
+    source = "Gaemi and Luzon; Gaemi and Luzon again."
+    blank = make_result(source, ["Gaemi"], {"Gaemi": [" ", ""], "Luzon": ["吕宋"]})
+    with caplog.at_level(logging.WARNING, logger="crat.evaluation"):
+        assert term_consistency(blank) is None
+    assert caplog.messages == ["term_consistency: no renderings reported for 'Gaemi'"]
+    # A term without renderings leaves the others' average as it is.
+    mixed = make_result(source, ["Gaemi", "Luzon"], {"Luzon": ["吕宋", "西吕宋"]})
+    assert term_consistency(mixed) == 0.0
+
+
 def test_term_consistency_mixed_terms_averages():
     source = "Gaemi and Luzon; Gaemi and Luzon again."
     result = make_result(source, ["Gaemi", "Luzon"],

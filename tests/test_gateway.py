@@ -41,7 +41,6 @@ from crat.gateway import (
     TransportError,
     UnknownBackendError,
     echo_last_user,
-    match_fingerprint,
     match_substring,
     request_fingerprint,
     request_text,
@@ -79,9 +78,9 @@ def test_fingerprint_stability_and_sensitivity():
     assert fp != request_fingerprint(simple_request("mock", "say goodbye"))
 
 
-def test_mock_fingerprint_rule():
+def test_in_code_mock_keeps_the_bare_fingerprint():
     gateway = Gateway()
-    gateway.register_mock("mock", [(match_fingerprint(HELLO_FINGERPRINT), "hello")])
+    gateway.register_mock("mock", [(match_substring("say hello"), "hello")])
     exchange = gateway.complete(hello_request())
     assert exchange.response_text == "hello"
     assert exchange.cache_hit is False
@@ -134,6 +133,15 @@ def test_empty_response_is_an_error():
 
 
 # --- cache --------------------------------------------------------------------
+
+
+def test_cache_append_after_close_raises(tmp_path):
+    # The gateway closes while the call is in flight; its reply is not cached.
+    gateway = Gateway(cache_dir=tmp_path / "cache")
+    gateway.register_mock("mock", [], fallback="hello")
+    with pytest.raises(RuntimeError, match="^cannot write to the cache of a closed gateway$"):
+        gateway.complete(hello_request(), on_sent=gateway.close)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cache_second_call_hits(tmp_path):

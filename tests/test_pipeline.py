@@ -834,8 +834,9 @@ def test_written_files_have_their_declared_shapes(demo_gateway, use_knowledge):
     assert all(r.term_renderings and r.graph.triples for r in results) == use_knowledge
 
 
-def test_format_1_result_still_loads(tmp_path, demo_gateway):
-    # Format 1 embedded the graph and the transcript; format 2 refuses them.
+def test_format_1_result_is_refused(tmp_path, demo_gateway):
+    # Format 1 embedded the graph and the transcript; only format 2 is read,
+    # and it refuses them.
     result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="geo-1")
     path = write_transcript(result, tmp_path)[0]
@@ -843,9 +844,8 @@ def test_format_1_result_still_loads(tmp_path, demo_gateway):
     data.update(format_version=1, graph=graph_to_dict(result.graph),
                 transcript=result.transcript.to_dict())
     path.write_text(json.dumps(data), "utf-8")
-    (loaded,) = load_results(tmp_path)
-    assert loaded.graph == result.graph
-    assert loaded.term_renderings == result.term_renderings
+    with pytest.raises(PipelineError, match="unsupported result format version: 1$"):
+        load_results(tmp_path)
     data["format_version"] = 2
     path.write_text(json.dumps(data), "utf-8")
     with pytest.raises(PipelineError, match=r"result: unknown key\(s\): graph, transcript$"):

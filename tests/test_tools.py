@@ -88,3 +88,54 @@ def test_bench_glossary_over_two_trees_writes_its_report(tmp_path):
                             "sides", "results"]
     assert report["sides"] == ["a", "b"]
     assert "hits" not in json.dumps(report["results"])
+
+
+TOY_MODULE = '''\
+import sys
+
+
+class Box:
+    size = 1
+
+    def grow(self, by):
+        self.size += by
+        return self.size
+
+
+def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def unused():
+    return [n * 2
+            for n in range(3)]
+'''
+
+TOY_TEST = '''\
+import threading
+
+from toy import Box, sign
+
+
+def test_toy():
+    assert sign(2) == 1
+    worker = threading.Thread(target=lambda: Box().grow(2))
+    worker.start()
+    worker.join()
+'''
+
+
+def test_line_coverage_lists_the_function_lines_no_test_ran(tmp_path):
+    # A toy checkout: ``sign``'s negative branch and all of ``unused`` never
+    # run; ``Box.grow`` runs only on a thread of the test's own.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "toy.py").write_text(TOY_MODULE, "utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_toy.py").write_text(TOY_TEST, "utf-8")
+    done = subprocess.run([sys.executable, str(TOOLS / "line_coverage.py"), "--root",
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "src/toy.py: 14, 19-20", "3 line(s) inside functions never ran, besides 0 allowed"]

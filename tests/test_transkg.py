@@ -291,6 +291,9 @@ MALFORMED_GRAPHS = {
                         "graph: triples[1] repeats triples[0]"),
     "repeated term key": (lambda d: d["triples"][0]["term_keys"].append("Scotia"),
                           "graph: triples[0].term_keys repeats a key"),
+    "external triple from an unadmitted document": (
+        lambda d: d["triples"][1]["provenance"].update(doc_id="d8"),
+        "external triple cites unadmitted document 'd8'"),
 }
 
 
