@@ -8,7 +8,7 @@ from typing import Sequence
 
 from ..gateway import Gateway
 from ..transcript import warn
-from ..transkg import KnowledgeTriple, TermCandidate, internal_provenance
+from ..transkg import INTERNAL, KnowledgeTriple, Provenance, TermCandidate
 from . import prompts
 from .schema import chat_structured, require_list, require_objects, require_str
 
@@ -63,5 +63,5 @@ def extract_internal_knowledge(source_text: str, terms: Sequence[TermCandidate],
                  f"with no term reference")
             continue
         triples.append(KnowledgeTriple(subject, relation, obj,
-                                       internal_provenance(), frozenset(keys)))
+                                       Provenance(INTERNAL), frozenset(keys)))
     return triples

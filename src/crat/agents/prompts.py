@@ -13,8 +13,6 @@ from string import Template
 
 from .. import tokenizers
 
-TEMPLATE_NAMES = ("detector", "extractor", "judge", "translator", "consis")
-
 
 def lang_name(code: str) -> str:
     """The display name prompts use for a code of ``tokenizers.LANG_NAMES``."""
@@ -25,8 +23,6 @@ def lang_name(code: str) -> str:
 
 @lru_cache(maxsize=None)
 def _template(name: str) -> Template:
-    if name not in TEMPLATE_NAMES:
-        raise ValueError(f"unknown prompt template: {name!r}")
     text = resources.files("crat.agents").joinpath("templates", f"{name}.txt").read_text("utf-8")
     return Template(text)
 
@@ -36,7 +32,4 @@ def render(name: str, lang_pair: tuple[str, str] | None = None, **values: str) -
     the ``source_lang`` and ``target_lang`` display names."""
     if lang_pair is not None:
         values["source_lang"], values["target_lang"] = map(lang_name, lang_pair)
-    try:
-        return _template(name).substitute(values)
-    except KeyError as err:
-        raise ValueError(f"template {name!r} is missing placeholder value {err}") from err
+    return _template(name).substitute(values)

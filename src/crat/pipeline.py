@@ -50,11 +50,12 @@ from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
 from .transcript import AgentTranscript, warn
 from .transkg import (
     CORRECT,
+    EXTERNAL,
     KnowledgeTriple,
+    Provenance,
     TransKG,
     admit_external,
     deserialize_graph,
-    external_provenance,
     integrate_external,
     new_graph,
     add_internal,
@@ -191,12 +192,12 @@ def _verdict_triples(verdict: JudgeVerdict, doc: RetrievedDocument, term,
             warn(transcript, log, f"judge: skipped blank fact from document {doc.id!r}")
             continue
         triples.append(KnowledgeTriple(subject, relation, obj,
-                                       external_provenance(doc.id),
+                                       Provenance(EXTERNAL, doc.id),
                                        frozenset({term.surface})))
     rendering = verdict.proposed_rendering.strip()
     if rendering:
         triples.append(KnowledgeTriple(term.surface, "renders as", rendering,
-                                       external_provenance(doc.id),
+                                       Provenance(EXTERNAL, doc.id),
                                        frozenset({term.surface})))
     return triples
 

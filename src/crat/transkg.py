@@ -98,14 +98,6 @@ class Provenance:
             raise ValueError("external provenance requires a doc_id")
 
 
-def internal_provenance() -> Provenance:
-    return Provenance(INTERNAL)
-
-
-def external_provenance(doc_id: str) -> Provenance:
-    return Provenance(EXTERNAL, doc_id)
-
-
 @dataclass(frozen=True)
 class KnowledgeTriple:
     """One (subject, relation, object) fact tied to the term nodes it informs."""
@@ -134,13 +126,42 @@ class KnowledgeTriple:
 
 @dataclass(frozen=True)
 class TransKG:
-    """Immutable knowledge graph for one source document."""
+    """Immutable knowledge graph for one source document.
+
+    Making one checks every invariant and raises ``GraphError`` on the
+    first broken: each node is keyed by its own surface, each document is
+    admitted once, every triple names known term keys, no triple repeats
+    another, internal triples come before external ones, and every external
+    triple cites an admitted document.
+    """
 
     source_doc_id: str
     nodes: Mapping[str, TermNode] = field(default_factory=dict)
     internal_triples: tuple[KnowledgeTriple, ...] = ()
     external_triples: tuple[KnowledgeTriple, ...] = ()
     accepted_docs: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for key, node in self.nodes.items():
+            if node.surface != key:
+                raise GraphError(f"graph: nodes.{key} has the surface {node.surface!r}")
+        if len(set(self.accepted_docs)) != len(self.accepted_docs):
+            raise GraphError("accepted_docs contains duplicates")
+        places: dict[tuple, int] = {}  # each triple's key -> its first index
+        for i, triple in enumerate(self.triples):
+            if places.setdefault(triple.key(), i) != i:
+                raise GraphError(f"graph: triples[{i}] repeats triples[{places[triple.key()]}]")
+            for key in sorted(triple.term_keys):
+                if key not in self.nodes:
+                    raise GraphError(f"triple references unknown term key: {key!r}")
+            kind, doc_id = triple.provenance.kind, triple.provenance.doc_id
+            if i < len(self.internal_triples):
+                if kind != INTERNAL:
+                    raise GraphError(f"triple {i}: external triple among internal triples")
+            elif kind != EXTERNAL:
+                raise GraphError(f"triple {i}: internal triple after external triples")
+            elif doc_id not in self.accepted_docs:
+                raise GraphError(f"external triple cites unadmitted document {doc_id!r}")
 
     @property
     def triples(self) -> tuple[KnowledgeTriple, ...]:
@@ -163,12 +184,6 @@ def new_graph(source_doc_id: str, terms: Sequence[TermCandidate]) -> TransKG:
     return TransKG(source_doc_id=source_doc_id, nodes=nodes)
 
 
-def _check_term_keys(graph: TransKG, triple: KnowledgeTriple) -> None:
-    for key in sorted(triple.term_keys):
-        if key not in graph.nodes:
-            raise GraphError(f"triple references unknown term key: {key!r}")
-
-
 def _unseen(graph: TransKG, incoming: Iterable[KnowledgeTriple]) -> tuple[KnowledgeTriple, ...]:
     """``incoming`` in order without triples already in ``graph`` or repeated."""
     seen = {t.key() for t in graph.triples}
@@ -182,14 +197,7 @@ def _unseen(graph: TransKG, incoming: Iterable[KnowledgeTriple]) -> tuple[Knowle
 
 def add_internal(graph: TransKG, triples: Iterable[KnowledgeTriple]) -> TransKG:
     """Append source-context facts in input order, dropping exact duplicates."""
-    incoming = list(triples)
-    for triple in incoming:
-        if triple.provenance.kind != INTERNAL:
-            raise GraphError(
-                f"add_internal rejected triple with {triple.provenance.kind} provenance: "
-                f"({triple.subject}, {triple.relation}, {triple.object})")
-        _check_term_keys(graph, triple)
-    added = _unseen(graph, incoming)
+    added = _unseen(graph, triples)
     if not added:
         return graph
     return replace(graph, internal_triples=graph.internal_triples + added)
@@ -201,14 +209,12 @@ def integrate_external(graph: TransKG, doc, verdict, triples: Iterable[Knowledge
     ``doc`` needs an ``id`` attribute and ``verdict`` needs ``doc_id`` and
     ``verdict`` attributes; the concrete types live in the retrieval and
     agents modules. A CORRECT verdict admits the document with its triples
-    (``admit_external``); an INCORRECT verdict returns the input graph
+    (``admit_external``); any other verdict returns the input graph
     unchanged and its triples are not looked at.
     """
     if verdict.doc_id != doc.id:
         raise GraphError(f"verdict is for document {verdict.doc_id!r}, not {doc.id!r}")
-    if verdict.verdict not in VERDICTS:
-        raise GraphError(f"unknown verdict: {verdict.verdict!r}")
-    if verdict.verdict == INCORRECT:
+    if verdict.verdict != CORRECT:
         return graph
     return admit_external(graph, doc.id, triples)
 
@@ -222,12 +228,8 @@ def admit_external(graph: TransKG, doc_id: str, triples: Iterable[KnowledgeTripl
             raise GraphError(
                 f"external triple must carry provenance of document {doc_id!r}: "
                 f"({triple.subject}, {triple.relation}, {triple.object})")
-        _check_term_keys(graph, triple)
-    accepted = graph.accepted_docs
-    if doc_id not in accepted:
-        accepted = accepted + (doc_id,)
     return replace(graph, external_triples=graph.external_triples + _unseen(graph, incoming),
-                   accepted_docs=accepted)
+                   accepted_docs=tuple(dict.fromkeys((*graph.accepted_docs, doc_id))))
 
 
 def triples_for_term(graph: TransKG, surface: str) -> list[KnowledgeTriple]:
@@ -290,16 +292,7 @@ def graph_from_dict(data: Mapping) -> TransKG:
         nodes = {surface: TermNode(**node) for surface, node in data["nodes"].items()}
     except ValueError as err:
         raise GraphParseError(f"invalid node: {err}") from err
-    for key, node in nodes.items():
-        if node.surface != key:
-            raise GraphParseError(f"graph: nodes.{key} has the surface {node.surface!r}")
-
-    accepted = tuple(data["accepted_docs"])
-    if len(set(accepted)) != len(accepted):
-        raise GraphParseError("accepted_docs contains duplicates")
-    internal: list[KnowledgeTriple] = []
-    external: list[KnowledgeTriple] = []
-    places: dict[tuple, int] = {}  # each triple's key -> its first index
+    triples = []
     for i, raw in enumerate(data["triples"]):
         try:
             triple = KnowledgeTriple(raw["subject"], raw["relation"], raw["object"],
@@ -308,27 +301,16 @@ def graph_from_dict(data: Mapping) -> TransKG:
             raise GraphParseError(f"invalid triple {i}: {err}") from err
         if len(triple.term_keys) < len(raw["term_keys"]):
             raise GraphParseError(f"graph: triples[{i}].term_keys repeats a key")
-        if places.setdefault(triple.key(), i) != i:
-            raise GraphParseError(f"graph: triples[{i}] repeats triples[{places[triple.key()]}]")
-        for key in triple.term_keys:
-            if key not in nodes:
-                raise GraphParseError(f"triple references unknown term key: {key!r}")
-        if triple.provenance.kind == INTERNAL:
-            if external:
-                raise GraphParseError(f"triple {i}: internal triple after external triples")
-            internal.append(triple)
-        elif triple.provenance.doc_id not in accepted:
-            raise GraphParseError(
-                f"external triple cites unadmitted document {triple.provenance.doc_id!r}")
-        else:
-            external.append(triple)
-    return TransKG(
-        source_doc_id=data["source_doc_id"],
-        nodes=nodes,
-        internal_triples=tuple(internal),
-        external_triples=tuple(external),
-        accepted_docs=accepted,
-    )
+        triples.append(triple)
+    # Internal triples are those before the first external one; the graph
+    # refuses any that come after it.
+    split = next((i for i, t in enumerate(triples) if t.provenance.kind == EXTERNAL),
+                 len(triples))
+    try:
+        return TransKG(data["source_doc_id"], nodes, tuple(triples[:split]),
+                       tuple(triples[split:]), tuple(data["accepted_docs"]))
+    except GraphError as err:
+        raise GraphParseError(str(err)) from err
 
 
 def deserialize_graph(data: bytes) -> TransKG:

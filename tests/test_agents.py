@@ -19,7 +19,7 @@ from crat.agents import (
     render_translator_prompt,
     translate_with_knowledge,
 )
-from crat.agents import consis, detector, extractor, judge, prompts
+from crat.agents import JudgeVerdict, consis, detector, extractor, judge, prompts, translator
 from crat.agents.schema import chat_structured
 from crat.config import mock_script_from_dict
 from crat.gateway import Gateway
@@ -27,11 +27,12 @@ from crat.retrieval import RetrievedDocument
 from crat.transcript import AgentTranscript
 from crat.transkg import (
     CORRECT,
+    EXTERNAL,
     INCORRECT,
+    INTERNAL,
     KnowledgeTriple,
+    Provenance,
     TermCandidate,
-    external_provenance,
-    internal_provenance,
     new_graph,
     add_internal,
     integrate_external,
@@ -174,7 +175,7 @@ def geo_knowledge_graph():
     graph = new_graph("doc-0", [bank, scotia])
     graph = add_internal(graph, [KnowledgeTriple(
         "Scotia", "names", "a sea crossed by the survey ship",
-        internal_provenance(), frozenset({"Scotia"}))])
+        Provenance(INTERNAL), frozenset({"Scotia"}))])
     doc = RetrievedDocument("d-scotiasea", "Scotia Sea",
                             fixtures.DEMO_CORPUS[1]["text"], "local_index", 1.5)
 
@@ -184,7 +185,7 @@ def geo_knowledge_graph():
 
     graph = integrate_external(graph, doc, V(), [KnowledgeTriple(
         "bank", "renders as", fixtures.RIVERBANK,
-        external_provenance("d-scotiasea"), frozenset({"bank"}))])
+        Provenance(EXTERNAL, "d-scotiasea"), frozenset({"bank"}))])
     return graph, doc, bank
 
 
@@ -291,6 +292,22 @@ def test_detector_drops_unlocatable_surface_with_warning():
     assert any("dragon" in w for w in transcript.warnings())
 
 
+def test_detector_keeps_the_first_report_of_a_repeated_surface():
+    gateway = mock_gateway("det", fallback=fenced({"terms": [
+        {"surface": "bank", "category": "polyseme", "rationale": "first"},
+        {"surface": "bank", "category": "new_term", "rationale": "second"},
+    ]}))
+    terms = detect_unknown_terms("the bank is open", EN_ZH, "det", gateway)
+    assert [(t.surface, t.category, t.rationale) for t in terms] == [
+        ("bank", "polyseme", "first")]
+
+
+def test_detector_refuses_an_empty_text():
+    gateway = mock_gateway("det", fallback=fenced({"terms": []}))
+    with pytest.raises(ValueError, match="^source text must be non-empty$"):
+        detect_unknown_terms("", EN_ZH, "det", gateway)
+
+
 def test_detector_merges_overlaps_keeping_longer():
     source = "the riverbank area"
     gateway = mock_gateway("det", fallback=fenced({"terms": [
@@ -375,6 +392,21 @@ def test_extractor_drops_unknown_key_triples():
     assert any("mystery" in w for w in transcript.warnings())
 
 
+def test_extractor_drops_a_triple_with_no_term_reference():
+    source = "Scotia offers a savings plan at the bank."
+    transcript = transcript_for("extract")
+    gateway = mock_gateway("ext", fallback=fenced({"triples": [
+        {"subject": "Scotia", "relation": "offers", "object": "savings plan",
+         "terms": ["Scotia"]},
+        {"subject": "x", "relation": "y", "object": "z", "terms": []},
+    ]}))
+    triples = extract_internal_knowledge(source, bank_scotia_terms(source),
+                                         "ext", gateway, transcript)
+    assert [t.subject for t in triples] == ["Scotia"]
+    assert transcript.warnings() == [
+        "extractor: dropped triple (x, y, z) with no term reference"]
+
+
 # --- judge ---------------------------------------------------------------------
 
 
@@ -450,6 +482,11 @@ def test_judge_rejects_unknown_verdict_token():
     assert verdict.alignment_rationale == "unparsable"
 
 
+def test_judge_verdict_refuses_an_unknown_token():
+    with pytest.raises(ValueError, match="^verdict must be one of .*, got 'MAYBE'$"):
+        JudgeVerdict("d1", "MAYBE", "", "", "")
+
+
 # --- translator -----------------------------------------------------------------
 
 
@@ -496,7 +533,7 @@ def test_translator_budget_truncation():
                            source.index("term0") + 5, "new_term")]
     graph = new_graph("d", terms)
     graph = add_internal(graph, [
-        KnowledgeTriple(f"s{i}", "rel", f"o{i}", internal_provenance(),
+        KnowledgeTriple(f"s{i}", "rel", f"o{i}", Provenance(INTERNAL),
                         frozenset({"term0"}))
         for i in range(25)
     ])
@@ -597,6 +634,20 @@ REPLY_SHAPE_ERRORS = [
     # entry's shape.
     (detector, {"terms": [{"surface": " ", "category": "polyseme"}, "bank"]},
      "field 'surface' must be non-empty"),
+    # One value refused by each agent's own check.
+    (detector, {"terms": [{"surface": "bank", "category": "verb"}]},
+     "unknown term category: 'verb'"),
+    (extractor, {"triples": [{"subject": "s", "relation": "r", "object": "o", "terms": [1]}]},
+     "field 'terms' must contain strings"),
+    (judge, {"verdict": "CORRECT", "facts": [["s", "r"]]},
+     "each fact must be a [subject, relation, object] string triple"),
+    (translator, {"translation": "x", "term_renderings": ["bank"]},
+     "field 'term_renderings' must be an object"),
+    (translator, {"translation": "x", "term_renderings": {"bank": 3}},
+     "renderings for 'bank' must be a string or string array"),
+    (consis, {"score": "high"}, "field 'score' must be a number"),
+    (consis, {"score": 50, "term_findings": [{"surface": "bank", "consistent": "yes"}]},
+     "field 'consistent' must be a boolean"),
 ]
 
 

@@ -255,6 +255,12 @@ def test_direct_mode_needs_only_translator(tmp_path):
         build_pipeline_config(config, [], mode="crat")
 
 
+def test_pipeline_config_refuses_an_unknown_mode(demo):
+    config = load_run_config(demo / "config.yaml")
+    with pytest.raises(ConfigError, match="^unknown mode: 'fast'$"):
+        build_pipeline_config(config, [], mode="fast")
+
+
 def demo_config_without(demo, role: str, **pipeline):
     """The demo config with ``role`` unset and ``pipeline`` keys added."""
     data = yaml.safe_load((demo / "config.yaml").read_text("utf-8"))

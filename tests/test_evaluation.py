@@ -335,6 +335,16 @@ def test_evaluate_run_id_mismatch():
         evaluate_run([result], examples)
 
 
+def test_evaluate_run_refuses_an_empty_corpus():
+    with pytest.raises(EvaluationError, match="^no examples to evaluate$"):
+        evaluate_run([], [])
+
+
+def test_bleu_from_stats_refuses_no_pairs():
+    with pytest.raises(ValueError, match="^bleu_from_stats needs at least one pair$"):
+        bleu_from_stats([])
+
+
 def test_evaluate_run_rejects_mixed_target_langs():
     examples = [example("a", "x", "猫"),
                 ParallelExample("b", "y", "dog", "en", "de")]
@@ -357,6 +367,17 @@ def test_parallel_example_validation():
     assert load_parallel_corpus(lines)[0].id == "1"
     with pytest.raises(EvaluationError, match=":1"):
         load_parallel_corpus(["{broken"])
+
+
+def test_parallel_corpus_record_that_is_not_an_example():
+    with pytest.raises(EvaluationError,
+                       match=r"^par.jsonl:1: bad parallel example: 'source_text'$"):
+        load_parallel_corpus(['{"id": "a"}'], "par.jsonl")
+    record = ('{"id": "a", "source_text": "s", "reference_text": "r", '
+              '"source_lang": "en", "target_lang": "zz"}')
+    with pytest.raises(EvaluationError, match=r"^par.jsonl:1: bad parallel example: "
+                                              r"example 'a': unknown language code 'zz'$"):
+        load_parallel_corpus([record], "par.jsonl")
 
 
 def test_parallel_corpus_line_that_is_not_an_object():

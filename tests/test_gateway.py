@@ -71,6 +71,11 @@ def test_request_validation():
         ChatMessage("narrator", "hi")
 
 
+def test_request_with_no_user_message_has_no_user_content():
+    request = ChatRequest("mock", (ChatMessage("system", "be brief"),))
+    assert request.last_user_content() == ""
+
+
 def test_fingerprint_stability_and_sensitivity():
     fp = request_fingerprint(hello_request())
     assert fp == request_fingerprint(hello_request())
@@ -411,6 +416,22 @@ def test_cache_does_not_cross_models_or_endpoints(tmp_path, stub_server):
     assert again.complete(hello_request()).cache_hit is True
 
 
+def test_empty_segment_is_read_and_a_directory_is_skipped(tmp_path, caplog):
+    # An empty segment holds no entries and cannot be mapped; a directory
+    # named like a segment cannot be opened, and is named in a warning.
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "a.jsonl").write_bytes(b"")
+    (tmp_path / "cache" / "b.jsonl").mkdir()
+    calls = []
+    gateway = counting_gateway(tmp_path / "cache", calls)
+    assert gateway.complete(hello_request()).cache_hit is False
+    assert gateway.complete(hello_request()).cache_hit is True
+    assert len(calls) == 1
+    warnings = [r.getMessage() for r in caplog.records if r.name == "crat.gateway"]
+    directory = tmp_path / "cache" / "b.jsonl"
+    assert warnings == [f"skipped unreadable lines in cache segment {directory}"]
+
+
 def test_corrupt_cache_entry_is_ignored(tmp_path, caplog):
     # Not JSON, another fingerprint, not an object: each is a miss, with a
     # warning, and the fresh reply appended after it then hits.
@@ -565,6 +586,30 @@ def test_http_malformed_payload(stub_server):
     gateway = http_gateway(stub_server.url)
     with pytest.raises(ProtocolError):
         gateway.complete(hello_request("live"))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("<html>busy</html>", "provider returned non-JSON payload: '<html>busy</html>'"),
+    (chat_body(42), "provider message content is not a string"),
+])
+def test_http_reply_that_is_not_a_chat_reply(stub_server, body, message):
+    stub_server.script((200, body))
+    gateway = http_gateway(stub_server.url)
+    with pytest.raises(ProtocolError) as info:
+        gateway.complete(hello_request("live"))
+    assert str(info.value) == message
+    assert len(stub_server.requests) == 1
+
+
+def test_http_204_reply_has_no_body_to_read(keep_alive_server):
+    # A 204 ends at its head even with no length given, so the connection is
+    # read no further and carries the next call.
+    keep_alive_server.script(Raw(raw("HTTP/1.1 204 No Content")))
+    gateway = http_gateway(keep_alive_server.url)
+    with pytest.raises(ProtocolError, match="^provider returned non-JSON payload: ''$"):
+        gateway.complete(hello_request("live"))
+    assert gateway.complete(simple_request("live", "again")).response_text == "ok"
+    assert keep_alive_server.connection_count == 1
 
 
 def test_http_transport_failure_retries_then_fails():

@@ -123,6 +123,11 @@ def test_build_index_duplicate_id_rejected():
         build_index([{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}])
 
 
+def test_build_index_refuses_an_unknown_tokenizer():
+    with pytest.raises(ValueError, match="^unknown tokenizer: 'words'$"):
+        build_index(THREE_DOCS, "words")
+
+
 # --- search --------------------------------------------------------------------
 
 
@@ -321,6 +326,10 @@ def test_glossary_search_word_boundary():
     assert hits[0].title == "phin"
     assert "滴漏咖啡壶" in hits[0].text
     assert hits[0].source == "glossary"
+
+
+def test_glossary_search_for_no_results_finds_none():
+    assert GlossarySource([GlossaryEntry("phin", "滴漏咖啡壶")]).search("a phin", 0) == []
 
 
 def test_glossary_ids_are_record_ordinals(tmp_path):
@@ -560,6 +569,19 @@ def test_term_query_window():
     query = term_query(term, source)
     expected_context = " ".join(words[1:22])
     assert query == f"TERM {expected_context}"
+
+
+def test_term_query_on_a_text_with_no_words_is_the_surface():
+    assert term_query(TermCandidate("—", 2, 3, "new_term"), "… — …") == "—"
+
+
+@pytest.mark.parametrize("source, context", [
+    ("alpha — beta", "alpha — beta"),  # the window centres on the next word
+    ("alpha beta —", "alpha beta"),  # no next word: on the last one
+])
+def test_term_query_on_a_span_that_covers_no_word(source, context):
+    term = TermCandidate("—", source.index("—"), source.index("—") + 1, "new_term")
+    assert term_query(term, source) == f"— {context}"
 
 
 def test_retrieve_with_no_sources():

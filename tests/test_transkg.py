@@ -10,20 +10,21 @@ import pytest
 
 from crat.transkg import (
     CORRECT,
+    EXTERNAL,
     INCORRECT,
+    INTERNAL,
     TERM_CATEGORIES,
     GraphError,
     GraphParseError,
     KnowledgeTriple,
     Provenance,
     TermCandidate,
+    TermNode,
     TransKG,
     add_internal,
     deserialize_graph,
-    external_provenance,
     graph_to_dict,
     integrate_external,
-    internal_provenance,
     new_graph,
     serialize_graph,
     triples_for_term,
@@ -46,11 +47,11 @@ def term(surface, start=0, category="proper_noun"):
 
 
 def internal(s, r, o, keys):
-    return KnowledgeTriple(s, r, o, internal_provenance(), frozenset(keys))
+    return KnowledgeTriple(s, r, o, Provenance(INTERNAL), frozenset(keys))
 
 
 def external(s, r, o, doc_id, keys):
-    return KnowledgeTriple(s, r, o, external_provenance(doc_id), frozenset(keys))
+    return KnowledgeTriple(s, r, o, Provenance(EXTERNAL, doc_id), frozenset(keys))
 
 
 # --- types -------------------------------------------------------------------
@@ -63,6 +64,8 @@ def test_term_candidate_validation():
         TermCandidate("bank", 3, 2, "polyseme")
     with pytest.raises(ValueError):
         TermCandidate("bank", 0, 4, "verb")
+    with pytest.raises(ValueError, match="^span length does not match surface 'bank'$"):
+        TermCandidate("bank", 0, 5, "polyseme")
 
 
 def test_provenance_rules():
@@ -186,10 +189,62 @@ def test_integrate_rejects_verdict_for_other_doc():
         integrate_external(scotia_graph(), Doc("d7"), Verdict("d8", CORRECT), [])
 
 
+def test_integrate_unknown_verdict_is_identity():
+    graph = scotia_graph()
+    result = integrate_external(graph, Doc("d7"), Verdict("d7", "MAYBE"),
+                                [external("x", "y", "z", "d7", {"Scotia"})])
+    assert result is graph
+
+
 def test_integrate_same_doc_twice_admits_once():
     graph = integrate_external(scotia_graph(), Doc("d7"), Verdict("d7", CORRECT), [])
     graph = integrate_external(graph, Doc("d7"), Verdict("d7", CORRECT), [])
     assert graph.accepted_docs == ("d7",)
+
+
+# --- invariants ------------------------------------------------------------------
+
+SCOTIA = {"Scotia": TermNode("Scotia", "proper_noun")}
+
+# Graphs made directly that break one invariant, and the error each gives.
+BROKEN_GRAPHS = {
+    "node keyed off its surface": (
+        dict(nodes={"bank": TermNode("Scotia", "proper_noun")}),
+        "graph: nodes.bank has the surface 'Scotia'"),
+    "repeated accepted document": (dict(accepted_docs=("d7", "d7")),
+                                   "accepted_docs contains duplicates"),
+    "unknown term key": (dict(nodes=SCOTIA, internal_triples=(internal("x", "y", "z", {"bank"}),)),
+                         "triple references unknown term key: 'bank'"),
+    "repeated triple": (
+        dict(nodes=SCOTIA, internal_triples=(internal("x", "y", "z", {"Scotia"}),) * 2),
+        "graph: triples[1] repeats triples[0]"),
+    "external triple among internal triples": (
+        dict(nodes=SCOTIA, internal_triples=(external("x", "y", "z", "d7", {"Scotia"}),),
+             accepted_docs=("d7",)),
+        "triple 0: external triple among internal triples"),
+    "internal triple among external triples": (
+        dict(nodes=SCOTIA, internal_triples=(internal("x", "y", "z", {"Scotia"}),),
+             external_triples=(internal("a", "b", "c", {"Scotia"}),)),
+        "triple 1: internal triple after external triples"),
+    "external triple from an unadmitted document": (
+        dict(nodes=SCOTIA, external_triples=(external("x", "y", "z", "d8", {"Scotia"}),),
+             accepted_docs=("d7",)),
+        "external triple cites unadmitted document 'd8'"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_GRAPHS)
+def test_graph_that_breaks_an_invariant_is_refused(case):
+    fields, message = BROKEN_GRAPHS[case]
+    with pytest.raises(GraphError) as caught:
+        TransKG("d1", **fields)
+    assert str(caught.value) == message
+
+
+def test_add_internal_names_an_external_triple_by_its_place():
+    graph = add_internal(scotia_graph(), [internal("Scotia", "offers", "savings plan", {"Scotia"})])
+    with pytest.raises(GraphError, match=r"^triple 1: external triple among internal triples$"):
+        add_internal(graph, [external("x", "y", "z", "d7", {"Scotia"})])
 
 
 # --- queries ------------------------------------------------------------------
@@ -294,6 +349,13 @@ MALFORMED_GRAPHS = {
     "external triple from an unadmitted document": (
         lambda d: d["triples"][1]["provenance"].update(doc_id="d8"),
         "external triple cites unadmitted document 'd8'"),
+    # What a node or a triple refuses on its own, named by its place.
+    "node category verb": (lambda d: d["nodes"]["Scotia"].update(category="verb"),
+                           "invalid node: unknown term category: 'verb'"),
+    "blank subject": (lambda d: d["triples"][0].update(subject="  "),
+                      "invalid triple 0: triple fields must be non-empty after trimming"),
+    "repeated accepted document": (lambda d: d["accepted_docs"].append("d7"),
+                                   "accepted_docs contains duplicates"),
 }
 
 
