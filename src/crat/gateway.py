@@ -450,7 +450,10 @@ class MockBackend:
     matches as a substring of the joined message contents. A response may be
     a string or a callable taking the request. Immutable after construction.
     ``model`` names what answers, as ``HttpBackend.model`` does: a mock read
-    from a script file names the file's digest, an in-code mock None.
+    from a script file names ``canonical.digest`` of the parsed script
+    document (``config.build_gateway``), so re-indenting the file keeps the
+    run hash and the cache hits and changing a rule changes both; an in-code
+    mock names None.
     """
 
     def __init__(self, backend_id: str, script: Sequence[tuple[Matcher | str, str | Responder]],

@@ -64,8 +64,8 @@ from .transkg import (
 
 log = logging.getLogger(__name__)
 
-# Format 1 also embedded the graph and the transcript; format 2 leaves them to
-# graph.json and transcript.json. Both hold every field that loading reads.
+# Format 2 holds every field that loading reads and leaves the graph and the
+# transcript to graph.json and transcript.json.
 RESULT_FORMAT_VERSION = 2
 
 ON_DETECTOR_ERROR = ("fail", "translate_direct")

@@ -1,33 +1,85 @@
-"""Shared test fixtures: scripted gateways for the bank/Scotia demo and a
+"""Shared test fixtures: the committed demo workspace under ``demo/``, read
+by the readers ``crat`` itself uses, scripted gateways for it, and a
 scriptable local HTTP stub server."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 import ssl
 import threading
 import time
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from crat import fixtures
-from crat.config import mock_script_from_dict
+from crat import canonical
+from crat.cli import main as cli_main
+from crat.config import load_mock_script, load_run_config, mock_script_from_dict
 from crat.gateway import ChatMessage, ChatRequest, Gateway, MockBackend
 from crat.pipeline import PipelineConfig, write_transcript
 from crat.retrieval import LocalIndexSource, build_index
 
+# --- the demo ------------------------------------------------------------------
+#
+# The files the README's Quick demo runs. Each value below is read from them,
+# so the tests and the demo cannot disagree.
 
-DEMO_SCRIPTS = {
-    "det": fixtures.detector_script,
-    "ext": fixtures.extractor_script,
-    "jdg": fixtures.judge_script,
-    "trn": fixtures.translator_script,
-    "con": fixtures.consis_script,
-}
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
+
+
+def _demo_records(name: str) -> dict[str, dict]:
+    """The records of the demo's JSON Lines file ``name``, by id, in file order."""
+    path = DEMO_DIR / name
+    return {record["id"]: record for _, record in canonical.jsonl_records(
+        canonical.read_text(path, name, ValueError).splitlines(), str(path), ValueError)}
+
+
+_demo_config = load_run_config(DEMO_DIR / "config.yaml")
+DEMO_CONFIG = _demo_config.data
+# Each mock backend's parsed script document, by backend id.
+DEMO_SCRIPTS = {reg["id"]: load_mock_script(_demo_config.resolve(reg["script_path"]))
+                for reg in DEMO_CONFIG["backends"]["registrations"]}
+DEMO_CORPUS = list(_demo_records("corpus.jsonl").values())
+GEOGRAPHIC_SOURCE = _demo_records("inputs.jsonl")["geo-1"]["text"]
+FINANCIAL_SOURCE = _demo_records("inputs.jsonl")["fin-1"]["text"]
+GEO_CRAT_TRANSLATION = _demo_records("parallel.jsonl")["geo-1"]["reference_text"]
+
+RIVERBANK = "河岸"   # riverbank rendering of "bank"
+FINANCIAL_BANK = "银行"  # financial rendering of "bank"
+
+# Sentences the demo's scripts answer that are not among its inputs: the
+# repeated-term typhoon sentence (consistency failures) and the Vietnamese
+# coffee-filter sentence (glossary retrieval, live smoke).
+GAEMI_SOURCE = (
+    "Typhoon Gaemi was a powerful storm that hit East China in 2024. "
+    "Gaemi also drenched western Luzon in the Philippines."
+)
+PHIN_SOURCE = (
+    "Even sweeter concoctions await inside Lacaph, a classy new coffeehouse "
+    "in District 1, just off Rach Ben Nghe, the slim urban canal that snakes "
+    "through the city. Decorated with dark wood paneling and track lighting, "
+    "the cafe serves lemonade (80,000 dong) combined with coffee-blossom "
+    "honey and a dose of coffee brewed in a traditional Vietnamese phin."
+)
+
+
+def fenced_payload(payload: dict) -> str:
+    """A reply string carrying one fenced JSON payload block."""
+    return "```json\n" + json.dumps(payload, ensure_ascii=False) + "\n```"
+
+
+def copy_demo(root: Path) -> Path:
+    """A copy of the demo workspace at ``root``, its index built by
+    ``crat build-index`` as the README's first step builds it."""
+    shutil.copytree(DEMO_DIR, root)
+    assert cli_main(["build-index", "--corpus", str(root / "corpus.jsonl"),
+                     "--output", str(root / "index.json")]) == 0
+    return root
 
 
 def simple_request(backend_id: str, prompt: str) -> ChatRequest:
@@ -44,7 +96,7 @@ def wait_for(condition, timeout_s: float = 5.0) -> None:
 
 def demo_backend(backend_id: str) -> MockBackend:
     """A stand-alone copy of one of the demo's scripted mock backends."""
-    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS[backend_id]())
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS[backend_id])
     return MockBackend(backend_id, rules, fallback)
 
 
@@ -56,7 +108,7 @@ def register_demo_backends(gateway: Gateway, **responders) -> dict[str, str]:
         if backend_id in responders:
             gateway.register_mock(backend_id, [], fallback=responders[backend_id])
         else:
-            rules, fallback = mock_script_from_dict(script())
+            rules, fallback = mock_script_from_dict(script)
             gateway.register_mock(backend_id, rules, fallback)
     return {"detector": "det", "extractor": "ext", "judge": "jdg",
             "translator": "trn", "consis": "con"}
@@ -68,7 +120,7 @@ def demo_pipeline_config(**overrides) -> PipelineConfig:
         extractor_backend="ext",
         judge_backend="jdg",
         translator_backend="trn",
-        sources=[LocalIndexSource(build_index(fixtures.DEMO_CORPUS))],
+        sources=[LocalIndexSource(build_index(DEMO_CORPUS))],
         k_per_source=3,
     )
     defaults.update(overrides)

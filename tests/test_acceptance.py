@@ -16,11 +16,21 @@ import pytest
 
 from bleu_oracle import corpus_bleu_oracle
 from bm25_oracle import bm25_rank
-from conftest import artifact_bytes, register_demo_backends
-from crat import fixtures, tokenizers
+from conftest import (
+    DEMO_CORPUS,
+    FINANCIAL_BANK,
+    GAEMI_SOURCE,
+    GEOGRAPHIC_SOURCE,
+    PHIN_SOURCE,
+    RIVERBANK,
+    artifact_bytes,
+    copy_demo,
+    fenced_payload,
+    register_demo_backends,
+)
+from crat import tokenizers
 from crat.cli import main as cli_main
 from crat.evaluation import corpus_bleu, term_consistency
-from crat.fixtures import fenced_payload
 from crat.gateway import Gateway
 from crat.pipeline import PipelineConfig, run_pipeline, write_transcript
 from crat.retrieval import GlossaryEntry, GlossarySource, RetrievedDocument, build_index, search
@@ -119,7 +129,7 @@ def test_criterion_2_end_to_end_determinism(tmp_path):
                 detector_backend=roles["detector"], extractor_backend=roles["extractor"],
                 judge_backend=roles["judge"], translator_backend=roles["translator"],
                 sources=[_demo_index_source()], k_per_source=3)
-            result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, gateway,
+            result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, gateway,
                                   source_doc_id="geo-1")
             blobs.append(artifact_bytes([result], tmp_path / f"run-{cache_on}-{attempt}"))
     assert all(blob == blobs[0] for blob in blobs)
@@ -130,7 +140,7 @@ def test_criterion_2_end_to_end_determinism(tmp_path):
 def _demo_index_source():
     from crat.retrieval import LocalIndexSource
 
-    return LocalIndexSource(build_index(fixtures.DEMO_CORPUS))
+    return LocalIndexSource(build_index(DEMO_CORPUS))
 
 
 def test_criterion_3_bleu_oracle_equivalence():
@@ -206,7 +216,7 @@ def test_criterion_6_degenerate_paths():
         {"translation": "plain", "term_renderings": {}}))
     config = PipelineConfig(detector_backend="det", extractor_backend="ext",
                             judge_backend="jdg", translator_backend="trn")
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, gateway)
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, gateway)
     assert result.transcript.stages() == ["detect", "translate"]
     assert result.judged_count == 0 and result.accepted_count == 0
     translator_prompt = result.transcript.exchanges()[-1].request.messages[0].content
@@ -220,7 +230,7 @@ def test_criterion_6_degenerate_paths():
     broken.register_mock("jdg", [])
     broken.register_mock("trn", [], fallback=fenced_payload(
         {"translation": "direct", "term_renderings": {}}))
-    fallen = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, broken)
+    fallen = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, broken)
     assert fallen.detector_fallback is True
     assert fallen.target_text == "direct"
     assert fallen.graph.is_empty()
@@ -232,7 +242,7 @@ def test_criterion_6_degenerate_paths():
 def test_criterion_7_crat_vs_direct_demo(tmp_path):
     started = time.perf_counter()
     demo = tmp_path / "demo"
-    fixtures.write_demo_workspace(demo)
+    copy_demo(demo)
     crat_out, direct_out = tmp_path / "crat", tmp_path / "direct"
     base = ["translate", "--config", str(demo / "config.yaml"),
             "--input", str(demo / "inputs.jsonl"),
@@ -242,9 +252,9 @@ def test_criterion_7_crat_vs_direct_demo(tmp_path):
 
     crat_geo = json.loads((crat_out / "geo-1" / "result.json").read_text("utf-8"))
     direct_geo = json.loads((direct_out / "geo-1" / "result.json").read_text("utf-8"))
-    assert fixtures.RIVERBANK in crat_geo["target_text"]
-    assert fixtures.RIVERBANK not in direct_geo["target_text"]
-    assert fixtures.FINANCIAL_BANK in direct_geo["target_text"]
+    assert RIVERBANK in crat_geo["target_text"]
+    assert RIVERBANK not in direct_geo["target_text"]
+    assert FINANCIAL_BANK in direct_geo["target_text"]
 
     # Repeated-term consistency: 1.0 for the knowledge-guided run, 0.0 for
     # the scripted inconsistent-rendering run.
@@ -258,7 +268,7 @@ def test_criterion_7_crat_vs_direct_demo(tmp_path):
     config = PipelineConfig(
         detector_backend=roles["detector"], extractor_backend=roles["extractor"],
         judge_backend=roles["judge"], translator_backend=roles["translator"])
-    gaemi = run_pipeline(fixtures.GAEMI_SOURCE, EN_ZH, config, gateway,
+    gaemi = run_pipeline(GAEMI_SOURCE, EN_ZH, config, gateway,
                          source_doc_id="gaemi-1")
     assert gaemi.term_renderings["Gaemi"] == ["卡米", "盖米"]
     assert term_consistency(gaemi) == 0.0
@@ -324,7 +334,7 @@ def test_criterion_9_live_smoke(tmp_path):
     config = PipelineConfig(detector_backend="live", extractor_backend="live",
                             judge_backend="live", translator_backend="live",
                             sources=[glossary])
-    result = run_pipeline(fixtures.PHIN_SOURCE, EN_ZH, config, gateway,
+    result = run_pipeline(PHIN_SOURCE, EN_ZH, config, gateway,
                           source_doc_id="phin-live")
     assert result.target_text.strip()
     stage_order = [STAGES.index(s) for s in result.transcript.stages()]

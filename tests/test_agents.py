@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from crat import fixtures
+from conftest import (
+    DEMO_CORPUS,
+    DEMO_SCRIPTS,
+    FINANCIAL_BANK,
+    FINANCIAL_SOURCE,
+    GEO_CRAT_TRANSLATION,
+    GEOGRAPHIC_SOURCE,
+    RIVERBANK,
+    fenced_payload as fenced,
+)
 from crat.agents import (
     AgentParseError,
     consis_evaluate,
@@ -41,10 +50,6 @@ from crat.transkg import (
 GOLDEN = Path(__file__).parent / "golden"
 
 EN_ZH = ("en", "zh")
-
-
-def fenced(payload: dict) -> str:
-    return fixtures.fenced_payload(payload)
 
 
 def mock_gateway(backend_id: str, script=None, fallback=None) -> Gateway:
@@ -167,7 +172,7 @@ def test_exchanges_recorded_in_transcript():
 
 
 def geo_knowledge_graph():
-    src = fixtures.GEOGRAPHIC_SOURCE
+    src = GEOGRAPHIC_SOURCE
     bank = TermCandidate("bank", src.index("bank"), src.index("bank") + 4,
                          "polyseme", "context-dependent sense")
     scotia = TermCandidate("Scotia", src.index("Scotia"), src.index("Scotia") + 6,
@@ -177,14 +182,14 @@ def geo_knowledge_graph():
         "Scotia", "names", "a sea crossed by the survey ship",
         Provenance(INTERNAL), frozenset({"Scotia"}))])
     doc = RetrievedDocument("d-scotiasea", "Scotia Sea",
-                            fixtures.DEMO_CORPUS[1]["text"], "local_index", 1.5)
+                            DEMO_CORPUS[1]["text"], "local_index", 1.5)
 
     class V:
         doc_id = "d-scotiasea"
         verdict = CORRECT
 
     graph = integrate_external(graph, doc, V(), [KnowledgeTriple(
-        "bank", "renders as", fixtures.RIVERBANK,
+        "bank", "renders as", RIVERBANK,
         Provenance(EXTERNAL, "d-scotiasea"), frozenset({"bank"}))])
     return graph, doc, bank
 
@@ -192,19 +197,19 @@ def geo_knowledge_graph():
 def test_golden_detector_prompt():
     rendered = prompts.render(
         "detector", source_lang=prompts.lang_name("en"),
-        target_lang=prompts.lang_name("zh"), source_text=fixtures.GEOGRAPHIC_SOURCE)
+        target_lang=prompts.lang_name("zh"), source_text=GEOGRAPHIC_SOURCE)
     assert rendered == (GOLDEN / "detector_en_zh.txt").read_text("utf-8")
 
 
 def test_golden_extractor_prompt():
     rendered = prompts.render("extractor", term_list="bank, Scotia",
-                              source_text=fixtures.GEOGRAPHIC_SOURCE)
+                              source_text=GEOGRAPHIC_SOURCE)
     assert rendered == (GOLDEN / "extractor.txt").read_text("utf-8")
 
 
 def test_golden_translator_prompt_without_knowledge():
     rendered = render_translator_prompt(
-        fixtures.GEOGRAPHIC_SOURCE, new_graph("doc-0", []), EN_ZH)
+        GEOGRAPHIC_SOURCE, new_graph("doc-0", []), EN_ZH)
     assert rendered == (GOLDEN / "translator_no_knowledge.txt").read_text("utf-8")
     assert "Verified term knowledge" not in rendered
 
@@ -212,14 +217,14 @@ def test_golden_translator_prompt_without_knowledge():
 def test_golden_translator_prompt_with_knowledge():
     graph, doc, _ = geo_knowledge_graph()
     rendered = render_translator_prompt(
-        fixtures.GEOGRAPHIC_SOURCE, graph, EN_ZH, documents={doc.id: doc})
+        GEOGRAPHIC_SOURCE, graph, EN_ZH, documents={doc.id: doc})
     assert rendered == (GOLDEN / "translator_with_knowledge.txt").read_text("utf-8")
 
 
 def test_golden_judge_prompt():
     graph, doc, bank = geo_knowledge_graph()
     rendered = render_judge_prompt(list(graph.internal_triples), doc,
-                                   fixtures.GEOGRAPHIC_SOURCE, bank, EN_ZH)
+                                   GEOGRAPHIC_SOURCE, bank, EN_ZH)
     assert rendered == (GOLDEN / "judge_bank_scotiasea.txt").read_text("utf-8")
 
 
@@ -227,8 +232,8 @@ def test_golden_consis_prompt():
     rendered = prompts.render(
         "consis", source_lang=prompts.lang_name("en"),
         target_lang=prompts.lang_name("zh"), term_list="bank, Scotia",
-        source_text=fixtures.GEOGRAPHIC_SOURCE,
-        candidate_translation=fixtures.GEO_CRAT_TRANSLATION)
+        source_text=GEOGRAPHIC_SOURCE,
+        candidate_translation=GEO_CRAT_TRANSLATION)
     assert rendered == (GOLDEN / "consis.txt").read_text("utf-8")
 
 
@@ -241,8 +246,8 @@ def test_lang_name_refuses_an_unknown_code():
 
 
 def test_prompt_determinism():
-    one = render_translator_prompt(fixtures.GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
-    two = render_translator_prompt(fixtures.GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
+    one = render_translator_prompt(GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
+    two = render_translator_prompt(GEOGRAPHIC_SOURCE, new_graph("d", []), EN_ZH)
     assert one == two
 
 
@@ -251,19 +256,19 @@ def test_prompt_determinism():
 
 def demo_detector_gateway() -> Gateway:
     gateway = Gateway()
-    rules, fallback = mock_script_from_dict(fixtures.detector_script())
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS["det"])
     gateway.register_mock("det", rules, fallback)
     return gateway
 
 
 def test_detector_flags_bank_and_scotia():
     gateway = demo_detector_gateway()
-    terms = detect_unknown_terms(fixtures.FINANCIAL_SOURCE, EN_ZH, "det", gateway)
+    terms = detect_unknown_terms(FINANCIAL_SOURCE, EN_ZH, "det", gateway)
     by_surface = {t.surface: t for t in terms}
     assert by_surface["bank"].category == "polyseme"
     assert by_surface["Scotia"].category == "proper_noun"
     for t in terms:
-        assert fixtures.FINANCIAL_SOURCE[t.start:t.end] == t.surface
+        assert FINANCIAL_SOURCE[t.start:t.end] == t.surface
 
 
 def test_detector_empty_terms_reply():
@@ -354,9 +359,9 @@ def bank_scotia_terms(source: str) -> list[TermCandidate]:
 
 
 def test_extractor_returns_scotia_triple():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     gateway = Gateway()
-    rules, fallback = mock_script_from_dict(fixtures.extractor_script())
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS["ext"])
     gateway.register_mock("ext", rules, fallback)
     triples = extract_internal_knowledge(source, bank_scotia_terms(source), "ext", gateway)
     assert ("Scotia", "offers", "savings plan") in [
@@ -411,26 +416,26 @@ def test_extractor_drops_a_triple_with_no_term_reference():
 
 
 def scotiabank_doc() -> RetrievedDocument:
-    record = fixtures.DEMO_CORPUS[0]
+    record = DEMO_CORPUS[0]
     return RetrievedDocument(record["id"], record["title"], record["text"],
                              "local_index", 2.0)
 
 
 def scotiasea_doc() -> RetrievedDocument:
-    record = fixtures.DEMO_CORPUS[1]
+    record = DEMO_CORPUS[1]
     return RetrievedDocument(record["id"], record["title"], record["text"],
                              "local_index", 2.0)
 
 
 def demo_judge_gateway() -> Gateway:
     gateway = Gateway()
-    rules, fallback = mock_script_from_dict(fixtures.judge_script())
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS["jdg"])
     gateway.register_mock("jdg", rules, fallback)
     return gateway
 
 
 def test_judge_correct_for_matching_context():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     scotia = bank_scotia_terms(source)[0]
     verdict = judge_document([], scotiabank_doc(), source, scotia, EN_ZH,
                              "jdg", demo_judge_gateway())
@@ -441,7 +446,7 @@ def test_judge_correct_for_matching_context():
 
 
 def test_judge_incorrect_for_mismatched_context():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     scotia = bank_scotia_terms(source)[0]
     verdict = judge_document([], scotiasea_doc(), source, scotia, EN_ZH,
                              "jdg", demo_judge_gateway())
@@ -449,7 +454,7 @@ def test_judge_incorrect_for_mismatched_context():
 
 
 def test_judge_fails_closed_on_garbage():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     scotia = bank_scotia_terms(source)[0]
     gateway = mock_gateway("jdg", fallback="total nonsense, no block")
     transcript = transcript_for("judge")
@@ -461,7 +466,7 @@ def test_judge_fails_closed_on_garbage():
 
 
 def test_judge_recovers_after_two_garbage_replies():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     scotia = bank_scotia_terms(source)[0]
     good = fenced({"proposed_rendering": "x", "back_translation": "y",
                    "verdict": "correct", "rationale": "ok", "facts": []})
@@ -472,7 +477,7 @@ def test_judge_recovers_after_two_garbage_replies():
 
 
 def test_judge_rejects_unknown_verdict_token():
-    source = fixtures.FINANCIAL_SOURCE
+    source = FINANCIAL_SOURCE
     scotia = bank_scotia_terms(source)[0]
     bad = fenced({"proposed_rendering": "", "back_translation": "",
                   "verdict": "MAYBE", "rationale": "", "facts": []})
@@ -493,13 +498,13 @@ def test_judge_verdict_refuses_an_unknown_token():
 def test_translator_uses_knowledge_rendering():
     graph, doc, _ = geo_knowledge_graph()
     gateway = Gateway()
-    rules, fallback = mock_script_from_dict(fixtures.translator_script())
+    rules, fallback = mock_script_from_dict(DEMO_SCRIPTS["trn"])
     gateway.register_mock("trn", rules, fallback)
-    output = translate_with_knowledge(fixtures.GEOGRAPHIC_SOURCE, graph, EN_ZH,
+    output = translate_with_knowledge(GEOGRAPHIC_SOURCE, graph, EN_ZH,
                                       "trn", gateway, documents={doc.id: doc})
-    assert fixtures.RIVERBANK in output.text
-    assert fixtures.FINANCIAL_BANK not in output.text
-    assert output.term_renderings["bank"] == [fixtures.RIVERBANK, fixtures.RIVERBANK]
+    assert RIVERBANK in output.text
+    assert FINANCIAL_BANK not in output.text
+    assert output.term_renderings["bank"] == [RIVERBANK, RIVERBANK]
 
 
 def test_translator_empty_graph_prompt_has_no_knowledge(monkeypatch):
@@ -617,41 +622,51 @@ def test_consis_term_findings_that_stay_null_raise_a_parse_error():
 # These texts are quoted back in repair prompts, so a changed word changes the
 # prompt, its fingerprint and every cached reply after it.
 
-REPLY_SHAPE_ERRORS = [
-    (detector, {"terms": ["bank"]}, "each terms entry must be an object"),
-    (detector, {"terms": [{"surface": "bank", "category": "polyseme", "rationale": 1}]},
-     "field 'rationale' must be a string"),
-    (extractor, {"triples": [["s", "r", "o"]]}, "each triples entry must be an object"),
-    (judge, {"verdict": "CORRECT", "facts": "none"}, "field 'facts' must be an array"),
-    (judge, {"verdict": "CORRECT", "back_translation": None},
-     "field 'back_translation' must be a string"),
-    (consis, {"score": 50, "term_findings": ["bank"]},
-     "each term_findings entry must be an object"),
-    (consis, {"score": 50, "term_findings": [{"surface": "bank", "consistent": True,
-                                              "note": 3}]},
-     "field 'note' must be a string"),
+# Each row is named by its key, not by its place, so a row added anywhere
+# renames no other test. The first fifteen keys are the positions pytest named
+# them by before the rows had keys.
+REPLY_SHAPE_ERRORS = {
+    "payload0": (detector, {"terms": ["bank"]}, "each terms entry must be an object"),
+    "payload1": (detector,
+                 {"terms": [{"surface": "bank", "category": "polyseme", "rationale": 1}]},
+                 "field 'rationale' must be a string"),
+    "payload2": (extractor, {"triples": [["s", "r", "o"]]},
+                 "each triples entry must be an object"),
+    "payload3": (judge, {"verdict": "CORRECT", "facts": "none"},
+                 "field 'facts' must be an array"),
+    "payload4": (judge, {"verdict": "CORRECT", "back_translation": None},
+                 "field 'back_translation' must be a string"),
+    "payload5": (consis, {"score": 50, "term_findings": ["bank"]},
+                 "each term_findings entry must be an object"),
+    "payload6": (consis, {"score": 50, "term_findings": [{"surface": "bank",
+                                                          "consistent": True, "note": 3}]},
+                 "field 'note' must be a string"),
     # Two faults: the first entry's blank surface is reached before the second
     # entry's shape.
-    (detector, {"terms": [{"surface": " ", "category": "polyseme"}, "bank"]},
-     "field 'surface' must be non-empty"),
+    "payload7": (detector, {"terms": [{"surface": " ", "category": "polyseme"}, "bank"]},
+                 "field 'surface' must be non-empty"),
     # One value refused by each agent's own check.
-    (detector, {"terms": [{"surface": "bank", "category": "verb"}]},
-     "unknown term category: 'verb'"),
-    (extractor, {"triples": [{"subject": "s", "relation": "r", "object": "o", "terms": [1]}]},
-     "field 'terms' must contain strings"),
-    (judge, {"verdict": "CORRECT", "facts": [["s", "r"]]},
-     "each fact must be a [subject, relation, object] string triple"),
-    (translator, {"translation": "x", "term_renderings": ["bank"]},
-     "field 'term_renderings' must be an object"),
-    (translator, {"translation": "x", "term_renderings": {"bank": 3}},
-     "renderings for 'bank' must be a string or string array"),
-    (consis, {"score": "high"}, "field 'score' must be a number"),
-    (consis, {"score": 50, "term_findings": [{"surface": "bank", "consistent": "yes"}]},
-     "field 'consistent' must be a boolean"),
-]
+    "payload8": (detector, {"terms": [{"surface": "bank", "category": "verb"}]},
+                 "unknown term category: 'verb'"),
+    "payload9": (extractor,
+                 {"triples": [{"subject": "s", "relation": "r", "object": "o", "terms": [1]}]},
+                 "field 'terms' must contain strings"),
+    "payload10": (judge, {"verdict": "CORRECT", "facts": [["s", "r"]]},
+                  "each fact must be a [subject, relation, object] string triple"),
+    "payload11": (translator, {"translation": "x", "term_renderings": ["bank"]},
+                  "field 'term_renderings' must be an object"),
+    "payload12": (translator, {"translation": "x", "term_renderings": {"bank": 3}},
+                  "renderings for 'bank' must be a string or string array"),
+    "payload13": (consis, {"score": "high"}, "field 'score' must be a number"),
+    "payload14": (consis, {"score": 50, "term_findings": [{"surface": "bank",
+                                                           "consistent": "yes"}]},
+                  "field 'consistent' must be a boolean"),
+}
 
 
-@pytest.mark.parametrize("agent, payload, message", REPLY_SHAPE_ERRORS)
+@pytest.mark.parametrize("agent, payload, message", [
+    pytest.param(*row, id=f"{row[0].__name__}-{name}-{row[2]}")
+    for name, row in REPLY_SHAPE_ERRORS.items()])
 def test_reply_shape_error_texts(agent, payload, message):
     with pytest.raises(ValueError) as info:
         agent._validate(payload)

@@ -1,10 +1,12 @@
-"""CLI: exit codes, file outputs, determinism, and the crat/direct contrast
-over the scripted demo workspace."""
+"""CLI: exit codes, file outputs, determinism, the crat/direct contrast over
+the scripted demo workspace, and the README's Quick demo run as written."""
 
 from __future__ import annotations
 
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,15 @@ from pathlib import Path
 import pytest
 import yaml
 
-from crat import fixtures
+from conftest import (
+    DEMO_CONFIG,
+    DEMO_DIR,
+    FINANCIAL_BANK,
+    FINANCIAL_SOURCE,
+    GEOGRAPHIC_SOURCE,
+    RIVERBANK,
+    copy_demo,
+)
 from crat.cli import main
 from crat.gateway import MockBackend
 
@@ -21,9 +31,7 @@ EN_ZH_ARGS = ["--source-lang", "en", "--target-lang", "zh"]
 
 @pytest.fixture
 def demo(tmp_path):
-    root = tmp_path / "demo"
-    fixtures.write_demo_workspace(root)
-    return root
+    return copy_demo(tmp_path / "demo")
 
 
 def run_cli(*args) -> int:
@@ -42,7 +50,7 @@ def translate(demo, out, *extra) -> int:
 def test_translate_single_text(demo, tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("translate", "--config", demo / "config.yaml",
-                   "--text", fixtures.GEOGRAPHIC_SOURCE, "--doc-id", "geo-1",
+                   "--text", GEOGRAPHIC_SOURCE, "--doc-id", "geo-1",
                    "--output", out, *EN_ZH_ARGS)
     assert code == 0
     assert (out / "geo-1" / "result.json").is_file()
@@ -59,15 +67,39 @@ def test_crat_vs_direct_differ(demo, tmp_path):
     assert translate(demo, direct_out, "--mode", "direct") == 0
     crat_result = json.loads((crat_out / "geo-1" / "result.json").read_text("utf-8"))
     direct_result = json.loads((direct_out / "geo-1" / "result.json").read_text("utf-8"))
-    assert fixtures.RIVERBANK in crat_result["target_text"]
-    assert fixtures.RIVERBANK not in direct_result["target_text"]
-    assert fixtures.FINANCIAL_BANK in direct_result["target_text"]
+    assert RIVERBANK in crat_result["target_text"]
+    assert RIVERBANK not in direct_result["target_text"]
+    assert FINANCIAL_BANK in direct_result["target_text"]
+
+
+
+def readme_quick_demo() -> list[list[str]]:
+    """The commands of the README's Quick demo block, each split as a shell
+    splits it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Quick demo", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+def test_readme_quick_demo_runs_on_the_committed_demo(tmp_path, monkeypatch, capsys):
+    shutil.copytree(DEMO_DIR, tmp_path / "demo", ignore=shutil.ignore_patterns("index.json"))
+    monkeypatch.chdir(tmp_path)
+    for command in readme_quick_demo():
+        assert command[0] == "crat", command
+        assert main(command[1:]) == 0, (command, capsys.readouterr().err)
+    crat_geo = json.loads((tmp_path / "out-crat" / "geo-1" / "result.json").read_text("utf-8"))
+    direct_geo = json.loads(
+        (tmp_path / "out-direct" / "geo-1" / "result.json").read_text("utf-8"))
+    assert RIVERBANK in crat_geo["target_text"]
+    assert FINANCIAL_BANK in direct_geo["target_text"]
 
 
 @pytest.mark.parametrize("doc_id", [None, "geo-9"])
 def test_translate_plain_text_input_is_one_document(demo, tmp_path, capsys, doc_id):
     source = tmp_path / "geo.txt"
-    source.write_text(fixtures.GEOGRAPHIC_SOURCE, "utf-8")
+    source.write_text(GEOGRAPHIC_SOURCE, "utf-8")
     out = tmp_path / "out"
     extra = ["--doc-id", doc_id] if doc_id else []
     code = run_cli("translate", "--config", demo / "config.yaml", "--input", source,
@@ -78,8 +110,8 @@ def test_translate_plain_text_input_is_one_document(demo, tmp_path, capsys, doc_
         "graph.json", "result.json", "transcript.json")), "manifest.jsonl"]
     result = json.loads((out / name / "result.json").read_text("utf-8"))
     assert result["source_doc_id"] == name
-    assert result["source_text"] == fixtures.GEOGRAPHIC_SOURCE
-    assert fixtures.RIVERBANK in result["target_text"]
+    assert result["source_text"] == GEOGRAPHIC_SOURCE
+    assert RIVERBANK in result["target_text"]
     assert "translated 1/1" in capsys.readouterr().out
 
 
@@ -196,8 +228,8 @@ def test_width_zero_is_refused(demo, tmp_path, capsys):
 
 
 def test_evaluate_reads_the_consis_role(demo, tmp_path, capsys):
-    assert "eval" not in fixtures.DEMO_CONFIG
-    assert fixtures.DEMO_CONFIG["backends"]["roles"]["consis"] == "con"
+    assert "eval" not in DEMO_CONFIG
+    assert DEMO_CONFIG["backends"]["roles"]["consis"] == "con"
     out = tmp_path / "out"
     assert translate(demo, out) == 0
     code = run_cli("evaluate", "--results", out, "--corpus", demo / "parallel.jsonl",
@@ -256,7 +288,7 @@ def test_unreadable_input_file_is_one_error_line(demo, tmp_path, capsys, case):
 def test_translate_partial_batch_failure(demo, tmp_path, capsys):
     corpus = tmp_path / "mixed.jsonl"
     corpus.write_text(
-        json.dumps({"id": "ok-1", "text": fixtures.FINANCIAL_SOURCE}) + "\n"
+        json.dumps({"id": "ok-1", "text": FINANCIAL_SOURCE}) + "\n"
         + json.dumps({"id": "bad-1", "text": "   "}) + "\n")
     code = run_cli("translate", "--config", demo / "config.yaml",
                    "--input", corpus, "--output", tmp_path / "out", *EN_ZH_ARGS)
@@ -294,7 +326,7 @@ def test_cli_determinism(demo, tmp_path):
 
 def test_config_hash_does_not_depend_on_the_workspace_directory(tmp_path):
     def run_hash(root, glossary="glossary.tsv"):
-        fixtures.write_demo_workspace(root)
+        copy_demo(root)
         (root / "glossary.tsv").rename(root / glossary)
         config = yaml.safe_load((root / "config.yaml").read_text("utf-8"))
         config["retrieval"]["sources"][0]["path"] = glossary
@@ -336,7 +368,7 @@ def translate_corpus(demo, tmp_path, records) -> tuple[int, Path]:
 
 
 def test_translate_all_dot_ids_stay_under_output(demo, tmp_path, capsys):
-    records = [{"id": doc_id, "text": fixtures.GEOGRAPHIC_SOURCE}
+    records = [{"id": doc_id, "text": GEOGRAPHIC_SOURCE}
                for doc_id in (".", "..", "...")]
     code, work = translate_corpus(demo, tmp_path, records)
     assert code == 0
@@ -359,8 +391,8 @@ def test_translate_all_dot_ids_stay_under_output(demo, tmp_path, capsys):
 def test_translate_refuses_ids_that_share_a_directory(demo, tmp_path, capsys, monkeypatch,
                                                       ids, message):
     calls = count_provider_calls(monkeypatch)
-    records = [{"text": fixtures.GEOGRAPHIC_SOURCE} if doc_id is None
-               else {"id": doc_id, "text": fixtures.GEOGRAPHIC_SOURCE} for doc_id in ids]
+    records = [{"text": GEOGRAPHIC_SOURCE} if doc_id is None
+               else {"id": doc_id, "text": GEOGRAPHIC_SOURCE} for doc_id in ids]
     code, work = translate_corpus(demo, tmp_path, records)
     captured = capsys.readouterr()
     assert code == 1

@@ -12,8 +12,8 @@ import pytest
 
 import yaml
 
-from conftest import simple_request
-from crat import canonical, fixtures
+from conftest import DEMO_CONFIG, copy_demo, simple_request
+from crat import canonical
 from crat.config import (
     CONFIG_SHAPE,
     YAML_LOADER,
@@ -34,9 +34,7 @@ from crat.transcript import AgentTranscript, TranscriptError
 
 @pytest.fixture
 def demo(tmp_path):
-    root = tmp_path / "demo"
-    fixtures.write_demo_workspace(root)
-    return root
+    return copy_demo(tmp_path / "demo")
 
 
 # --- validation ---------------------------------------------------------------
@@ -122,11 +120,11 @@ def readme_configuration_example() -> str:
 
 
 def test_yaml_loader_reads_what_the_pure_python_loader_reads():
-    for text in (readme_configuration_example(), yaml.safe_dump(fixtures.DEMO_CONFIG)):
+    for text in (readme_configuration_example(), yaml.safe_dump(DEMO_CONFIG)):
         parsed = yaml.load(text, Loader=YAML_LOADER)
         assert parsed == yaml.load(text, Loader=yaml.SafeLoader)
         assert parsed
-    assert yaml.load(yaml.safe_dump(fixtures.DEMO_CONFIG), Loader=YAML_LOADER) == fixtures.DEMO_CONFIG
+    assert yaml.load(yaml.safe_dump(DEMO_CONFIG), Loader=YAML_LOADER) == DEMO_CONFIG
 
 
 def test_invalid_yaml_is_a_config_error(tmp_path):

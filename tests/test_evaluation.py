@@ -11,6 +11,7 @@ import time
 import pytest
 
 from bleu_oracle import corpus_bleu_oracle
+from conftest import fenced_payload
 from crat.evaluation import (
     EvaluationError,
     MetricReport,
@@ -23,7 +24,6 @@ from crat.evaluation import (
     load_parallel_corpus,
     term_consistency,
 )
-from crat.fixtures import fenced_payload
 from crat.gateway import Gateway, HttpStatusError
 from crat.pipeline import TranslationResult
 from crat.transcript import AgentTranscript

@@ -33,8 +33,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import demo_pipeline_config, register_demo_backends
-from crat import fixtures
+from conftest import (
+    FINANCIAL_SOURCE,
+    GEOGRAPHIC_SOURCE,
+    demo_pipeline_config,
+    register_demo_backends,
+)
 from crat import gateway as gateway_module
 from crat.gateway import (
     Gateway,
@@ -49,8 +53,8 @@ from crat.pipeline import run_batch, write_transcript
 from crat.transkg import deserialize_graph
 
 EN_ZH = ("en", "zh")
-CORPUS = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE},
-          {"id": "fin-1", "text": fixtures.FINANCIAL_SOURCE}]
+CORPUS = [{"id": "geo-1", "text": GEOGRAPHIC_SOURCE},
+          {"id": "fin-1", "text": FINANCIAL_SOURCE}]
 CALLS = 18
 FILES = ("result.json", "graph.json", "transcript.json")
 GENERATE = MockBackend.generate

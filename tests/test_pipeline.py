@@ -13,16 +13,20 @@ import time
 import pytest
 
 from conftest import (
+    FINANCIAL_BANK,
+    FINANCIAL_SOURCE,
+    GEOGRAPHIC_SOURCE,
+    RIVERBANK,
     artifact_bytes,
     demo_backend,
     demo_pipeline_config,
+    fenced_payload,
     register_demo_backends,
     wait_for,
 )
-from crat import canonical, fixtures
+from crat import canonical
 from crat import gateway as gateway_module
 from crat.config import build_gateway, build_pipeline_config, build_sources, load_run_config
-from crat.fixtures import fenced_payload
 from crat.gateway import MAX_INFLIGHT_PER_BACKEND, Gateway, HttpStatusError
 from crat.pipeline import (
     RESULT_SHAPE,
@@ -134,35 +138,35 @@ STAGES_FULL = ["detect", "extract", "retrieve", "judge", "translate"]
 
 def test_geo_fixture_run(demo_gateway):
     config = demo_pipeline_config()
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway,
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway,
                           source_doc_id="geo-1")
     assert result.term_count == 2
     assert result.graph.accepted_docs == ("d-scotiasea",)
     assert result.accepted_count == 1
     assert result.accepted_count <= result.judged_count
-    assert fixtures.RIVERBANK in result.target_text
-    assert result.term_renderings["bank"] == [fixtures.RIVERBANK, fixtures.RIVERBANK]
+    assert RIVERBANK in result.target_text
+    assert result.term_renderings["bank"] == [RIVERBANK, RIVERBANK]
 
 
 def test_fin_fixture_graph_contains_integration_triple(demo_gateway):
     config = demo_pipeline_config()
-    result = run_pipeline(fixtures.FINANCIAL_SOURCE, EN_ZH, config, demo_gateway,
+    result = run_pipeline(FINANCIAL_SOURCE, EN_ZH, config, demo_gateway,
                           source_doc_id="fin-1")
     assert result.graph.accepted_docs == ("d-scotiabank",)
     spo = [(t.subject, t.relation, t.object) for t in result.graph.external_triples]
     assert ("Scotia", "is a", "bank") in spo
-    assert fixtures.FINANCIAL_BANK in result.target_text
+    assert FINANCIAL_BANK in result.target_text
 
 
 def test_determinism_across_cache_modes(tmp_path, demo_gateway):
     config = demo_pipeline_config()
-    plain = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway,
+    plain = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway,
                          source_doc_id="geo-1")
     cached_gateway = Gateway(cache_dir=tmp_path / "cache")
     register_demo_backends(cached_gateway)
-    cold = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, cached_gateway,
+    cold = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, cached_gateway,
                         source_doc_id="geo-1")
-    warm = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, cached_gateway,
+    warm = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, cached_gateway,
                         source_doc_id="geo-1")
     blobs = [artifact_bytes([r], tmp_path / name)
              for name, r in (("plain", plain), ("cold", cold), ("warm", warm))]
@@ -222,7 +226,7 @@ def test_judge_gateway_error_rules_incorrect(demo_gateway):
 
     gateway = Gateway()
     register_demo_backends(gateway, jdg=flaky_judge)
-    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    corpus = [{"id": "geo-1", "text": GEOGRAPHIC_SOURCE}]
     results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
     assert [r["status"] for r in manifest.records] == ["ok"]
     (result,) = results
@@ -258,7 +262,7 @@ def test_gateway_error_names_the_failed_stage():
     # A mock's HttpStatusError is not retried (an HTTP backend's 503 is a
     # RetryLaterError), so the first call to the faulty backend fails its
     # stage, and the manifest's error says which stage that was.
-    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    corpus = [{"id": "geo-1", "text": GEOGRAPHIC_SOURCE}]
     for backend_id, stage in (("ext", "knowledge extraction"), ("trn", "translation")):
         gateway = Gateway()
         register_demo_backends(gateway, **{backend_id: http_503})
@@ -309,12 +313,12 @@ def test_missing_backend_reported(demo_gateway):
 
 def test_direct_mode_translates_only(demo_gateway):
     config = demo_pipeline_config(use_knowledge=False)
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway)
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, config, demo_gateway)
     assert result.transcript.stages() == ["translate"]
     assert result.term_count == 0
     assert result.graph.is_empty()
-    assert fixtures.FINANCIAL_BANK in result.target_text  # wrong default sense
-    assert fixtures.RIVERBANK not in result.target_text
+    assert FINANCIAL_BANK in result.target_text  # wrong default sense
+    assert RIVERBANK not in result.target_text
 
 
 def test_unjudged_mode_admits_everything():
@@ -331,7 +335,7 @@ def timing_case(name: str, demo_gateway: Gateway):
     """(gateway, config, source text, the stages the run opens) for ``name``."""
     unjudged = {"alpha": [doc("dx1"), doc("dx2")]}
     return {
-        "crat demo": (demo_gateway, demo_pipeline_config(), fixtures.GEOGRAPHIC_SOURCE,
+        "crat demo": (demo_gateway, demo_pipeline_config(), GEOGRAPHIC_SOURCE,
                       STAGES_FULL),
         "zero terms": (demo_gateway, demo_pipeline_config(), "Nothing unusual here.",
                        ["detect", "translate"]),
@@ -341,7 +345,7 @@ def timing_case(name: str, demo_gateway: Gateway):
                      controlled_config(unjudged, use_judge=False), "alpha text",
                      ["detect", "extract", "retrieve", "translate"]),
         "direct": (demo_gateway, demo_pipeline_config(use_knowledge=False),
-                   fixtures.GEOGRAPHIC_SOURCE, ["translate"]),
+                   GEOGRAPHIC_SOURCE, ["translate"]),
     }[name]
 
 
@@ -674,8 +678,8 @@ def test_config_hash_names_each_roles_model(stub_server, tmp_path):
 
 
 def test_batch_width_does_not_change_results(tmp_path, demo_gateway):
-    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE if i % 2
-               else fixtures.FINANCIAL_SOURCE} for i in range(10)]
+    corpus = [{"id": f"doc{i}", "text": GEOGRAPHIC_SOURCE if i % 2
+               else FINANCIAL_SOURCE} for i in range(10)]
     serial_results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=1),
                                   demo_gateway)
     wide_results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4),
@@ -689,7 +693,7 @@ def test_batch_width_does_not_change_results(tmp_path, demo_gateway):
 def test_batch_concurrent_runs_share_cache(tmp_path):
     gateway = Gateway(cache_dir=tmp_path / "cache")
     register_demo_backends(gateway)
-    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE} for i in range(8)]
+    corpus = [{"id": f"doc{i}", "text": GEOGRAPHIC_SOURCE} for i in range(8)]
     first, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4), gateway)
     assert manifest.aggregate["failed"] == 0
     second, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=4), gateway)
@@ -711,8 +715,8 @@ def test_batch_starts_a_bounded_number_of_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     gateway = Gateway(cache_dir=tmp_path / "cache")
     register_demo_backends(gateway)
-    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE if i % 2
-               else fixtures.FINANCIAL_SOURCE + f" Note {i}."} for i in range(20)]
+    corpus = [{"id": f"doc{i}", "text": GEOGRAPHIC_SOURCE if i % 2
+               else FINANCIAL_SOURCE + f" Note {i}."} for i in range(20)]
     results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(width=2), gateway)
     assert manifest.aggregate["failed"] == 0
     assert sum(r.judged_count for r in results) >= 20
@@ -724,7 +728,7 @@ def test_batch_returns_with_every_reply_on_disk(tmp_path):
     # made is in a cache segment when run_batch returns.
     gateway = Gateway(cache_dir=tmp_path / "cache")
     register_demo_backends(gateway)
-    corpus = [{"id": f"doc{i}", "text": fixtures.GEOGRAPHIC_SOURCE + f" Note {i}."}
+    corpus = [{"id": f"doc{i}", "text": GEOGRAPHIC_SOURCE + f" Note {i}."}
               for i in range(3)]
     results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(width=2), gateway)
     fingerprints = {e.fingerprint for r in results for e in r.transcript.exchanges()}
@@ -740,10 +744,10 @@ def test_batch_survives_an_unusable_cache_dir(tmp_path, caplog):
     (tmp_path / "file").write_text("not a directory")
     gateway = Gateway(cache_dir=tmp_path / "file" / "cache")
     register_demo_backends(gateway)
-    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE}]
+    corpus = [{"id": "geo-1", "text": GEOGRAPHIC_SOURCE}]
     results, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(), gateway)
     assert [r["status"] for r in manifest.records] == ["ok"]
-    assert fixtures.RIVERBANK in results[0].target_text
+    assert RIVERBANK in results[0].target_text
     warnings = [r.getMessage() for r in caplog.records if r.name == "crat.gateway"]
     assert len(warnings) == len(results[0].transcript.exchanges())
     assert all(w.startswith(f"could not write cache entry {tmp_path / 'file' / 'cache'}/")
@@ -769,7 +773,7 @@ def test_batch_isolates_failures(demo_gateway):
 
 
 def test_write_transcript_files(tmp_path, demo_gateway):
-    result = run_pipeline(fixtures.FINANCIAL_SOURCE, EN_ZH, demo_pipeline_config(),
+    result = run_pipeline(FINANCIAL_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="fin-1")
     paths = write_transcript(result, tmp_path)
     assert [p.name for p in paths] == ["result.json", "graph.json", "transcript.json"]
@@ -807,7 +811,7 @@ def test_write_transcript_unwritable_target(tmp_path, demo_gateway):
 
 
 def test_result_round_trip_and_loading(tmp_path, demo_gateway):
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="geo-1")
     write_transcript(result, tmp_path)
     (loaded,) = load_results(tmp_path)
@@ -823,8 +827,8 @@ def test_result_round_trip_and_loading(tmp_path, demo_gateway):
 def test_written_files_have_their_declared_shapes(demo_gateway, use_knowledge):
     # What result.json and graph.json are written from passes the check they
     # are read with, so a field cannot be written without being declared.
-    corpus = [{"id": "geo-1", "text": fixtures.GEOGRAPHIC_SOURCE},
-              {"id": "fin-1", "text": fixtures.FINANCIAL_SOURCE}]
+    corpus = [{"id": "geo-1", "text": GEOGRAPHIC_SOURCE},
+              {"id": "fin-1", "text": FINANCIAL_SOURCE}]
     results, _ = run_batch(corpus, EN_ZH, demo_pipeline_config(use_knowledge=use_knowledge),
                            demo_gateway)
     assert len(results) == 2
@@ -837,7 +841,7 @@ def test_written_files_have_their_declared_shapes(demo_gateway, use_knowledge):
 def test_format_1_result_is_refused(tmp_path, demo_gateway):
     # Format 1 embedded the graph and the transcript; only format 2 is read,
     # and it refuses them.
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="geo-1")
     path = write_transcript(result, tmp_path)[0]
     data = json.loads(path.read_text("utf-8"))
@@ -855,7 +859,7 @@ def test_format_1_result_is_refused(tmp_path, demo_gateway):
 def test_result_file_without_a_field(tmp_path, demo_gateway):
     # A missing count or flag loads as its default; a missing text fails as a
     # PipelineError that names the file.
-    result = run_pipeline(fixtures.GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
+    result = run_pipeline(GEOGRAPHIC_SOURCE, EN_ZH, demo_pipeline_config(),
                           demo_gateway, source_doc_id="geo-1")
     path = write_transcript(result, tmp_path)[0]
     data = json.loads(path.read_text("utf-8"))

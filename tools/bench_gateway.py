@@ -72,9 +72,14 @@ LOG_REPLY_CHARS = 480
 PROXIED_URL = "http://chat.bench.invalid/v1/chat"
 TERM_RE = re.compile(r"term\d+x\d+")
 
-JUDGE_REPLY = "```json\n" + json.dumps({
-    "proposed_rendering": "", "back_translation": "bt", "verdict": "INCORRECT",
-    "rationale": "", "facts": []}) + "\n```"
+
+def fenced(payload: dict) -> str:
+    """A reply carrying one fenced JSON payload block, as the agents read it."""
+    return "```json\n" + json.dumps(payload) + "\n```"
+
+
+JUDGE_REPLY = fenced({"proposed_rendering": "", "back_translation": "bt",
+                      "verdict": "INCORRECT", "rationale": "", "facts": []})
 
 
 # --- the loopback server ----------------------------------------------------------
@@ -205,16 +210,15 @@ class FanOutSource:
 
 
 def time_fanout(url: str, cache_dir: str) -> dict:
-    from crat.fixtures import fenced_payload
     from crat.gateway import Gateway
     from crat.pipeline import PipelineConfig, run_pipeline
 
     gateway = Gateway(cache_dir=cache_dir)
     gateway.register_http("judge", url, "bench-model")
-    gateway.register_mock("trn", [], fallback=fenced_payload(
+    gateway.register_mock("trn", [], fallback=fenced(
         {"translation": "translated", "term_renderings": {}}))
-    gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
-    gateway.register_mock("det", [], fallback=lambda request: fenced_payload({"terms": [
+    gateway.register_mock("ext", [], fallback=fenced({"triples": []}))
+    gateway.register_mock("det", [], fallback=lambda request: fenced({"terms": [
         {"surface": surface, "category": "new_term", "rationale": ""}
         for surface in dict.fromkeys(TERM_RE.findall(request.last_user_content()))]}))
     config = PipelineConfig(detector_backend="det", extractor_backend="ext",
