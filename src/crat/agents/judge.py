@@ -16,7 +16,7 @@ from typing import Sequence
 from ..gateway import Gateway, GatewayError
 from ..retrieval import RetrievedDocument
 from ..transcript import warn
-from ..transkg import INCORRECT, VERDICTS, KnowledgeTriple, TermCandidate
+from ..transkg import CORRECT, INCORRECT, VERDICTS, KnowledgeTriple, TermCandidate
 from . import prompts
 from .schema import AgentParseError, chat_structured, optional_str, require_list, require_str
 
@@ -28,9 +28,9 @@ JUDGE_DOC_CHARS = 2000
 
 @dataclass(frozen=True)
 class JudgeVerdict:
-    """Ruling for one judged document, with the back-translation evidence.
-    ``fail_closed`` marks an INCORRECT ruled because the judge's reply was
-    unusable or its call failed."""
+    """Ruling for one judged document, with the back-translation evidence;
+    only a CORRECT one carries ``facts``, none blank. ``fail_closed`` marks an
+    INCORRECT ruled because the judge's reply was unusable or its call failed."""
 
     doc_id: str
     verdict: str
@@ -87,7 +87,8 @@ def render_judge_prompt(internal_knowledge: Sequence[KnowledgeTriple],
 def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: RetrievedDocument,
                    source_text: str, term: TermCandidate, lang_pair: tuple[str, str],
                    backend_id: str, gateway: Gateway, transcript=None) -> JudgeVerdict:
-    """Judge one (term, document) pair; fails closed to INCORRECT."""
+    """Judge one (term, document) pair; fails closed to INCORRECT and drops
+    a blank fact with a warning."""
     prompt = render_judge_prompt(internal_knowledge, doc, source_text, term, lang_pair)
     try:
         parsed = chat_structured(gateway, backend_id, prompt, "judge", _validate, transcript)
@@ -99,11 +100,17 @@ def judge_document(internal_knowledge: Sequence[KnowledgeTriple], doc: Retrieved
         warn(transcript, log, f"judge: call failed for document {doc.id!r} "
                               f"({type(err).__name__}), ruling INCORRECT", err)
         return JudgeVerdict(doc.id, INCORRECT, "", "", "call failed", fail_closed=True)
+    facts = []
+    for fact in parsed["facts"] if parsed["verdict"] == CORRECT else ():
+        if all(part.strip() for part in fact):
+            facts.append(fact)
+        else:
+            warn(transcript, log, f"judge: skipped blank fact from document {doc.id!r}")
     return JudgeVerdict(
         doc_id=doc.id,
         verdict=parsed["verdict"],
         proposed_rendering=parsed["proposed_rendering"],
         back_translation=parsed["back_translation"],
         alignment_rationale=parsed["rationale"],
-        facts=parsed["facts"],
+        facts=tuple(facts),
     )

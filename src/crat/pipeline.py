@@ -2,9 +2,9 @@
 
 Stage order is fixed: detect -> extract -> retrieve -> judge (one call per
 term/document pair) -> integrate -> translate. External evidence enters the
-graph only through the judge's verdict gate; with zero detected terms the
-knowledge stages are skipped entirely and the translator runs on an empty
-graph.
+graph only through the verdict gate, ``transkg.integrate_external``, and the
+translator quotes only accepted documents. With zero detected terms the
+knowledge stages are skipped and the translator runs on an empty graph.
 
 Retrieval does not wait for extraction: it runs on the calling thread while
 the first extract request is in flight (``Gateway.complete``'s ``on_sent``),
@@ -49,10 +49,6 @@ from .gateway import Gateway, GatewayError
 from .retrieval import DEFAULT_N2, RetrievedDocument, retrieve_for_term
 from .transcript import AgentTranscript, warn
 from .transkg import (
-    CORRECT,
-    EXTERNAL,
-    KnowledgeTriple,
-    Provenance,
     TransKG,
     admit_external,
     deserialize_graph,
@@ -167,39 +163,19 @@ _STAGE_WORK = {"detect": "unknown-term detection", "extract": "knowledge extract
 
 @contextmanager
 def _stage(name: str, transcript: AgentTranscript, timings: dict):
-    """Open stage ``name`` in ``transcript`` and time it into ``timings``; an
-    ``AgentError`` or ``GatewayError`` raised inside becomes the stage's
-    ``PipelineError``."""
+    """Open stage ``name`` in ``transcript`` and time it into ``timings``; any
+    exception raised inside but a ``PipelineError`` (retrieval's, in the
+    extract wait) becomes the stage's ``PipelineError``."""
     started = time.perf_counter()
     transcript.begin_stage(name)
     try:
         yield
-    except (AgentError, GatewayError) as err:
+    except PipelineError:
+        raise
+    except Exception as err:
         raise PipelineError(f"{_STAGE_WORK[name]} failed: {err}") from err
     finally:
         timings[name] = round((time.perf_counter() - started) * 1000.0, 3)
-
-
-def _verdict_triples(verdict: JudgeVerdict, doc: RetrievedDocument, term,
-                     transcript: AgentTranscript) -> list[KnowledgeTriple]:
-    """External triples to link for a CORRECT verdict: the judge's distilled
-    document facts plus the proposed rendering of the term."""
-    if verdict.verdict != CORRECT:
-        return []
-    triples = []
-    for subject, relation, obj in verdict.facts:
-        if not (subject.strip() and relation.strip() and obj.strip()):
-            warn(transcript, log, f"judge: skipped blank fact from document {doc.id!r}")
-            continue
-        triples.append(KnowledgeTriple(subject, relation, obj,
-                                       Provenance(EXTERNAL, doc.id),
-                                       frozenset({term.surface})))
-    rendering = verdict.proposed_rendering.strip()
-    if rendering:
-        triples.append(KnowledgeTriple(term.surface, "renders as", rendering,
-                                       Provenance(EXTERNAL, doc.id),
-                                       frozenset({term.surface})))
-    return triples
 
 
 def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineConfig,
@@ -229,7 +205,7 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                      f"detector failed ({err}); falling back to direct translation")
 
     graph = new_graph(source_doc_id, terms)
-    documents: dict[str, RetrievedDocument] = {}
+    documents: dict[str, RetrievedDocument] = {}  # every retrieved document, by id
     judged_count = fail_closed_count = 0
 
     if terms:
@@ -251,8 +227,9 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
             graph = add_internal(graph, internal)
         transcript.join(retrieved)
         timings.update(retrieve_timing)
+        documents = {doc.id: doc for _, docs in per_term_docs for doc in docs}
 
-        if any(docs for _, docs in per_term_docs):
+        if documents:
             if config.use_judge:
                 with _stage("judge", transcript, timings):
                     internal = list(graph.internal_triples)
@@ -265,20 +242,15 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
                                               config.judge_backend, gateway, branch), branch
 
                     rulings = gateway.fan_out(judge, pairs)
-                    for (term, doc), (verdict, branch) in zip(pairs, rulings):
+                    for (term, _), (verdict, branch) in zip(pairs, rulings):
                         transcript.join(branch)
-                        judged_count += 1
-                        fail_closed_count += verdict.fail_closed
-                        triples = _verdict_triples(verdict, doc, term, transcript)
-                        graph = integrate_external(graph, doc, verdict, triples)
-                        if verdict.verdict == CORRECT:
-                            documents[doc.id] = doc
+                        graph = integrate_external(graph, verdict, term)
+                    judged_count = len(pairs)
+                    fail_closed_count = sum(verdict.fail_closed for verdict, _ in rulings)
             else:
                 # Unrefined mode: admit every retrieved document without judging.
-                for _, docs in per_term_docs:
-                    for doc in docs:
-                        graph = admit_external(graph, doc.id)
-                        documents[doc.id] = doc
+                for doc_id in documents:
+                    graph = admit_external(graph, doc_id)
 
     with _stage("translate", transcript, timings):
         output = translate_with_knowledge(

@@ -280,8 +280,6 @@ def _check_index(index: CorpusIndex) -> None:
 
 
 class LocalIndexSource:
-    kind = LOCAL_INDEX
-
     def __init__(self, index: CorpusIndex, label: str = "local_index"):
         self.index = index
         self.label = label
@@ -344,8 +342,6 @@ class GlossarySource:
     the same one at once each store an equal pattern.
     """
 
-    kind = GLOSSARY
-
     def __init__(self, entries: Sequence[GlossaryEntry], label: str = "glossary"):
         self.entries = list(entries)
         self.label = label
@@ -385,8 +381,6 @@ class GlossarySource:
 
 
 class RemoteSource:
-    kind = REMOTE
-
     def __init__(self, endpoint_url: str, timeout_s: float = 10.0, label: str = "remote"):
         self.endpoint_url = check_endpoint(endpoint_url)
         self.timeout_s = timeout_s

@@ -1,5 +1,5 @@
 """Translation knowledge graph: term nodes, provenance-tagged triples, and
-the verdict gate that admits or discards external evidence.
+the verdict gate, ``integrate_external``, that admits or discards evidence.
 
 Graph values are immutable; every operation returns a new ``TransKG`` and
 never mutates its input, so graphs can be shared freely across concurrent
@@ -203,20 +203,23 @@ def add_internal(graph: TransKG, triples: Iterable[KnowledgeTriple]) -> TransKG:
     return replace(graph, internal_triples=graph.internal_triples + added)
 
 
-def integrate_external(graph: TransKG, doc, verdict, triples: Iterable[KnowledgeTriple]) -> TransKG:
-    """Admit or discard one judged document.
+def integrate_external(graph: TransKG, verdict, term) -> TransKG:
+    """The verdict gate: the one way a judged document enters the graph.
 
-    ``doc`` needs an ``id`` attribute and ``verdict`` needs ``doc_id`` and
-    ``verdict`` attributes; the concrete types live in the retrieval and
-    agents modules. A CORRECT verdict admits the document with its triples
-    (``admit_external``); any other verdict returns the input graph
-    unchanged and its triples are not looked at.
+    A CORRECT ``verdict`` (a ``JudgeVerdict``) admits its ``doc_id`` with its
+    facts, then ``(term.surface, "renders as", rendering)`` when its
+    ``proposed_rendering`` is not blank; each triple carries that document's
+    external provenance and the term as its key. Any other verdict returns
+    ``graph`` unchanged.
     """
-    if verdict.doc_id != doc.id:
-        raise GraphError(f"verdict is for document {verdict.doc_id!r}, not {doc.id!r}")
     if verdict.verdict != CORRECT:
         return graph
-    return admit_external(graph, doc.id, triples)
+    facts = list(verdict.facts)
+    if verdict.proposed_rendering.strip():
+        facts.append((term.surface, "renders as", verdict.proposed_rendering))
+    provenance = Provenance(EXTERNAL, verdict.doc_id)
+    return admit_external(graph, verdict.doc_id, [
+        KnowledgeTriple(*fact, provenance, frozenset({term.surface})) for fact in facts])
 
 
 def admit_external(graph: TransKG, doc_id: str, triples: Iterable[KnowledgeTriple] = ()) -> TransKG:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import time
 
 import pytest
@@ -31,11 +32,18 @@ from conftest import (
 from crat import tokenizers
 from crat.cli import main as cli_main
 from crat.evaluation import corpus_bleu, term_consistency
-from crat.gateway import Gateway
+from crat.gateway import Gateway, request_text
 from crat.pipeline import PipelineConfig, run_pipeline, write_transcript
 from crat.retrieval import GlossaryEntry, GlossarySource, RetrievedDocument, build_index, search
 from crat.transcript import STAGES
-from crat.transkg import CORRECT, INCORRECT, deserialize_graph, integrate_external, serialize_graph
+from crat.transkg import (
+    CORRECT,
+    INCORRECT,
+    TermCandidate,
+    deserialize_graph,
+    integrate_external,
+    serialize_graph,
+)
 from test_transkg import Verdict, random_graph
 
 EN_ZH = ("en", "zh")
@@ -47,7 +55,6 @@ def _pass(number: int, description: str, elapsed: float, limit: float) -> None:
 
 
 class ScriptedSource:
-    kind = "remote"
     label = "scripted"
 
     def __init__(self, by_surface):
@@ -97,6 +104,12 @@ def scripted_run(rng: random.Random, run_index: int):
                           source_doc_id=f"run-{run_index}")
     expected = [doc.id for s in surfaces for doc in by_surface[s]
                 if verdicts[doc.id] == CORRECT]
+    # The translator quotes accepted documents only, within its excerpt budget.
+    (translator,) = [exchange for exchange in result.transcript.exchanges()
+                     if exchange.request.backend_id == "trn"]
+    prompt = request_text(translator.request)
+    assert re.findall(r"^- \[(\S+)\] ", prompt, re.M) == expected[:3]
+    assert not [doc.id for doc in docs if verdicts[doc.id] == INCORRECT and doc.text in prompt]
     return result, expected
 
 
@@ -109,9 +122,8 @@ def test_criterion_1_filter_correctness():
         assert result.accepted_count == len(expected)
         assert result.accepted_count <= result.judged_count
         # INCORRECT integration is a no-op on the final graph.
-        rejected = RetrievedDocument("d-rejected", "t", "x", "remote", 1.0)
-        unchanged = integrate_external(result.graph, rejected,
-                                       Verdict("d-rejected", INCORRECT), [])
+        rejected = Verdict("d-rejected", INCORRECT, [("x", "is", "y")], "r")
+        unchanged = integrate_external(result.graph, rejected, TermCandidate("x", 0, 1, "new_term"))
         assert unchanged is result.graph
         assert serialize_graph(unchanged) == serialize_graph(result.graph)
     _pass(1, "accepted_docs equals the CORRECT-judged documents in judging "

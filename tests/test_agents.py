@@ -44,7 +44,7 @@ from crat.transkg import (
     TermCandidate,
     new_graph,
     add_internal,
-    integrate_external,
+    admit_external,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,12 +183,7 @@ def geo_knowledge_graph():
         Provenance(INTERNAL), frozenset({"Scotia"}))])
     doc = RetrievedDocument("d-scotiasea", "Scotia Sea",
                             DEMO_CORPUS[1]["text"], "local_index", 1.5)
-
-    class V:
-        doc_id = "d-scotiasea"
-        verdict = CORRECT
-
-    graph = integrate_external(graph, doc, V(), [KnowledgeTriple(
+    graph = admit_external(graph, doc.id, [KnowledgeTriple(
         "bank", "renders as", RIVERBANK,
         Provenance(EXTERNAL, "d-scotiasea"), frozenset({"bank"}))])
     return graph, doc, bank
@@ -543,14 +538,10 @@ def test_translator_budget_truncation():
         for i in range(25)
     ])
 
-    class V:
-        verdict = CORRECT
-
     documents = {}
     for d in range(5):
         doc = RetrievedDocument(f"d{d}", f"t{d}", "x" * 600, "local_index", 1.0)
-        V.doc_id = doc.id
-        graph = integrate_external(graph, doc, V(), [])
+        graph = admit_external(graph, doc.id)
         documents[doc.id] = doc
 
     rendered = render_translator_prompt(source, graph, EN_ZH, documents=documents)

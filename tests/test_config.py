@@ -234,7 +234,7 @@ def test_build_runtime_from_demo_config(demo):
     for backend_id in ("det", "ext", "jdg", "trn", "con"):
         assert gateway.has_backend(backend_id)
     sources = build_sources(config)
-    assert [s.kind for s in sources] == ["glossary", "local_index"]
+    assert [s.label for s in sources] == ["glossary:glossary.tsv", "local_index:index.json"]
     pipeline_config = build_pipeline_config(config, sources, mode="crat")
     assert pipeline_config.translator_backend == "trn"
     assert pipeline_config.use_knowledge is True

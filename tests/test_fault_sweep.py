@@ -11,6 +11,10 @@ whatever the fault:
 - an extractor or translator failure fails only its own document, named by
   stage, and the other document's files are byte-identical to the clean
   run's;
+- a backend that raises something other than a ``GatewayError`` (a bare
+  ``ValueError``, a bug rather than a verdict) fails only its own document
+  at any stage, named by stage: the detector does not fall back and the
+  judge does not rule INCORRECT;
 - a retried call (a 503, a dropped connection) or a repaired reply leaves
   the clean run's ``result.json`` and ``graph.json``;
 - no external triple cites a document outside ``accepted_docs``;
@@ -18,9 +22,7 @@ whatever the fault:
   the provider said, and a rerun replays it with its repair turn.
 
 Every (fault, position) pair runs at width 1, and a seeded sample of them at
-width 4. A backend that raises something other than a ``GatewayError`` (a
-bare ``ValueError``) is left out: it fails its document whatever the stage,
-which is an open question of its own.
+width 4.
 """
 
 from __future__ import annotations
@@ -72,9 +74,13 @@ FAULTS = {
     "protocol error": (lambda: _raise(ProtocolError("no choices")), "failed"),
     "blank reply": (lambda: "  ", "failed"),
     "non-JSON reply": (lambda: "Sorry, I cannot answer in JSON.", "repaired"),
+    "bug": (lambda: _raise(ValueError("surprise")), "bug"),
 }
 PAIRS = list(itertools.product(FAULTS, range(1, CALLS + 1)))
-WIDE_PAIRS = random.Random(15).sample(PAIRS, 12)
+WIDE_PAIRS = random.Random(15).sample(PAIRS[:-CALLS], 12) + [("bug", 9), ("bug", 12)]
+# What failed, as a failed document's manifest record names it.
+STAGE_WORK = {"det": "unknown-term detection", "ext": "knowledge extraction",
+              "jdg": "judging", "trn": "translation"}
 
 
 @pytest.fixture(autouse=True)
@@ -178,7 +184,11 @@ def check_single_fault(clean, tmp_path, monkeypatch, fault_name, position, width
         return
 
     assert fingerprint not in cache  # a failed call caches nothing
-    if backend_id == "det":
+    if kind == "bug":
+        assert record["status"] == "error"
+        assert record["error"] == f"{STAGE_WORK[backend_id]} failed: surprise"
+        assert doc_id not in files
+    elif backend_id == "det":
         assert record["status"] == "ok" and record["detector_fallback"]
         result = json.loads(files[doc_id]["result.json"])
         assert result["term_count"] == 0 and result["detector_fallback"]
@@ -194,9 +204,9 @@ def check_single_fault(clean, tmp_path, monkeypatch, fault_name, position, width
         assert any(event["kind"] == "warning" and "ruling INCORRECT" in event["message"]
                    for event in transcript)
     else:
-        stage = {"ext": "knowledge extraction", "trn": "translation"}[backend_id]
+        assert backend_id in ("ext", "trn")
         assert record["status"] == "error"
-        assert record["error"].startswith(f"{stage} failed: ")
+        assert record["error"].startswith(f"{STAGE_WORK[backend_id]} failed: ")
         assert doc_id not in files
 
 

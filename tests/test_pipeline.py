@@ -36,12 +36,20 @@ from crat.pipeline import (
     run_batch,
     result_to_dict,
     run_pipeline,
+    TranslationResult,
     serialize_result,
     write_transcript,
 )
 from crat.retrieval import RemoteSource, RetrievedDocument, SourceError
-from crat.transcript import STAGES
-from crat.transkg import CORRECT, GRAPH_SHAPE, INCORRECT, graph_to_dict
+from crat.transcript import STAGES, AgentTranscript
+from crat.transkg import (
+    CORRECT,
+    GRAPH_SHAPE,
+    INCORRECT,
+    graph_to_dict,
+    new_graph,
+    serialize_graph,
+)
 
 EN_ZH = ("en", "zh")
 
@@ -50,7 +58,6 @@ class ScriptedSource:
     """Returns a fixed document list per term surface (queries start with
     the surface, per the term_query contract)."""
 
-    kind = "remote"
     label = "scripted"
 
     def __init__(self, by_surface):
@@ -273,7 +280,7 @@ def test_gateway_error_names_the_failed_stage():
 
 
 def test_pipeline_warnings_reach_the_log(caplog):
-    caplog.set_level(logging.WARNING, logger="crat.pipeline")
+    caplog.set_level(logging.WARNING, logger="crat")
     config = controlled_config({}, on_detector_error="translate_direct")
     fallback = run_pipeline("some text", EN_ZH, config, broken_detector_gateway(http_500))
     facts = [["alpha", "is", "fact"], ["alpha", " ", "blank"]]
@@ -285,7 +292,8 @@ def test_pipeline_warnings_reach_the_log(caplog):
         "falling back to direct translation",
         "judge: skipped blank fact from document 'dx1'",
     ]
-    assert [r.getMessage() for r in caplog.records if r.name == "crat.pipeline"] == warnings
+    logged = [(r.name, r.getMessage()) for r in caplog.records if r.name.startswith("crat.")]
+    assert logged == list(zip(["crat.pipeline", "crat.agents.judge"], warnings))
 
 
 def test_empty_source_text_rejected(demo_gateway):
@@ -381,11 +389,27 @@ def test_ablation_stage_sets_nest():
 
 
 class FailingSource:
-    kind = "remote"
     label = "down"
 
     def search(self, query, k):
         raise SourceError("unreachable")
+
+
+class BrokenSource:
+    label = "broken"
+
+    def search(self, query, k):
+        raise RuntimeError("index gone")
+
+
+def test_a_bug_in_retrieval_names_the_retrieve_stage_once():
+    # Retrieval runs inside the extract wait; its stage's error passes the
+    # extract stage as it is, and a bug is not a source failure to skip.
+    sources = [BrokenSource()]
+    gateway = controlled_gateway({}, ["alpha"])
+    with pytest.raises(PipelineError) as caught:
+        run_pipeline("alpha text", EN_ZH, controlled_config({}, sources=sources), gateway)
+    assert str(caught.value) == "retrieval failed: index gone"
 
 
 def test_retrieval_warning_sits_in_the_retrieve_stage_after_extraction():
@@ -408,8 +432,6 @@ def test_retrieval_warning_sits_in_the_retrieve_stage_after_extraction():
 class RecordingSource:
     """Wraps a source: appends ("search", label) and ("found", label) to
     ``events`` around each of its searches, which start after ``before()``."""
-
-    kind = "remote"
 
     def __init__(self, label, inner, events, before=lambda: None):
         self.label, self.inner, self.events, self.before = label, inner, events, before
@@ -821,6 +843,49 @@ def test_result_round_trip_and_loading(tmp_path, demo_gateway):
     assert loaded.term_renderings == result.term_renderings
     with pytest.raises(PipelineError):
         load_results(tmp_path / "missing")
+
+
+# Alphabets the random results draw their texts from, with the characters
+# JSON escapes.
+SCRIPTS = ("abcXYZ éüßÇ", "абвгдЖЗИЙ", "银行河岸海峡", " \t\n\"\\/")
+
+
+def random_text(rng: random.Random, at_least: int = 0) -> str:
+    alphabet = "".join(rng.sample(SCRIPTS, rng.randint(1, len(SCRIPTS))))
+    return "".join(rng.choices(alphabet, k=rng.randint(at_least, 12)))
+
+
+def random_result(rng: random.Random, doc_id: str) -> TranslationResult:
+    renderings = {random_text(rng, 1): [random_text(rng) for _ in range(rng.choice((0, 1, 3)))]
+                  for _ in range(rng.randint(0, 3))}
+    return TranslationResult(
+        doc_id, random_text(rng), random_text(rng), new_graph(doc_id, ()), AgentTranscript(),
+        term_count=rng.randint(0, 9), judged_count=rng.randint(0, 40),
+        accepted_count=rng.randint(0, 40), term_renderings=renderings,
+        detector_fallback=rng.choice((True, False)))
+
+
+def test_result_file_round_trip_property(tmp_path):
+    rng = random.Random(20261020)
+    results = [random_result(rng, f"doc-{i:03d}") for i in range(100)]
+    written = {r.source_doc_id: write_transcript(r, tmp_path)[0].read_bytes() for r in results}
+    loaded = load_results(tmp_path)
+    assert [r.source_doc_id for r in loaded] == list(written)
+    for result, restored in zip(results, loaded):
+        assert result_to_dict(restored) == result_to_dict(result)
+        assert serialize_result(restored) == written[result.source_doc_id]
+
+
+def test_result_file_without_its_optional_keys_loads_their_defaults(tmp_path):
+    required = {"format_version": 2, "source_doc_id": "d1", "source_text": "src",
+                "target_text": "tgt"}
+    assert {name for name, (_, need) in RESULT_SHAPE.items() if need} == set(required)
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d1" / "result.json").write_text(json.dumps(required), "utf-8")
+    (tmp_path / "d1" / "graph.json").write_bytes(serialize_graph(new_graph("d1", ())))
+    (loaded,) = load_results(tmp_path)
+    defaults = TranslationResult("d1", "src", "tgt", new_graph("d1", ()), AgentTranscript())
+    assert result_to_dict(loaded) == result_to_dict(defaults)
 
 
 @pytest.mark.parametrize("use_knowledge", [True, False])

@@ -616,7 +616,6 @@ def test_retrieve_dedups_by_source_and_id():
 
 
 class FailingSource:
-    kind = "remote"
     label = "always-down"
 
     def search(self, query, k):

@@ -22,6 +22,7 @@ from crat.transkg import (
     TermNode,
     TransKG,
     add_internal,
+    admit_external,
     deserialize_graph,
     graph_to_dict,
     integrate_external,
@@ -31,15 +32,14 @@ from crat.transkg import (
 )
 
 
-class Doc:
-    def __init__(self, doc_id):
-        self.id = doc_id
-
-
 class Verdict:
-    def __init__(self, doc_id, verdict):
+    """What the gate reads of a ``JudgeVerdict``."""
+
+    def __init__(self, doc_id, verdict, facts=(), proposed_rendering=""):
         self.doc_id = doc_id
         self.verdict = verdict
+        self.facts = tuple(facts)
+        self.proposed_rendering = proposed_rendering
 
 
 def term(surface, start=0, category="proper_noun"):
@@ -149,57 +149,61 @@ def test_add_internal_does_not_mutate_input():
     assert graph.triples == ()
 
 
-# --- integrate_external -----------------------------------------------------------
+# --- integrate_external: the verdict gate ------------------------------------------
+
+SCOTIA_FACTS = [("Scotia", "is a", "bank"), ("Scotia", "is based in", "Toronto")]
 
 
 def test_integrate_correct_admits_doc_and_triples():
-    graph = integrate_external(
-        scotia_graph(), Doc("d7"), Verdict("d7", CORRECT),
-        [external("Scotia", "is a", "bank", "d7", {"Scotia"})])
+    verdict = Verdict("d7", CORRECT, SCOTIA_FACTS, " 丰业银行 ")
+    graph = integrate_external(scotia_graph(), verdict, term("Scotia"))
     assert graph.accepted_docs == ("d7",)
-    assert len(graph.triples) == 1
-    assert graph.triples[0].object == "bank"
+    assert [(t.subject, t.relation, t.object) for t in graph.triples] == [
+        *SCOTIA_FACTS, ("Scotia", "renders as", "丰业银行")]
+    assert {t.provenance for t in graph.triples} == {Provenance(EXTERNAL, "d7")}
+    assert {t.term_keys for t in graph.triples} == {frozenset({"Scotia"})}
 
 
-def test_integrate_incorrect_is_identity():
-    graph = scotia_graph()
-    result = integrate_external(graph, Doc("d7"), Verdict("d7", INCORRECT),
-                                [external("x", "y", "z", "d7", {"Scotia"})])
-    assert result is graph
-    assert serialize_graph(result) == serialize_graph(graph)
+def test_integrate_blank_rendering_adds_no_triple():
+    graph = integrate_external(scotia_graph(), Verdict("d7", CORRECT, SCOTIA_FACTS, "  "),
+                               term("Scotia"))
+    assert [(t.subject, t.relation, t.object) for t in graph.triples] == SCOTIA_FACTS
 
 
 def test_integrate_correct_without_triples_still_admits():
-    graph = integrate_external(scotia_graph(), Doc("d7"), Verdict("d7", CORRECT), [])
+    graph = integrate_external(scotia_graph(), Verdict("d7", CORRECT), term("Scotia"))
     assert graph.accepted_docs == ("d7",)
     assert graph.triples == ()
 
 
-def test_integrate_rejects_provenance_mismatch():
-    with pytest.raises(GraphError):
-        integrate_external(scotia_graph(), Doc("d7"), Verdict("d7", CORRECT),
-                           [external("x", "y", "z", "d8", {"Scotia"})])
-    with pytest.raises(GraphError):
-        integrate_external(scotia_graph(), Doc("d7"), Verdict("d7", CORRECT),
-                           [internal("x", "y", "z", {"Scotia"})])
-
-
-def test_integrate_rejects_verdict_for_other_doc():
-    with pytest.raises(GraphError):
-        integrate_external(scotia_graph(), Doc("d7"), Verdict("d8", CORRECT), [])
+def test_integrate_incorrect_is_identity():
+    graph = scotia_graph()
+    result = integrate_external(graph, Verdict("d7", INCORRECT, SCOTIA_FACTS, "丰业银行"),
+                                term("Scotia"))
+    assert result is graph
+    assert serialize_graph(result) == serialize_graph(graph)
 
 
 def test_integrate_unknown_verdict_is_identity():
     graph = scotia_graph()
-    result = integrate_external(graph, Doc("d7"), Verdict("d7", "MAYBE"),
-                                [external("x", "y", "z", "d7", {"Scotia"})])
+    result = integrate_external(graph, Verdict("d7", "MAYBE", SCOTIA_FACTS, "丰业银行"),
+                                term("Scotia"))
     assert result is graph
 
 
 def test_integrate_same_doc_twice_admits_once():
-    graph = integrate_external(scotia_graph(), Doc("d7"), Verdict("d7", CORRECT), [])
-    graph = integrate_external(graph, Doc("d7"), Verdict("d7", CORRECT), [])
-    assert graph.accepted_docs == ("d7",)
+    verdict = Verdict("d7", CORRECT, SCOTIA_FACTS, "丰业银行")
+    once = integrate_external(scotia_graph(), verdict, term("Scotia"))
+    twice = integrate_external(once, verdict, term("Scotia"))
+    assert twice == once
+    assert twice.accepted_docs == ("d7",)
+
+
+def test_admit_external_rejects_provenance_mismatch():
+    with pytest.raises(GraphError):
+        admit_external(scotia_graph(), "d7", [external("x", "y", "z", "d8", {"Scotia"})])
+    with pytest.raises(GraphError):
+        admit_external(scotia_graph(), "d7", [internal("x", "y", "z", {"Scotia"})])
 
 
 # --- invariants ------------------------------------------------------------------
@@ -253,8 +257,7 @@ def test_add_internal_names_an_external_triple_by_its_place():
 def two_insert_graph():
     graph = add_internal(scotia_graph(),
                          [internal("Scotia", "offers", "savings plan", {"Scotia"})])
-    return integrate_external(graph, Doc("d7"), Verdict("d7", CORRECT),
-                              [external("Scotia", "is a", "bank", "d7", {"Scotia"})])
+    return admit_external(graph, "d7", [external("Scotia", "is a", "bank", "d7", {"Scotia"})])
 
 
 def test_triples_for_term_in_insert_order():
@@ -396,13 +399,14 @@ def random_graph(rng: random.Random) -> TransKG:
     graph = add_internal(graph, internals)
     for d in range(rng.randint(0, 3)):
         doc_id = f"d{d}"
-        verdict = Verdict(doc_id, rng.choice([CORRECT, INCORRECT]))
+        admitted = rng.choice([True, False])
         triples = [
             external(f"es{rng.randint(0, 9)}", "renders as", f"eo{rng.randint(0, 9)}",
                      doc_id, {rng.choice(surfaces)})
             for _ in range(rng.randint(0, 3))
         ]
-        graph = integrate_external(graph, Doc(doc_id), verdict, triples)
+        if admitted:
+            graph = admit_external(graph, doc_id, triples)
     return graph
 
 
@@ -425,7 +429,7 @@ def test_filtering_soundness_property():
             doc_id = f"d{d}"
             verdict = rng.choice([CORRECT, INCORRECT])
             judged.append((doc_id, verdict))
-            graph = integrate_external(graph, Doc(doc_id), Verdict(doc_id, verdict), [])
+            graph = integrate_external(graph, Verdict(doc_id, verdict), term("Scotia"))
         expected = tuple(doc_id for doc_id, verdict in judged if verdict == CORRECT)
         assert graph.accepted_docs == expected
 

@@ -198,7 +198,6 @@ def time_first_read(cache_dir: str) -> dict:
 class FanOutSource:
     """``DOCS_PER_TERM`` documents for any term (queries start with it)."""
 
-    kind = "remote"
     label = "bench"
 
     def search(self, query: str, k: int):
