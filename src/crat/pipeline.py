@@ -11,16 +11,21 @@ the first extract request is in flight (``Gateway.complete``'s ``on_sent``),
 so a remote source may be queried for a document whose extraction then
 fails. Its warnings are recorded apart and joined as the retrieve stage
 after the extract stage's events; ``timings_ms["retrieve"]`` is its own
-wall time, which overlaps ``extract``.
+wall time, which overlaps ``extract``. A retrieved document id names one
+document for the run: the first source whose document under it is kept, in
+term and then source order, owns it, and another source's document with
+that id is dropped.
 
-Every judge call reads only the internal knowledge fixed before the judge
-stage, so all (term, document) pairs are judged at once, on the gateway's
-``MAX_INFLIGHT_PER_BACKEND`` worker threads (``Gateway.fan_out``), which
-every document of the process shares; the gateway also bounds the calls in
-flight per backend. Each call records into its own ``transcript.branch()``.
-Verdicts are integrated and branches joined into the transcript in the fixed
-(term, document) order, so the graph, the transcript and the result are the
-same bytes as if the pairs had been judged one after another.
+Each judge call is handed the internal facts about its own term
+(``transkg.triples_for_term``); the translator is handed them all. Those
+facts are fixed before the judge stage, so all (term, document) pairs are
+judged at once, on the gateway's ``MAX_INFLIGHT_PER_BACKEND`` worker
+threads (``Gateway.fan_out``), which every document of the process shares;
+the gateway also bounds the calls in flight per backend. Each call records
+into its own ``transcript.branch()``. Verdicts are integrated and branches
+joined into the transcript in the fixed (term, document) order, so the
+graph, the transcript and the result are the same bytes as if the pairs had
+been judged one after another.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .transkg import (
     new_graph,
     add_internal,
     serialize_graph,
+    triples_for_term,
 )
 
 log = logging.getLogger(__name__)
@@ -215,10 +221,11 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
         retrieved, retrieve_timing = AgentTranscript(), {}
 
         def retrieve() -> None:
+            owners: dict[str, str] = {}  # each document id's source label, for this run
             with _stage("retrieve", retrieved, retrieve_timing):
                 per_term_docs.extend(
                     (term, retrieve_for_term(term, source_text, config.sources,
-                                             config.k_per_source, config.n2, retrieved))
+                                             config.k_per_source, config.n2, retrieved, owners))
                     for term in terms)
 
         with _stage("extract", transcript, timings):
@@ -232,13 +239,13 @@ def run_pipeline(source_text: str, lang_pair: tuple[str, str], config: PipelineC
         if documents:
             if config.use_judge:
                 with _stage("judge", transcript, timings):
-                    internal = list(graph.internal_triples)
+                    facts = {term: triples_for_term(graph, term.surface) for term in terms}
                     pairs = [(term, doc) for term, docs in per_term_docs for doc in docs]
 
                     def judge(pair) -> tuple[JudgeVerdict, AgentTranscript]:
                         term, doc = pair
                         branch = transcript.branch()
-                        return judge_document(internal, doc, source_text, term, lang_pair,
+                        return judge_document(facts[term], doc, source_text, term, lang_pair,
                                               config.judge_backend, gateway, branch), branch
 
                     rulings = gateway.fan_out(judge, pairs)
@@ -289,9 +296,9 @@ class BatchManifest:
 
 
 def _doc_fields(record: Mapping, position: int) -> tuple[str, str]:
-    doc_id = str(record.get("id") or f"doc-{position:04d}")
-    text = record.get("text", record.get("source_text", ""))
-    return doc_id, text
+    doc_id = record.get("id")
+    return (f"doc-{position:04d}" if doc_id in (None, "") else str(doc_id),
+            record.get("text", record.get("source_text", "")))
 
 
 def run_batch(corpus: Sequence[Mapping], lang_pair: tuple[str, str],

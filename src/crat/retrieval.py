@@ -3,9 +3,9 @@
 Three source kinds produce ranked ``RetrievedDocument`` lists: a local BM25
 inverted index, a bilingual glossary and a remote search endpoint, which
 ``RemoteSource`` reaches over the gateway's HTTP transport.
-``retrieve_for_term`` queries configured sources in order, deduplicates, and
-caps the merged list. The README's File formats section describes the index
-file and how a glossary matches a query.
+``retrieve_for_term`` queries configured sources in order, keeps one source's
+document per id, and caps the merged list. The README's File formats
+section describes the index file and how a glossary matches a query.
 """
 
 from __future__ import annotations
@@ -436,26 +436,35 @@ def term_query(term: TermCandidate, source_text: str) -> str:
 
 def retrieve_for_term(term: TermCandidate, source_text: str, sources: Sequence,
                       k_per_source: int = DEFAULT_N2, n2: int = DEFAULT_N2,
-                      transcript=None) -> list[RetrievedDocument]:
+                      transcript=None, owners: dict | None = None) -> list[RetrievedDocument]:
     """Query every configured source in order; merge, dedup, cap at ``n2``.
 
     A failing source is skipped with a warning and never affects results
-    contributed by the other sources.
+    contributed by the other sources. The first source whose document under
+    an id is merged owns that id: ``owners`` maps each id to its owner's
+    label, and a run shares it across its terms. A document with that id
+    from another source is dropped with a warning; from the owner it is the
+    same document, kept once per term. Documents past the cap claim no id.
     """
     query = term_query(term, source_text)
+    owners = {} if owners is None else owners
     merged: list[RetrievedDocument] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     for source in sources:
+        label = getattr(source, "label", source)
         try:
             hits = source.search(query, k_per_source)
         except SourceError as err:
-            warn(transcript, log,
-                 f"retrieval source {getattr(source, 'label', source)!r} failed: {err}")
+            warn(transcript, log, f"retrieval source {label!r} failed: {err}")
             continue
         for doc in hits:
-            key = (doc.source, doc.id)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.append(doc)
-    return merged[:n2]
+            if len(merged) >= n2:
+                break
+            owner = owners.setdefault(doc.id, label)
+            if owner != label:
+                warn(transcript, log, f"retrieval: dropped document {doc.id!r} from {label!r}; "
+                                      f"that id belongs to {owner!r}")
+            elif doc.id not in seen:
+                seen.add(doc.id)
+                merged.append(doc)
+    return merged

@@ -5,6 +5,7 @@ scriptable local HTTP stub server."""
 from __future__ import annotations
 
 import json
+import random
 import shutil
 import socket
 import ssl
@@ -92,6 +93,17 @@ def wait_for(condition, timeout_s: float = 5.0) -> None:
     deadline = time.monotonic() + timeout_s
     while not condition() and time.monotonic() < deadline:
         time.sleep(0.005)
+
+
+# Alphabets random texts draw from: Latin, Cyrillic, CJK, characters outside
+# the Basic Multilingual Plane, and the characters JSON escapes, with U+2028.
+SCRIPTS = ("abcXYZ éüßÇ", "абвгдЖЗИЙ", "银行河岸海峡", "😀𠀋𝄞", " \t\n\"\\/\u2028")
+
+
+def random_text(rng: random.Random, at_least: int = 0, at_most: int = 12) -> str:
+    """``at_least`` to ``at_most`` characters from one or more of ``SCRIPTS``."""
+    alphabet = "".join(rng.sample(SCRIPTS, rng.randint(1, len(SCRIPTS))))
+    return "".join(rng.choices(alphabet, k=rng.randint(at_least, at_most)))
 
 
 def demo_backend(backend_id: str) -> MockBackend:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import random
 import re
 import shutil
 import socket
@@ -22,7 +23,8 @@ import pytest
 
 import crat
 from crat import gateway as gateway_module
-from conftest import CUT_OFF, HANG_UP, STALL, Raw, StubServer, simple_request, wait_for
+from conftest import (CUT_OFF, HANG_UP, STALL, Raw, StubServer, random_text, simple_request,
+                      wait_for)
 from crat import canonical
 from crat.config import build_gateway, load_run_config
 from crat.gateway import (
@@ -209,6 +211,24 @@ def test_cache_line_is_the_canonical_entry(tmp_path):
     assert entry["response_text"] == "réponse « 银行 » \u2028 \"fin\""
     fields = ("fingerprint", "request", "response_text", "timestamp")
     assert line == (canonical.compact({name: entry[name] for name in fields}) + "\n").encode()
+
+
+def test_cache_line_round_trip_property(tmp_path):
+    # Prompts and replies with JSON escapes and characters outside the Basic
+    # Multilingual Plane come back from a fresh gateway's read of the lines.
+    rng = random.Random(20261021)
+    replies = {f"{i} {random_text(rng)}": f"{i}:{random_text(rng, 0, 40)}" for i in range(100)}
+    with Gateway(cache_dir=tmp_path) as writer:
+        writer.register_mock("mock", [], fallback=lambda request: replies[
+            request.messages[0].content])
+        assert not any(writer.complete(simple_request("mock", p)).cache_hit for p in replies)
+    calls = []
+    with Gateway(cache_dir=tmp_path) as reader:
+        reader.register_mock("mock", [], fallback=lambda request: calls.append(request) or "miss")
+        for prompt, reply in replies.items():
+            exchange = reader.complete(simple_request("mock", prompt))
+            assert (exchange.cache_hit, exchange.response_text) == (True, reply)
+    assert calls == []
 
 
 def test_gateway_context_flushes_and_stops_its_threads(tmp_path):

@@ -21,6 +21,7 @@ from conftest import (
     demo_backend,
     demo_pipeline_config,
     fenced_payload,
+    random_text,
     register_demo_backends,
     wait_for,
 )
@@ -58,10 +59,8 @@ class ScriptedSource:
     """Returns a fixed document list per term surface (queries start with
     the surface, per the term_query contract)."""
 
-    label = "scripted"
-
-    def __init__(self, by_surface):
-        self.by_surface = by_surface
+    def __init__(self, by_surface, label="scripted"):
+        self.by_surface, self.label = by_surface, label
 
     def search(self, query, k):
         surface = query.split(" ", 1)[0]
@@ -80,16 +79,17 @@ def judge_reply(verdict: str, rendering: str = "", facts=None) -> str:
 
 
 def controlled_gateway(verdict_by_doc: dict[str, str], term_surfaces: list[str],
-                       judge=None, cache_dir=None, extractor_url=None) -> Gateway:
+                       judge=None, cache_dir=None, extractor_url=None, triples=()) -> Gateway:
     """Mock backends for a controlled run over invented term surfaces; a
     ``judge`` callable, if given, answers every judge request, and the
-    extractor is an HTTP backend at ``extractor_url``, if given."""
+    extractor is an HTTP backend at ``extractor_url``, if given, or a mock
+    that reports ``triples``."""
     gateway = Gateway(cache_dir)
     gateway.register_mock("det", [], fallback=fenced_payload(
         {"terms": [{"surface": s, "category": "new_term", "rationale": ""}
                    for s in term_surfaces]}))
     if extractor_url is None:
-        gateway.register_mock("ext", [], fallback=fenced_payload({"triples": []}))
+        gateway.register_mock("ext", [], fallback=fenced_payload({"triples": list(triples)}))
     else:
         gateway.register_http("ext", extractor_url, "test-model", timeout_s=5)
     judge_rules = [(f"Document {doc_id}:", judge_reply(verdict))
@@ -141,6 +141,95 @@ def test_controlled_verdict_sequence():
 
 
 STAGES_FULL = ["detect", "extract", "retrieve", "judge", "translate"]
+
+
+def fact(subject, relation, obj, *terms) -> dict:
+    return {"subject": subject, "relation": relation, "object": obj, "terms": list(terms)}
+
+
+def test_each_judge_call_lists_only_its_own_terms_facts():
+    # alpha and beta have a fact each and share a third; gamma has none.
+    triples = [fact("alpha", "is", "a first letter", "alpha"),
+               fact("beta", "is", "a second letter", "beta"),
+               fact("alpha", "comes before", "beta", "alpha", "beta")]
+    by_surface = {"alpha": [doc("dx1")], "beta": [doc("dx2")], "gamma": [doc("dx3")]}
+    gateway = controlled_gateway({}, ["alpha", "beta", "gamma"], triples=triples)
+    result = run_pipeline("alpha beta gamma", EN_ZH, controlled_config(by_surface), gateway)
+    lines = {
+        "alpha": "- (alpha, is, a first letter)\n- (alpha, comes before, beta)",
+        "beta": "- (beta, is, a second letter)\n- (alpha, comes before, beta)",
+        "gamma": "(none)",
+    }
+    prompts = [e.request.messages[0].content for e in result.transcript.exchanges()]
+    judged = [p for p in prompts if "Term under review:" in p]
+    assert len(judged) == 3
+    for surface, prompt in zip(lines, judged):
+        assert f"Term under review: {surface} " in prompt
+        assert f"Facts stated by the source text:\n{lines[surface]}\n\n" in prompt
+    translated = prompts[-1]
+    for triple in triples:
+        assert f"- ({triple['subject']}, {triple['relation']}, {triple['object']}) " \
+               "[from the source text]" in translated
+
+
+def one_id_two_sources(two_terms: bool):
+    """A run in which source "first" returns d1 with GOOD text and source
+    "second" returns d1 with BAD text: for one term, or one source per term."""
+    good = doc("d1", "GOOD evidence")
+    bad = RetrievedDocument("d1", "d1", "BAD evidence", "glossary", 1.0)
+    if two_terms:
+        surfaces = ["alpha", "beta"]
+        sources = [ScriptedSource({"alpha": [good]}, "first"),
+                   ScriptedSource({"beta": [bad]}, "second")]
+    else:
+        surfaces = ["alpha"]
+        sources = [ScriptedSource({"alpha": [good]}, "first"),
+                   ScriptedSource({"alpha": [bad]}, "second")]
+
+    def judge(request):
+        good_text = "GOOD evidence" in request.messages[0].content
+        return judge_reply(CORRECT if good_text else INCORRECT, "rendering")
+    gateway = controlled_gateway({}, surfaces, judge=judge)
+    return run_pipeline(" ".join(surfaces), EN_ZH, controlled_config({}, sources=sources),
+                        gateway)
+
+
+@pytest.mark.parametrize("two_terms", [False, True], ids=["one term", "two terms"])
+def test_the_first_source_to_return_an_id_owns_it(two_terms):
+    result = one_id_two_sources(two_terms)
+    prompts = [e.request.messages[0].content for e in result.transcript.exchanges()]
+    judged = [p for p in prompts if "Document d1:" in p]
+    assert len(judged) == 1 and "GOOD evidence" in judged[0]
+    assert "BAD evidence" not in prompts[-1]
+    assert "- [d1] GOOD evidence" in prompts[-1]
+    assert result.graph.accepted_docs == ("d1",)
+    assert result.judged_count == 1
+    assert [(e.stage, e.message) for e in result.transcript.events if e.kind == "warning"] == [
+        ("retrieve", "retrieval: dropped document 'd1' from 'second'; "
+                     "that id belongs to 'first'")]
+
+
+def test_a_document_cut_by_the_n2_cap_owns_no_id():
+    # With n2 = 1, alpha's d1 from "first" is cut, so beta's d1 from
+    # "second" is the first d1 retrieval returns: it is judged, not dropped.
+    first = ScriptedSource({"alpha": [doc("dx0"), doc("d1", "cut evidence")]}, "first")
+    second = ScriptedSource({"beta": [doc("d1", "kept evidence")]}, "second")
+    gateway = controlled_gateway({}, ["alpha", "beta"])
+    result = run_pipeline("alpha beta", EN_ZH,
+                          controlled_config({}, sources=[first, second], n2=1), gateway)
+    judged = [e.request.messages[0].content for e in result.transcript.exchanges()
+              if e.request.backend_id == "jdg"]
+    assert [_DOC_RE.search(p).group(1) for p in judged] == ["dx0", "d1"]
+    assert "kept evidence" in judged[1]
+    assert result.transcript.warnings() == []
+
+
+def test_a_repeated_id_from_its_own_source_is_kept_for_each_term():
+    same = ScriptedSource({"alpha": [doc("d1")], "beta": [doc("d1")]}, "first")
+    gateway = controlled_gateway({"d1": CORRECT}, ["alpha", "beta"])
+    result = run_pipeline("alpha beta", EN_ZH, controlled_config({}, sources=[same]), gateway)
+    assert result.judged_count == 2
+    assert result.transcript.warnings() == []
 
 
 def test_geo_fixture_run(demo_gateway):
@@ -776,6 +865,15 @@ def test_batch_survives_an_unusable_cache_dir(tmp_path, caplog):
                for w in warnings)
 
 
+def test_batch_names_a_document_by_its_id_even_when_it_is_0(demo_gateway):
+    corpus = [{"id": 0, "text": "fine text"}, {"id": "", "text": "fine text"},
+              {"id": None, "text": "fine text"}, {"text": "fine text"}]
+    _, manifest = run_batch(corpus, EN_ZH, demo_pipeline_config(use_knowledge=False),
+                            demo_gateway)
+    assert [r["doc_id"] for r in manifest.records] == ["0", "doc-0001", "doc-0002",
+                                                        "doc-0003"]
+
+
 def test_batch_isolates_failures(demo_gateway):
     corpus = [{"id": f"doc{i}", "text": "fine text"} for i in range(5)]
     corpus[2]["text"] = "   "  # fails validation inside the run
@@ -843,16 +941,6 @@ def test_result_round_trip_and_loading(tmp_path, demo_gateway):
     assert loaded.term_renderings == result.term_renderings
     with pytest.raises(PipelineError):
         load_results(tmp_path / "missing")
-
-
-# Alphabets the random results draw their texts from, with the characters
-# JSON escapes.
-SCRIPTS = ("abcXYZ éüßÇ", "абвгдЖЗИЙ", "银行河岸海峡", " \t\n\"\\/")
-
-
-def random_text(rng: random.Random, at_least: int = 0) -> str:
-    alphabet = "".join(rng.sample(SCRIPTS, rng.randint(1, len(SCRIPTS))))
-    return "".join(rng.choices(alphabet, k=rng.randint(at_least, 12)))
 
 
 def random_result(rng: random.Random, doc_id: str) -> TranslationResult:

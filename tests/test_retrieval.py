@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from bm25_oracle import bm25_rank
-from conftest import CUT_OFF, STALL, simple_request
+from conftest import CUT_OFF, STALL, random_text, simple_request
 from glossary_oracle import glossary_lookup
 from crat import canonical, tokenizers
 from crat.gateway import BackendConfigError, Gateway
@@ -205,6 +205,31 @@ def test_index_save_load_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded == index
     assert [r.id for r in search(loaded, "Scotia bank savings", 2)] == ["dA", "dB"]
+
+
+def random_corpus(rng: random.Random) -> list[dict]:
+    """0-40 records with unique ids; texts and titles may be empty, and a
+    title may be missing."""
+    corpus = []
+    for n in range(rng.randint(0, 40)):
+        record = {"id": f"{random_text(rng)}#{n}", "text": random_text(rng, 0, 40)}
+        if rng.random() < 0.8:
+            record["title"] = random_text(rng)
+        corpus.append(record)
+    return corpus
+
+
+def test_index_file_round_trip_property(tmp_path):
+    rng = random.Random(20261021)
+    path = tmp_path / "index.json"
+    for n in range(50):
+        index = build_index(random_corpus(rng), tokenizers.TOKENIZER_IDS[n % 2])
+        save_index(index, path)
+        written = path.read_bytes()
+        loaded = load_index(path)
+        assert loaded == index, n
+        save_index(loaded, path)
+        assert path.read_bytes() == written, n
 
 
 def test_index_load_rejects_bad_version(tmp_path):
