@@ -12,7 +12,7 @@ import json
 import re
 from typing import Any, Callable, Iterator
 
-from ..gateway import ChatMessage, ChatRequest, Gateway
+from ..gateway import ChatExchange, ChatMessage, ChatRequest, Gateway, GatewayError
 
 MAX_REPAIR_ATTEMPTS = 2
 
@@ -81,14 +81,22 @@ def chat_structured(gateway: Gateway, backend_id: str, prompt: str, agent: str,
     ``validate`` turns the raw payload dict into the agent-specific value and
     raises ``ValueError`` on schema violations; a violation counts as a parse
     failure and consumes a repair attempt. ``on_sent`` goes to the first
-    request's ``Gateway.complete``.
+    request's ``Gateway.complete``. A call that raises a ``GatewayError`` is
+    recorded in ``transcript`` as a failed exchange before the error goes on.
     """
     messages = [ChatMessage("user", prompt)]
     raw_text = ""
     last_error = "no attempt made"
     for attempt in range(MAX_REPAIR_ATTEMPTS + 1):
         request = ChatRequest(backend_id, tuple(messages))
-        exchange = gateway.complete(request, None if attempt else on_sent)
+        try:
+            exchange = gateway.complete(request, None if attempt else on_sent)
+        except GatewayError as err:
+            if transcript is not None:
+                transcript.add_exchange(ChatExchange(
+                    request, None, 0, cache_hit=False, fingerprint=err.fingerprint,
+                    attempts=0, error_type=type(err).__name__))
+            raise
         if transcript is not None:
             transcript.add_exchange(exchange)
         raw_text = exchange.response_text

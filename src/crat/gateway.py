@@ -69,7 +69,10 @@ RETRY_CAP_S = 30.0
 
 
 class GatewayError(Exception):
-    """Base class for gateway failures."""
+    """Base class for gateway failures. ``fingerprint`` names the request when
+    ``Gateway.complete`` had fingerprinted it before the failure."""
+
+    fingerprint: str | None = None
 
 
 class UnknownBackendError(GatewayError):
@@ -163,24 +166,17 @@ def request_fingerprint(request: ChatRequest, model: dict | None = None) -> str:
 
 @dataclass
 class ChatExchange:
-    """One completed gateway call. ``to_dict``, what transcripts record, leaves
-    out the latency, cache flag and attempt count, which vary between reruns."""
+    """One gateway call: a completed one, with its reply, or a failed one, with
+    ``error_type``, the class name of the ``GatewayError`` it raised, in place
+    of a reply (its latency, cache flag and attempt count are then unknown)."""
 
     request: ChatRequest
-    response_text: str
+    response_text: str | None
     latency_ms: int
     cache_hit: bool
-    fingerprint: str
+    fingerprint: str | None
     attempts: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "backend_id": self.request.backend_id,
-            "messages": [{"role": m.role, "content": m.content} for m in self.request.messages],
-            "params": dict(PARAMS),
-            "response_text": self.response_text,
-            "fingerprint": self.fingerprint,
-        }
+    error_type: str | None = None
 
 
 _PORTS = {"http": 80, "https": 443}
@@ -651,22 +647,26 @@ class Gateway:
 
         text = ""
         attempts = 0
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            attempts = attempt
-            try:
-                with self._inflight[request.backend_id]:
-                    text = backend.generate(request, on_sent)
-                break
-            except (TransportError, RetryLaterError) as err:
-                if attempt >= MAX_ATTEMPTS:
-                    raise
-                delay = self._retry_delay_s(attempt, getattr(err, "retry_after_s", None))
-                log.warning("retrying %s after %s (attempt %d/%d, sleeping %.2fs)",
-                            request.backend_id, err, attempt, MAX_ATTEMPTS, delay)
-                time.sleep(delay)
-        if not text.strip():
-            raise EmptyResponseError(
-                f"backend {request.backend_id!r} returned an empty completion")
+        try:
+            for attempt in range(1, MAX_ATTEMPTS + 1):
+                attempts = attempt
+                try:
+                    with self._inflight[request.backend_id]:
+                        text = backend.generate(request, on_sent)
+                    break
+                except (TransportError, RetryLaterError) as err:
+                    if attempt >= MAX_ATTEMPTS:
+                        raise
+                    delay = self._retry_delay_s(attempt, getattr(err, "retry_after_s", None))
+                    log.warning("retrying %s after %s (attempt %d/%d, sleeping %.2fs)",
+                                request.backend_id, err, attempt, MAX_ATTEMPTS, delay)
+                    time.sleep(delay)
+            if not text.strip():
+                raise EmptyResponseError(
+                    f"backend {request.backend_id!r} returned an empty completion")
+        except GatewayError as err:
+            err.fingerprint = fingerprint
+            raise
 
         if self.cache_dir is not None:
             self._cache_append(fingerprint, encoded, text)

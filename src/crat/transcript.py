@@ -1,6 +1,11 @@
 """Ordered audit log of one pipeline run: stage markers, gateway exchanges,
 and warnings. Stages follow the fixed pipeline order and every exchange is
 recorded inside the stage that produced it.
+
+``AgentTranscript.to_dict`` writes each message of a conversation once: a
+repair turn is written with ``"continues": true`` and only what it adds to
+the previous exchange's messages and reply, and a failed call with
+``error_type`` in place of ``response_text``.
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .gateway import ChatExchange
+from .gateway import PARAMS, ChatExchange, ChatMessage
 
 STAGES = ("detect", "extract", "retrieve", "judge", "translate")
 
@@ -75,14 +80,34 @@ class AgentTranscript:
 
     def to_dict(self) -> list[dict]:
         """Event list in canonical form, without latency, cache flags or
-        attempt counts, so reruns serialize identically."""
+        attempt counts, so reruns serialize identically. An exchange holds
+        its ``backend_id``, ``params``, ``fingerprint`` and ``messages``, and
+        its ``response_text`` or, for a failed call, its ``error_type``. One
+        whose request starts with the previous exchange's messages and then
+        that exchange's reply, as ``assistant`` (a repair turn), has
+        ``"continues": true`` and holds only the messages that follow."""
         out = []
+        previous = None  # the last exchange's messages and its reply
         for event in self.events:
             if event.kind == "stage":
                 out.append({"kind": "stage", "stage": event.stage})
             elif event.kind == "exchange":
-                entry = {"kind": "exchange", "stage": event.stage}
-                entry.update(event.exchange.to_dict())
+                exchange = event.exchange
+                messages = exchange.request.messages
+                entry = {"kind": "exchange", "stage": event.stage,
+                         "backend_id": exchange.request.backend_id, "params": dict(PARAMS),
+                         "fingerprint": exchange.fingerprint}
+                if previous is not None and messages[:len(previous)] == previous:
+                    entry["continues"] = True
+                    messages = messages[len(previous):]
+                entry["messages"] = [{"role": m.role, "content": m.content} for m in messages]
+                if exchange.error_type is None:
+                    entry["response_text"] = exchange.response_text
+                    previous = exchange.request.messages + (
+                        ChatMessage("assistant", exchange.response_text),)
+                else:
+                    entry["error_type"] = exchange.error_type
+                    previous = None
                 out.append(entry)
             else:
                 out.append({"kind": "warning", "stage": event.stage,

@@ -21,7 +21,7 @@ import pytest
 from crat import canonical
 from crat.cli import main as cli_main
 from crat.config import load_mock_script, load_run_config, mock_script_from_dict
-from crat.gateway import ChatMessage, ChatRequest, Gateway, MockBackend
+from crat.gateway import ChatMessage, ChatRequest, Gateway, MockBackend, request_fingerprint
 from crat.pipeline import PipelineConfig, write_transcript
 from crat.retrieval import LocalIndexSource, build_index
 
@@ -144,6 +144,44 @@ def artifact_bytes(results, directory) -> list[bytes]:
     under ``directory``, in order."""
     return [path.read_bytes() for result in results
             for path in write_transcript(result, directory)]
+
+
+def rebuilt_requests(written: list[dict]) -> list[list[dict]]:
+    """Each exchange's full message list, rebuilt from a written
+    ``transcript.json``: a ``continues`` exchange's is the previous exchange's
+    rebuilt list, then that exchange's ``response_text`` as ``assistant``,
+    then the messages it records."""
+    rebuilt, previous = [], None
+    for entry in written:
+        if entry["kind"] == "exchange":
+            messages = entry["messages"]
+            if entry.get("continues"):
+                messages = previous[0] + [
+                    {"role": "assistant", "content": previous[1]}] + messages
+            rebuilt.append(messages)
+            previous = messages, entry.get("response_text")
+    return rebuilt
+
+
+def check_rebuilt_requests(transcript, written: list[dict]) -> list[dict]:
+    """Check that each request rebuilt from ``written``, the transcript file
+    of ``transcript``, is the one sent, with the fingerprint recorded (the
+    backends have no model), and that a continuing exchange does not record
+    the previous exchange's prompt again; the continuing exchanges."""
+    entries = [entry for entry in written if entry["kind"] == "exchange"]
+    exchanges = transcript.exchanges()
+    assert len(entries) == len(exchanges)
+    continuing, previous = [], None
+    for entry, messages, exchange in zip(entries, rebuilt_requests(written), exchanges):
+        assert messages == [{"role": m.role, "content": m.content}
+                            for m in exchange.request.messages]
+        request = ChatRequest(entry["backend_id"], [ChatMessage(**m) for m in messages])
+        assert request_fingerprint(request) == entry["fingerprint"]
+        if entry.get("continues"):
+            assert previous[0]["content"] not in [m["content"] for m in entry["messages"]]
+            continuing.append(entry)
+        previous = messages
+    return continuing
 
 
 @pytest.fixture(autouse=True)

@@ -31,7 +31,7 @@ from crat.agents import (
 from crat.agents import JudgeVerdict, consis, detector, extractor, judge, prompts, translator
 from crat.agents.schema import chat_structured
 from crat.config import mock_script_from_dict
-from crat.gateway import Gateway
+from crat.gateway import Gateway, HttpStatusError, UnknownBackendError, request_fingerprint
 from crat.retrieval import RetrievedDocument
 from crat.transcript import AgentTranscript
 from crat.transkg import (
@@ -166,6 +166,29 @@ def test_exchanges_recorded_in_transcript():
         ["gibberish", fenced({"value": 1})]))
     chat_structured(gateway, "m", "prompt", "detector", identity_validator, transcript)
     assert len(transcript.exchanges()) == 2
+
+
+def test_failed_calls_recorded_in_transcript():
+    # A repair turn whose call fails continues the conversation it repairs;
+    # a call that fails before its request is hashed records no fingerprint.
+    def respond(request):
+        if len(request.messages) > 1:
+            raise HttpStatusError(500, "boom")
+        return "gibberish"
+
+    transcript = transcript_for("detect")
+    gateway = mock_gateway("m", fallback=respond)
+    with pytest.raises(HttpStatusError):
+        chat_structured(gateway, "m", "prompt", "detector", identity_validator, transcript)
+    with pytest.raises(UnknownBackendError):
+        chat_structured(gateway, "nope", "prompt", "detector", identity_validator, transcript)
+    first, repair, unknown = (e for e in transcript.to_dict() if e["kind"] == "exchange")
+    assert first["response_text"] == "gibberish" and "continues" not in first
+    assert (repair["continues"], repair["error_type"]) == (True, "HttpStatusError")
+    assert [m["role"] for m in repair["messages"]] == ["user"] and "response_text" not in repair
+    assert repair["fingerprint"] == request_fingerprint(transcript.exchanges()[1].request)
+    assert (unknown["fingerprint"], unknown["error_type"]) == (None, "UnknownBackendError")
+    assert "continues" not in unknown
 
 
 # --- golden prompts -------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import re
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import yaml
 
-from conftest import DEMO_CONFIG, copy_demo, simple_request
+from conftest import DEMO_CONFIG, copy_demo, random_text, simple_request
 from crat import canonical
 from crat.config import (
     CONFIG_SHAPE,
@@ -27,7 +28,7 @@ from crat.config import (
     load_run_config,
     mock_script_from_dict,
 )
-from crat.gateway import ChatExchange, Gateway
+from crat.gateway import ChatExchange, Gateway, echo_last_user
 from crat.pipeline import PipelineConfig, PipelineError, run_batch, run_pipeline, write_transcript
 from crat.transcript import AgentTranscript, TranscriptError
 
@@ -202,6 +203,51 @@ def test_load_mock_script_errors(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_mock_script(bad)
+
+
+def random_script(rng: random.Random) -> dict:
+    """A script document: rules by ``substring`` or ``substrings``, and a
+    ``text`` fallback (with or without its text), an ``echo_last_user`` one
+    or none; each key that may be left out is left out at times."""
+    script = {}
+    if rng.random() < 0.8:
+        script["rules"] = []
+        for _ in range(rng.randint(0, 4)):
+            rule = {"response": random_text(rng, 0, 30)}
+            if rng.random() < 0.5:
+                rule["substring"] = random_text(rng)
+            else:
+                rule["substrings"] = [random_text(rng) for _ in range(rng.randint(0, 3))]
+            script["rules"].append(rule)
+    fallback = rng.choice(("text", "echo_last_user", None))
+    if fallback is not None:
+        script["fallback"] = {"kind": fallback}
+        if fallback == "text" and rng.random() < 0.8:
+            script["fallback"]["text"] = random_text(rng, 0, 30)
+    return script
+
+
+def test_mock_script_round_trip_property(tmp_path):
+    # Scripts with Latin, Cyrillic, CJK and non-BMP texts, JSON escapes and
+    # U+2028, written as canonical files, load to equal documents that
+    # register as their rules say and write back to the same bytes.
+    rng = random.Random(20261022)
+    for i in range(100):
+        script = random_script(rng)
+        path = tmp_path / f"script-{i}.json"
+        path.write_bytes(canonical.pretty(script).encode("utf-8"))
+        loaded = load_mock_script(path)
+        assert loaded == script
+        assert canonical.digest(loaded) == canonical.digest(script)
+        rules, fallback = mock_script_from_dict(loaded, str(path))
+        assert [response for _, response in rules] == [
+            rule["response"] for rule in script.get("rules", [])]
+        kind = script.get("fallback", {}).get("kind")
+        if kind == "text":
+            assert fallback == script["fallback"].get("text", "")
+        else:
+            assert (fallback is echo_last_user) if kind else (fallback is None)
+        assert canonical.pretty(loaded).encode("utf-8") == path.read_bytes()
 
 
 def test_scripted_miss_names_the_fingerprint_transcripts_hold(tmp_path):

@@ -22,7 +22,9 @@ whatever the fault:
   the provider said, and a rerun replays it with its repair turn.
 
 Every (fault, position) pair runs at width 1, and a seeded sample of them at
-width 4.
+width 4. Runs with repair turns (a non-JSON reply at each position, and a
+judge that answers only the strict repair prompt), at widths 1 and 4, check
+that each request sent is rebuilt from the ``transcript.json`` written.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ import pytest
 from conftest import (
     FINANCIAL_SOURCE,
     GEOGRAPHIC_SOURCE,
+    check_rebuilt_requests,
+    demo_backend,
     demo_pipeline_config,
     register_demo_backends,
 )
 from crat import gateway as gateway_module
 from crat.gateway import (
+    ChatRequest,
     Gateway,
     HttpStatusError,
     MockBackend,
@@ -218,3 +223,47 @@ def test_single_fault_at_width_1(clean, tmp_path, monkeypatch, fault_name, posit
 @pytest.mark.parametrize("fault_name, position", WIDE_PAIRS)
 def test_single_fault_at_width_4(clean, tmp_path, monkeypatch, fault_name, position):
     check_single_fault(clean, tmp_path, monkeypatch, fault_name, position, 4)
+
+
+def continuing_exchanges(gateway: Gateway, width: int, directory: Path) -> list[dict]:
+    """Run the demo batch through ``gateway``, write its files into
+    ``directory`` and check every request rebuilt from a transcript file
+    (``check_rebuilt_requests``); the exchanges that continue another."""
+    with gateway:
+        results, _ = run_batch(CORPUS, EN_ZH, demo_pipeline_config(width=width), gateway)
+    continuing = []
+    for result in results:
+        write_transcript(result, directory)
+        path = directory / result.source_doc_id / "transcript.json"
+        continuing += check_rebuilt_requests(result.transcript, json.loads(path.read_text("utf-8")))
+    return continuing
+
+
+@pytest.mark.parametrize("width", (1, 4))
+@pytest.mark.parametrize("position", range(1, CALLS + 1))
+def test_repair_turn_rebuilds_from_transcript(tmp_path, monkeypatch, position, width):
+    # One non-JSON reply takes one repair turn, which records only its prompt.
+    inject(monkeypatch, FAULTS["non-JSON reply"][0], position)
+    gateway = Gateway()
+    register_demo_backends(gateway)
+    (repair,) = continuing_exchanges(gateway, width, tmp_path)
+    assert [m["role"] for m in repair["messages"]] == ["user"]
+
+
+@pytest.mark.parametrize("width", (1, 4))
+def test_strict_repair_rebuilds_from_transcript(tmp_path, width):
+    # The judge answers only the strict repair prompt, the fifth message of
+    # its conversation, so each of the 12 judge calls takes three attempts.
+    judge = demo_backend("jdg")
+
+    def respond(request):
+        if len(request.messages) < 5:
+            return "Let me think about this document in prose."
+        return judge.generate(ChatRequest(request.backend_id, request.messages[:1]))
+
+    gateway = Gateway()
+    register_demo_backends(gateway, jdg=respond)
+    continuing = continuing_exchanges(gateway, width, tmp_path)
+    assert len(continuing) == 2 * 12
+    assert all(entry["messages"][-1]["content"].startswith("Emit only")
+               for entry in continuing[1::2])

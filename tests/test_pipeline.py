@@ -18,6 +18,7 @@ from conftest import (
     GEOGRAPHIC_SOURCE,
     RIVERBANK,
     artifact_bytes,
+    check_rebuilt_requests,
     demo_backend,
     demo_pipeline_config,
     fenced_payload,
@@ -330,6 +331,17 @@ def test_judge_gateway_error_rules_incorrect(demo_gateway):
     assert result.graph.accepted_docs == ("d-scotiasea",)
     assert (f"judge: call failed for document {failed_doc!r} (HttpStatusError), "
             "ruling INCORRECT" in result.transcript.warnings())
+    # Each failed call leaves a record: its request, whose fingerprint is
+    # rebuilt from it, and its error's class in place of a reply.
+    written = result.transcript.to_dict()
+    check_rebuilt_requests(result.transcript, written)
+    failed = [entry for entry in written if "error_type" in entry]
+    assert len(failed) == 2
+    for entry in failed:
+        assert f"Document {failed_doc}:" in entry["messages"][0]["content"]
+        assert ((entry["stage"], entry["backend_id"], entry["error_type"])
+                == ("judge", "jdg", "HttpStatusError"))
+        assert not {"response_text", "continues"} & set(entry)
     # The manifest counts the verdicts that failed closed (the document is
     # judged for two terms); a clean run's manifest names none, and
     # result.json names them in neither run.
@@ -694,11 +706,15 @@ def test_judge_fanout_keeps_the_serial_order(tmp_path):
         ("warning", "judge: unparsable reply for document 'dx3', ruling INCORRECT"),
         ("exchange", "dx4"),
         ("warning", "judge: skipped blank fact from document 'dx4'"),
+        ("exchange", "dx5"),
         ("warning", "judge: call failed for document 'dx5' (HttpStatusError), "
                     "ruling INCORRECT"),
     ]
     assert reverse.judged_count == n
     assert reverse.graph.accepted_docs == ("dx0", "dx2", "dx4")
+    # Branches join whole, so each repair turn continues its own call:
+    # dx2's one and dx3's two.
+    assert len(check_rebuilt_requests(reverse.transcript, reverse.transcript.to_dict())) == 3
     forward = fanout_run(lambda i: i * 5)
     assert (artifact_bytes([reverse], tmp_path / "reverse")
             == artifact_bytes([forward], tmp_path / "forward"))
